@@ -15,6 +15,7 @@ import time
 
 from . import scenarios, serialize, setfun
 from .intervaldyn import BudgetError
+from .numeric import encode
 from .scenarios import ConfigError
 
 
@@ -98,8 +99,7 @@ def cmd_check_capacity(args) -> int:
 def cmd_core(args) -> int:
     mu = serialize.capacity_from_json(serialize.load_json(args.file))
     verts = setfun.core_vertices(mu)
-    print(json.dumps([[serialize._enc(x) for x in v] for v in verts],
-                     indent=2))
+    print(json.dumps([[encode(x) for x in v] for v in verts], indent=2))
     return 0
 
 

@@ -392,9 +392,9 @@ def subadditive_limit_finite(f_seq: Callable[[int], Sequence], t,
     required to have stabilized over the last quarter of the horizon.
     """
     import random
-    from fractions import Fraction
 
     from . import finitedyn
+    from .numeric import parse
     rng = random.Random(seed)
     m_pts = len(f_seq(1))
     for _ in range(sample_pairs):
@@ -411,9 +411,7 @@ def subadditive_limit_finite(f_seq: Callable[[int], Sequence], t,
     best = None
     history = []
     for n in range(1, horizon + 1):
-        g = finitedyn.common_cond_exp([v / Fraction(n) if not
-                                       isinstance(v, float) else v / n
-                                       for v in f_seq(n)], t)
+        g = finitedyn.common_cond_exp([parse(v) / n for v in f_seq(n)], t)
         if best is None:
             best = list(g)
         else:

@@ -1,15 +1,16 @@
 """Cesaro-characterization checks of ergodicity and weak mixing.
 
-The checks run against a MeasuredSystem facade over either regime:
-finite (exact rational limits via cycle periodicity, tolerance zero) or
-interval (partial Cesaro means at checkpoints N/8, N/4, N/2, N against a
-tolerance).
+The checks run on a measured system of either regime: finite (exact
+rational limits via cycle periodicity, tolerance zero) or interval
+(partial Cesaro means at checkpoints N/8, N/4, N/2, N against a
+tolerance).  Each system supplies the correlation terms P(B & T^{-i}C);
+one Cesaro pipeline turns them into every check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -33,7 +34,6 @@ class ConvergenceReport:
     tolerance: object
     status: str = "ok"  # "ok" or "no-skeleton"
     exact_limit: object = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def final_deviation(self):
@@ -63,132 +63,144 @@ class ConvergenceReport:
 
 
 class MeasuredSystem:
-    """Uniform facade: events, correlation terms, skeleton, orbits."""
+    """A system the Cesaro checks run on.
 
-    def __init__(self, regime, **kw):
-        self.regime = regime
-        self.__dict__.update(kw)
+    Build one with `from_finite` or `from_interval`.  Each kind supplies
+    prob(p, event), q_measure(event) (the shared skeleton Q, or None when
+    there is none) and correlations(p, b, c, n).
+    """
 
-    @classmethod
-    def from_finite(cls, v: UpperProbability, t: Endomap):
+    @staticmethod
+    def from_finite(v: UpperProbability, t: Endomap) -> "FiniteSystem":
         sk = finitedyn.ergodic_skeleton(v, t)
-        return cls("finite", v=v, t=t,
-                   skeleton=sk["skeleton"] if sk.get("ok") else None,
-                   skeleton_report=sk)
+        return FiniteSystem(v, t, sk["skeleton"] if sk.get("ok") else None,
+                            sk)
 
-    @classmethod
-    def from_interval(cls, mp: PiecewiseAffineMap,
+    @staticmethod
+    def from_interval(mp: PiecewiseAffineMap,
                       family: Sequence[RestrictedLebesgue],
-                      budget: int = intervaldyn.DOUBLING_BUDGET):
-        # For the rotation-swap / doubling-paste systems the unique shared
-        # invariant skeleton is normalized Lebesgue on [0, c); for the
-        # c = 1 Lebesgue systems it is Lebesgue itself.
-        c = mp.c
+                      budget: int = intervaldyn.DOUBLING_BUDGET
+                      ) -> "IntervalSystem":
+        return IntervalSystem(mp, list(family), budget)
 
-        def q_measure(s: IntervalSet):
-            return s.measure() / c
 
-        return cls("interval", map=mp, family=list(family),
-                   q_measure=q_measure, budget=budget)
+@dataclass
+class FiniteSystem(MeasuredSystem):
+    """An upper probability v with the endomap t, and their ergodic
+    skeleton (None when ergodic_skeleton fails)."""
 
-    # -- finite-regime helpers ------------------------------------------
+    v: UpperProbability
+    t: Endomap
+    skeleton: Optional[list]
+    skeleton_report: dict
 
-    def _mask_measure(self, p: Sequence, mask: int):
+    def prob(self, p: Sequence, mask: int):
         return sum((p[i] for i in indices_of(mask)), Fraction(0))
 
-    def correlation_terms_finite(self, p: Sequence, b: int, c: int):
-        """Terms P(B & T^{-i}C) with the eventual period of the mask orbit.
+    def q_measure(self, mask: int):
+        if self.skeleton is None:
+            return None
+        return self.prob(self.skeleton, mask)
 
-        Returns (terms up to one full period past the transient,
-        transient_length, period).
+    def correlations(self, p: Sequence, b: int, c: int, n: int):
+        """The terms P(B & T^{-i}C) for i < n, and one period of them.
+
+        The mask orbit C, T^{-1}C, ... is eventually periodic; it is run
+        once, until a mask repeats.
         """
         seen = {}
         masks = []
-        cur = c
-        while cur not in seen:
-            seen[cur] = len(masks)
-            masks.append(cur)
-            cur = self.t.preimage_mask(cur)
-        transient = seen[cur]
-        period = len(masks) - transient
-        terms = [self._mask_measure(p, b & m) for m in masks]
-        return terms, transient, period
-
-    def exact_cesaro(self, terms, transient, period):
-        cyc = terms[transient:transient + period]
-        return sum(cyc, Fraction(0)) / period
+        while c not in seen:
+            seen[c] = len(masks)
+            masks.append(c)
+            c = self.t.preimage_mask(c)
+        terms = [self.prob(p, b & m) for m in masks]
+        start = seen[c]
+        cycle = terms[start:]
+        return ([terms[i] if i < start else
+                 cycle[(i - start) % len(cycle)] for i in range(n)], cycle)
 
 
-def _partial_means(terms, pts, transform=None):
-    out = []
-    total = Fraction(0) if not isinstance(terms[0], float) else 0.0
+@dataclass
+class IntervalSystem(MeasuredSystem):
+    """A piecewise-affine map with a family of restricted Lebesgue
+    measures; the shared skeleton is normalized Lebesgue on [0, c)."""
+
+    map: PiecewiseAffineMap
+    family: list
+    budget: int = intervaldyn.DOUBLING_BUDGET
+
+    @staticmethod
+    def _measure(p):
+        return p if isinstance(p, RestrictedLebesgue) else \
+            RestrictedLebesgue(p)
+
+    def prob(self, p, s: IntervalSet):
+        return self._measure(p)(s)
+
+    def q_measure(self, s: IntervalSet):
+        return s.measure() / self.map.c
+
+    def correlations(self, p, b: IntervalSet, c: IntervalSet, n: int):
+        """The terms P(B & T^{-i}C) for i < n; they have no known period."""
+        return intervaldyn.correlation_sequence(
+            self._measure(p), self.map, b, c, n, self.budget), None
+
+
+def _cesaro(sys: MeasuredSystem, p, b, c, n: int, transform: Callable):
+    """Checkpoints, partial Cesaro means of transform(P(B & T^{-i}C)) at
+    them, and the exact limit (the mean over one period) when the terms
+    are eventually periodic, else None."""
+    pts = checkpoints_of(n)
+    terms, cycle = sys.correlations(p, b, c, n)
+    partials = []
+    total = Fraction(0)
     k = 0
     for i, x in enumerate(terms):
-        total = total + (transform(x) if transform else x)
+        total = total + transform(x)
         if k < len(pts) and i + 1 == pts[k]:
-            out.append(total / (i + 1))
+            partials.append(total / (i + 1))
             k += 1
-    return out
+    limit = None
+    if cycle is not None:
+        limit = sum(map(transform, cycle), Fraction(0)) / len(cycle)
+    return pts, partials, limit
 
 
-def _finite_partials(sys, p, b, terms, transient, period, pts, transform=None):
-    # reconstruct the eventually periodic term sequence lazily
-    def term(i):
-        if i < transient + period:
-            return terms[i]
-        return terms[transient + (i - transient) % period]
-    seq = [term(i) for i in range(pts[-1])]
-    return _partial_means(seq, pts, transform)
+def _skeleton_check(name, sys, p, b, c, n, tol, float_tol, transform,
+                    target) -> ConvergenceReport:
+    """Cesaro report for transform(term, center) against target(center),
+    where center = P(B) Q(C) for the shared skeleton Q.
+
+    The tolerance defaults to 0 against an exact limit and to float_tol
+    against partial means.
+    """
+    q = sys.q_measure(c)
+    if q is None:
+        return ConvergenceReport(name, checkpoints_of(n), [], 0, 0,
+                                 status="no-skeleton")
+    center = sys.prob(p, b) * q
+    pts, partials, limit = _cesaro(sys, p, b, c, n,
+                                   lambda x: transform(x, center))
+    if tol is None:
+        tol = float_tol if limit is None else 0
+    return ConvergenceReport(name, pts, partials, target(center), tol,
+                             exact_limit=limit)
 
 
 def independence_check(sys: MeasuredSystem, p, b, c, n: int,
                        tol=None) -> ConvergenceReport:
     """Cesaro mean of P(B & T^{-i}C) against the target P(B) Q(C)."""
-    pts = checkpoints_of(n)
-    if sys.regime == "finite":
-        if sys.skeleton is None:
-            return ConvergenceReport("independence", pts, [], 0, 0,
-                                     status="no-skeleton")
-        terms, transient, period = sys.correlation_terms_finite(p, b, c)
-        limit = sys.exact_cesaro(terms, transient, period)
-        target = sys._mask_measure(p, b) * sys._mask_measure(sys.skeleton, c)
-        partials = _finite_partials(sys, p, b, terms, transient, period, pts)
-        return ConvergenceReport("independence", pts, partials, target,
-                                 tol if tol is not None else 0,
-                                 exact_limit=limit)
-    pr = p if isinstance(p, RestrictedLebesgue) else RestrictedLebesgue(p)
-    terms = intervaldyn.correlation_sequence(pr, sys.map, b, c, n,
-                                             sys.budget)
-    target = pr(b) * sys.q_measure(c)
-    partials = _partial_means(terms, pts)
-    return ConvergenceReport("independence", pts, partials, target,
-                             tol if tol is not None else 1e-3)
+    return _skeleton_check("independence", sys, p, b, c, n, tol, 1e-3,
+                           lambda x, center: x, lambda center: center)
 
 
 def squared_deviation_check(sys: MeasuredSystem, p, b, c, n: int,
                             tol=None) -> ConvergenceReport:
     """Cesaro mean of |P(B & T^{-i}C) - P(B)Q(C)|^2; zero iff weak mixing."""
-    pts = checkpoints_of(n)
-    if sys.regime == "finite":
-        if sys.skeleton is None:
-            return ConvergenceReport("squared_deviation", pts, [], 0, 0,
-                                     status="no-skeleton")
-        terms, transient, period = sys.correlation_terms_finite(p, b, c)
-        center = sys._mask_measure(p, b) * sys._mask_measure(sys.skeleton, c)
-        sq = [(x - center) ** 2 for x in terms]
-        limit = sys.exact_cesaro(sq, transient, period)
-        partials = _finite_partials(sys, p, b, sq, transient, period, pts)
-        return ConvergenceReport("squared_deviation", pts, partials, 0,
-                                 tol if tol is not None else 0,
-                                 exact_limit=limit)
-    pr = p if isinstance(p, RestrictedLebesgue) else RestrictedLebesgue(p)
-    terms = intervaldyn.correlation_sequence(pr, sys.map, b, c, n,
-                                             sys.budget)
-    center = pr(b) * sys.q_measure(c)
-    partials = _partial_means(terms, pts,
-                              transform=lambda x: (x - center) ** 2)
-    return ConvergenceReport("squared_deviation", pts, partials, 0,
-                             tol if tol is not None else 1e-2)
+    return _skeleton_check("squared_deviation", sys, p, b, c, n, tol, 1e-2,
+                           lambda x, center: (x - center) ** 2,
+                           lambda center: 0)
 
 
 def choquet_independence_check(sys: MeasuredSystem, f: Sequence, g: Sequence,
@@ -199,7 +211,7 @@ def choquet_independence_check(sys: MeasuredSystem, f: Sequence, g: Sequence,
     integral of the running Cesaro average, and the exact limit is the
     Choquet integral of f times the common conditional expectation of g.
     """
-    if sys.regime != "finite":
+    if not isinstance(sys, FiniteSystem):
         raise NotImplementedError("choquet check runs on finite systems")
     pts = checkpoints_of(n)
     if sys.skeleton is None:
@@ -233,32 +245,21 @@ def sqrt_moment_check(sys: MeasuredSystem, p, b, c, r, n: int,
                       tol=1e-2) -> dict:
     """Cesaro means of P(B & T^{-i}C)**r against the two-sided bounds.
 
-    For r = 1/2 the partial means from N/2 on must sit inside
-    [P(B)**0.5 * P(C) - tol, P(B)**0.5 * P(C)**0.5 + tol]; the finite
-    periodic case yields an exact limit instead.
+    The bounds are [P(B)**r * P(C) - tol, P(B)**r * P(C)**r + tol].  The
+    exact limit is checked against them when the terms are eventually
+    periodic, else the partial means from N/2 on.
     """
-    pts = checkpoints_of(n)
-    if sys.regime == "finite":
-        terms, transient, period = sys.correlation_terms_finite(p, b, c)
-        powered = [float(x) ** r for x in terms]
-        limit = sum(powered[transient:transient + period]) / period
-        pb = float(sys._mask_measure(p, b))
-        pc = float(sys._mask_measure(p, c))
-        return {"exact_limit": limit, "lower": pb ** r * pc,
-                "upper": pb ** r * pc ** r,
-                "partials": _finite_partials(sys, p, b, powered, transient,
-                                             period, pts),
-                "checkpoints": pts}
-    pr = p if isinstance(p, RestrictedLebesgue) else RestrictedLebesgue(p)
-    terms = intervaldyn.correlation_sequence(pr, sys.map, b, c, n,
-                                             sys.budget)
-    partials = _partial_means(terms, pts, transform=lambda x: float(x) ** r)
-    pb, pc = float(pr(b)), float(pr(c))
-    lower, upper = pb ** 0.5 * pc, pb ** 0.5 * pc ** 0.5
-    late = [v for q, v in zip(pts, partials) if q >= n // 2]
-    verdict = all(lower - tol <= v <= upper + tol for v in late)
-    return {"partials": partials, "checkpoints": pts, "lower": lower,
-            "upper": upper, "verdict": verdict, "tolerance": tol}
+    pts, partials, limit = _cesaro(sys, p, b, c, n, lambda x: float(x) ** r)
+    pb, pc = float(sys.prob(p, b)), float(sys.prob(p, c))
+    lower, upper = pb ** r * pc, pb ** r * pc ** r
+    if limit is None:
+        checked = [v for q, v in zip(pts, partials) if q >= n // 2]
+    else:
+        checked = [limit]
+    verdict = all(lower - tol <= v <= upper + tol for v in checked)
+    return {"partials": partials, "checkpoints": pts, "exact_limit": limit,
+            "lower": lower, "upper": upper, "verdict": verdict,
+            "tolerance": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +477,7 @@ def process_slln_check(sys: MeasuredSystem, h: Sequence, depth: int,
     """
     if depth > 8:
         raise ValueError("depth budget: depth <= 8")
-    if sys.regime != "finite":
+    if not isinstance(sys, FiniteSystem):
         raise NotImplementedError("process checks run on finite systems")
     t, v = sys.t, sys.v
     m = v.n
@@ -502,7 +503,7 @@ def process_slln_check(sys: MeasuredSystem, h: Sequence, depth: int,
         out["slln"] = {"status": "no-skeleton"}
         return out
     target = sum(Fraction(h[x]) * sys.skeleton[x] for x in range(m))
-    limits = [finitedyn.birkhoff_limit(h, t, x) for x in range(m)]
+    limits = finitedyn.common_cond_exp(h, t)
     fail_mask = 0
     for x in range(m):
         if abs(limits[x] - target) > tol:

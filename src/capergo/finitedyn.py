@@ -11,9 +11,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .setfun import (Capacity, UpperProbability, choquet_integral,
-                     core_range, core_vertices, in_core, indices_of, mask_of,
-                     _close, _is_exact)
+from .numeric import close, parse
+from .setfun import (Capacity, UpperProbability, core_range, core_vertices,
+                     in_core, indices_of)
 
 CESARO_HORIZON_CAP = 10 ** 6
 
@@ -98,10 +98,6 @@ def invariant_atoms(t: Endomap) -> list[int]:
     return sorted(atoms)
 
 
-def is_invariant_event(t: Endomap, mask: int) -> bool:
-    return t.preimage_mask(mask) == mask
-
-
 def skeleton(p: Sequence, t: Endomap) -> list:
     """Cesaro limit of the pushforwards P o T^{-i}.
 
@@ -112,8 +108,7 @@ def skeleton(p: Sequence, t: Endomap) -> list:
     out = [Fraction(0)] * t.n
     for i, w in enumerate(p):
         cyc = dec["cycles"][dec["cycle_of"][i]]
-        share = Fraction(w) if _is_exact(w) else w
-        share = share / len(cyc)
+        share = parse(w) / len(cyc)
         for c in cyc:
             out[c] = out[c] + share
     return out
@@ -143,8 +138,7 @@ def common_cond_exp(f: Sequence, t: Endomap) -> list:
     dec = cycle_decomposition(t)
     avg = []
     for cyc in dec["cycles"]:
-        avg.append(sum((Fraction(f[c]) if _is_exact(f[c]) else f[c]
-                        for c in cyc), Fraction(0)) / len(cyc))
+        avg.append(sum((parse(f[c]) for c in cyc), Fraction(0)) / len(cyc))
     return [avg[dec["cycle_of"][i]] for i in range(t.n)]
 
 
@@ -158,14 +152,11 @@ def birkhoff_average(f: Sequence, t: Endomap, x: int, n: int):
 
 
 def birkhoff_limit(f: Sequence, t: Endomap, x: int):
-    dec = cycle_decomposition(t)
-    cyc = dec["cycles"][dec["cycle_of"][x]]
-    return sum((Fraction(f[c]) if _is_exact(f[c]) else f[c]
-                for c in cyc), Fraction(0)) / len(cyc)
+    return common_cond_exp(f, t)[x]
 
 
 def is_invariant_capacity(mu: Capacity, t: Endomap) -> bool:
-    return all(_close(mu.table[t.preimage_mask(a)], mu.table[a])
+    return all(close(mu.table[t.preimage_mask(a)], mu.table[a])
                for a in range(1 << mu.n))
 
 
@@ -187,8 +178,8 @@ def ergodicity_check(mu: Capacity, t: Endomap) -> dict:
                 b |= atoms[j]
         vb = mu.table[b]
         vc = mu.table[full ^ b]
-        zero_one = (_close(vb, 0) or _close(vb, 1))
-        null_side = (_close(vb, 0) or _close(vc, 0))
+        zero_one = (close(vb, 0) or close(vb, 1))
+        null_side = (close(vb, 0) or close(vc, 0))
         if not (zero_one and null_side):
             ergodic = False
             witness = b
@@ -226,7 +217,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
                     b |= atoms[j]
             lo, hi = core_range(v, b, vertices)
             qb = sum(q[i] for i in indices_of(b))
-            if not (_close(lo, hi) and _close(lo, qb)):
+            if not (close(lo, hi) and close(lo, qb)):
                 agree = False
                 break
         checks["core_agrees_on_invariants"] = agree
@@ -235,7 +226,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     # (b) Q ergodic: exactly one terminal cycle carries mass
     dec = cycle_decomposition(t)
     charged = [ci for ci, cyc in enumerate(dec["cycles"])
-               if any(not _close(q[c], 0) for c in cyc)]
+               if any(not close(q[c], 0) for c in cyc)]
     checks["skeleton_ergodic"] = len(charged) == 1
     # (c) Q in core(V)
     checks["skeleton_in_core"] = in_core(v, q)
@@ -244,32 +235,16 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     null_match = True
     for a in range(1 << v.n):
         qa = sum(q[i] for i in indices_of(a))
-        if _close(qa, 0) != _close(v.table[a], 0):
+        if close(qa, 0) != close(v.table[a], 0):
             # Q-null iff V-null holds for invariant events and is what
             # the ergodic characterisation needs; on arbitrary events only
             # V(A)=0 => Q(A)=0 is guaranteed.
-            if _close(v.table[a], 0) and not _close(qa, 0):
+            if close(v.table[a], 0) and not close(qa, 0):
                 null_match = False
                 break
     checks["v_null_implies_q_null"] = null_match
     ok = all(checks.values())
     return {"ok": ok, "skeleton": q, "checks": checks}
-
-
-def eigenfunctions(t: Endomap, mu: Capacity = None) -> list:
-    """Unimodular eigenvalues lam with f o T = lam * f, f not a.s. constant.
-
-    Searched on the charged cycles: an eigenfunction supported on a cycle
-    of length r realises each r-th root of unity.  Returns the list of
-    periods r > 1 of cycles not contained in a mu-null set.
-    """
-    dec = cycle_decomposition(t)
-    periods = []
-    for cyc in dec["cycles"]:
-        if mu is not None and _close(mu.table[mask_of(cyc)], 0):
-            continue
-        periods.append(len(cyc))
-    return periods
 
 
 def weak_mixing_check(v: UpperProbability, t: Endomap,
@@ -286,7 +261,7 @@ def weak_mixing_check(v: UpperProbability, t: Endomap,
         return {"ok": False, "reason": sk.get("reason", "skeleton failed")}
     dec = cycle_decomposition(t)
     charged = [cyc for cyc in dec["cycles"]
-               if any(not _close(p, 0) for p in
+               if any(not close(p, 0) for p in
                       (sk["skeleton"][c] for c in cyc))]
     eig_verdict = all(len(cyc) == 1 for cyc in charged)
     out = {"ok": True, "weak_mixing": eig_verdict,

@@ -1,7 +1,8 @@
 """Interval-union sets on a circle segment [0, c) and piecewise-affine maps.
 
-Two arithmetic modes coexist: exact (Fraction endpoints) and float with a
-1e-12 comparison tolerance.  All intervals are half-open [a, b); boundary
+Two arithmetic modes coexist: exact (Fraction endpoints) and float; the
+rule that tells them apart, the float tolerance and the "p/q" encoding
+live in `capergo.numeric`.  All intervals are half-open [a, b); boundary
 points belong to the right-continuous side, so partitions and preimages
 stay half-open and measure computations never see boundary ambiguity.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-EPS = 1e-12
+from .numeric import FLOAT_TOL, encode, is_exact, parse
+
 BOUNDARY_SNAP = 1e-15
 DOUBLING_BUDGET = 24
 
@@ -28,26 +30,17 @@ class BoundaryHitError(RuntimeError):
     pass
 
 
-def _num(x):
-    """Parse an endpoint: Fraction, int, float, or 'p/q' string."""
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    return float(x)
-
-
 class IntervalSet:
     """Sorted disjoint half-open intervals inside [0, c)."""
 
     def __init__(self, intervals: Sequence = (), c=2):
-        self.c = _num(c)
+        self.c = parse(c)
         self.intervals = self._normalize(intervals)
 
     def _normalize(self, raw):
         pieces = []
         for a, b in raw:
-            a, b = _num(a), _num(b)
+            a, b = parse(a), parse(b)
             if not (0 <= a and b <= self.c):
                 raise ValueError("interval outside [0, c)")
             if a < b:
@@ -87,7 +80,7 @@ class IntervalSet:
 
     def complement(self) -> "IntervalSet":
         out = []
-        prev = _num(0)
+        prev = parse(0)
         for a, b in self.intervals:
             if prev < a:
                 out.append((prev, a))
@@ -107,10 +100,9 @@ class IntervalSet:
             raise ValueError("mismatched circumference")
 
     def to_json(self):
-        def enc(x):
-            return str(x) if isinstance(x, Fraction) else x
-        return {"c": enc(self.c),
-                "intervals": [[enc(a), enc(b)] for a, b in self.intervals]}
+        return {"c": encode(self.c),
+                "intervals": [[encode(a), encode(b)]
+                              for a, b in self.intervals]}
 
     @classmethod
     def from_json(cls, obj):
@@ -141,9 +133,9 @@ class PiecewiseAffineMap:
     """
 
     def __init__(self, branches, c=2, kind="custom"):
-        self.c = _num(c)
+        self.c = parse(c)
         self.kind = kind
-        self.branches = [(_num(lo), _num(hi), _num(s), _num(t))
+        self.branches = [(parse(lo), parse(hi), parse(s), parse(t))
                          for lo, hi, s, t in branches]
         self.expanding = any(abs(b[2]) > 1 for b in self.branches)
 
@@ -176,11 +168,11 @@ class PiecewiseAffineMap:
 
     @classmethod
     def rotation(cls, alpha, c=1):
-        alpha = _num(alpha) % _num(c)
+        alpha = parse(alpha) % parse(c)
         if alpha == 0:
             return cls([(0, c, 1, 0)], c, kind="rotation")
-        return cls([(0, _num(c) - alpha, 1, alpha),
-                    (_num(c) - alpha, c, 1, alpha - _num(c))],
+        return cls([(0, parse(c) - alpha, 1, alpha),
+                    (parse(c) - alpha, c, 1, alpha - parse(c))],
                    c, kind="rotation")
 
     @classmethod
@@ -190,7 +182,7 @@ class PiecewiseAffineMap:
 
     @classmethod
     def rotation_swap(cls, alpha=GOLDEN):
-        alpha = _num(alpha)
+        alpha = parse(alpha)
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie in (0,1)")
         # [0,1) rotates by alpha then moves up to [1,2); [1,2) drops down
@@ -211,21 +203,21 @@ class PiecewiseAffineMap:
             alpha = self.branches[0][3]
             if self.kind == "rotation_swap":
                 alpha = alpha - 1
-            out["alpha"] = str(alpha) if isinstance(alpha, Fraction) else alpha
+            out["alpha"] = encode(alpha)
         if self.kind == "rotation":
-            out["c"] = str(self.c) if isinstance(self.c, Fraction) else self.c
+            out["c"] = encode(self.c)
         return out
 
     @classmethod
     def from_json(cls, obj):
         kind = obj["kind"]
         if kind == "rotation":
-            return cls.rotation(_num(obj.get("alpha", GOLDEN)),
-                                _num(obj.get("c", 1)))
+            return cls.rotation(parse(obj.get("alpha", GOLDEN)),
+                                parse(obj.get("c", 1)))
         if kind == "doubling":
             return cls.doubling()
         if kind == "rotation_swap":
-            return cls.rotation_swap(_num(obj.get("alpha", GOLDEN)))
+            return cls.rotation_swap(parse(obj.get("alpha", GOLDEN)))
         if kind == "doubling_paste":
             return cls.doubling_paste()
         raise ValueError("unknown map kind %r" % kind)
@@ -235,8 +227,8 @@ class PiecewiseConstant:
     """Function on [0, c): value values[j] on [cuts[j], cuts[j+1])."""
 
     def __init__(self, cuts, values, c=2):
-        self.c = _num(c)
-        self.cuts = [_num(x) for x in cuts]
+        self.c = parse(c)
+        self.cuts = [parse(x) for x in cuts]
         self.values = list(values)
         if len(self.values) != len(self.cuts) - 1:
             raise ValueError("need one value per piece")
@@ -261,7 +253,7 @@ class PiecewiseConstant:
 
     @classmethod
     def indicator(cls, s: IntervalSet):
-        cuts = [_num(0)]
+        cuts = [parse(0)]
         values = []
         for a, b in s.intervals:
             if a > cuts[-1]:
@@ -410,7 +402,7 @@ def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
     if isinstance(x, float) and isinstance(f, PiecewiseConstant) and \
             mp.kind in ("rotation", "rotation_swap"):
         return _orbit_average_rotation(mp, f, x, n)
-    total = 0.0 if isinstance(x, float) else Fraction(0)
+    total = Fraction(0) if is_exact(x) else 0.0
     for _ in range(n):
         total += f(x)
         x = mp.apply(x)
@@ -505,7 +497,7 @@ def polynomial_orbit_average(f: PiecewiseConstant, p, x: BitstreamPoint,
 
 
 def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
-                         lam, tol=EPS) -> bool:
+                         lam, tol=FLOAT_TOL) -> bool:
     """Decide f(T x) = lam * f(x) off a finite set of boundary points.
 
     The composition f o T is piecewise constant on the refinement of the
@@ -518,7 +510,7 @@ def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
         cuts.add(lo)
         cuts.add(hi)
     for x in f.cuts:
-        cuts.add(_num(x))
+        cuts.add(parse(x))
     for piece, _ in f.pieces():
         pre = mp.preimage(piece)
         for a, b in pre.intervals:

@@ -1,0 +1,42 @@
+"""The exact/float arithmetic rule shared by every capergo module.
+
+A value is exact when it is an int or a Fraction, and a float otherwise.
+Two exact values compare exactly; a comparison that involves a float
+allows FLOAT_TOL.  Files and reports carry exact values as "p/q" strings.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+FLOAT_TOL = 1e-12
+
+
+def is_exact(x) -> bool:
+    return isinstance(x, (Fraction, int))
+
+
+def close(a, b, tol=FLOAT_TOL) -> bool:
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(a - b) <= tol
+
+
+def le(a, b, tol=FLOAT_TOL) -> bool:
+    if is_exact(a) and is_exact(b):
+        return a <= b
+    return a <= b + tol
+
+
+def parse(x):
+    """A Fraction for an int, a Fraction or a 'p/q' string; else a float."""
+    if isinstance(x, (Fraction, int, str)):
+        return Fraction(x)
+    return float(x)
+
+
+def encode(x):
+    """'p/q' for a Fraction; any other value passes through."""
+    if isinstance(x, Fraction):
+        return "%d/%d" % (x.numerator, x.denominator)
+    return x

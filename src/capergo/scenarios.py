@@ -19,6 +19,7 @@ from .ergocheck import MeasuredSystem
 from .finitedyn import Endomap
 from .intervaldyn import (GOLDEN, IntervalSet, PiecewiseAffineMap,
                           PiecewiseConstant, RestrictedLebesgue)
+from .numeric import encode
 from .setfun import UpperProbability
 
 
@@ -27,8 +28,6 @@ class ConfigError(ValueError):
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -37,7 +36,7 @@ def _jsonable(x):
         return x.item()
     if isinstance(x, np.ndarray):
         return _jsonable(x.tolist())
-    return x
+    return encode(x)
 
 
 def _check(name, verdict, **details):
@@ -529,14 +528,20 @@ def list_scenarios():
 
 
 def run_scenario(name: str, overrides: dict = None, seed: int = None):
-    """Execute a named scenario; returns the report dict."""
+    """Execute a named scenario; returns the report dict.
+
+    Override keys must be keys of the scenario's defaults.
+    """
     if name not in BY_NAME:
         raise ConfigError("unknown scenario %r" % name)
     fn, config, desc = BY_NAME[name]
     config = dict(config)
-    if overrides:
-        for k, v in overrides.items():
-            config[k] = v
+    overrides = overrides or {}
+    unknown = sorted(str(k) for k in set(overrides) - set(config))
+    if unknown:
+        raise ConfigError("unknown config key(s) for %s: %s"
+                          % (name, ", ".join(unknown)))
+    config.update(overrides)
     if seed is not None:
         config["seed"] = int(seed)
     checks, csv_tables = fn(config)

@@ -1,62 +1,29 @@
-"""JSON (de)serialization for finite-regime objects.
+"""JSON input for finite-regime objects.
 
 Rationals travel as "p/q" strings and event masks as decimal strings,
-so files stay exact and diffable.
+so files stay exact and diffable; values are read with `numeric.parse`.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .finitedyn import Endomap
+from .numeric import parse
 from .setfun import Capacity, UpperProbability
-
-
-def _enc(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    return x
-
-
-def _dec(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
-
-
-def capacity_to_json(mu: Capacity) -> dict:
-    if isinstance(mu, UpperProbability):
-        return {"n": mu.n, "kind": "lambda",
-                "lambda": [[_enc(x) for x in p] for p in mu.family]}
-    return {"n": mu.n, "kind": "table",
-            "table": {str(a): _enc(v) for a, v in enumerate(mu.table)}}
 
 
 def capacity_from_json(obj: dict) -> Capacity:
     kind = obj.get("kind", "table")
     if kind == "lambda":
-        return UpperProbability([[_dec(x) for x in p]
+        return UpperProbability([[parse(x) for x in p]
                                  for p in obj["lambda"]])
     n = obj["n"]
     table = [None] * (1 << n)
     for key, val in obj["table"].items():
-        table[int(key)] = _dec(val)
+        table[int(key)] = parse(val)
     if any(v is None for v in table):
         raise ValueError("capacity table incomplete")
     return Capacity(n, table)
-
-
-def endomap_to_json(t: Endomap) -> dict:
-    return {"n": t.n, "image": list(t.image)}
-
-
-def endomap_from_json(obj: dict) -> Endomap:
-    if len(obj["image"]) != obj["n"]:
-        raise ValueError("image length must equal n")
-    return Endomap(obj["image"])
 
 
 def load_json(path: str) -> dict:

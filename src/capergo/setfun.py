@@ -3,8 +3,8 @@
 Events on a ground set {0, ..., n-1} are encoded as bitmasks, so a set
 function is just a table of 2**n values.  Everything that can stay in
 exact rational arithmetic does; tables may also hold floats (for
-distortions like sqrt), in which case comparisons fall back to a small
-tolerance.
+distortions like sqrt).  The exact/float rule, including the comparison
+tolerance for floats, lives in `capergo.numeric`.
 """
 
 from __future__ import annotations
@@ -13,25 +13,9 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-FLOAT_TOL = 1e-12
+from .numeric import FLOAT_TOL, close, is_exact, le
 
 Number = object  # Fraction or float; kept loose on purpose
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int))
-
-
-def _close(a, b, tol=FLOAT_TOL) -> bool:
-    if _is_exact(a) and _is_exact(b):
-        return a == b
-    return abs(a - b) <= tol
-
-
-def _le(a, b, tol=FLOAT_TOL) -> bool:
-    if _is_exact(a) and _is_exact(b):
-        return a <= b
-    return a <= b + tol
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -67,14 +51,14 @@ class Capacity:
 
     def _validate(self):
         full = (1 << self.n) - 1
-        if not _close(self.table[0], 0):
+        if not close(self.table[0], 0):
             raise ValueError("capacity of empty set must be 0")
-        if not _close(self.table[full], 1):
+        if not close(self.table[full], 1):
             raise ValueError("capacity of ground set must be 1")
         for a in range(1 << self.n):
             for i in range(self.n):
                 if not a & (1 << i):
-                    if not _le(self.table[a], self.table[a | (1 << i)]):
+                    if not le(self.table[a], self.table[a | (1 << i)]):
                         raise ValueError(
                             "capacity not monotone at %r vs %r"
                             % (indices_of(a), indices_of(a | (1 << i)))
@@ -86,7 +70,7 @@ class Capacity:
         return self.table[mask_of(event)]
 
     def is_exact(self) -> bool:
-        return all(_is_exact(x) for x in self.table)
+        return all(is_exact(x) for x in self.table)
 
     @classmethod
     def additive(cls, weights: Sequence) -> "Capacity":
@@ -95,10 +79,6 @@ class Capacity:
         table = [sum((weights[i] for i in indices_of(a)), Fraction(0))
                  for a in range(1 << n)]
         return cls(n, table)
-
-    @classmethod
-    def upper_of(cls, family: Sequence[Sequence]) -> "UpperProbability":
-        return UpperProbability(family)
 
 
 class UpperProbability(Capacity):
@@ -111,9 +91,9 @@ class UpperProbability(Capacity):
         for p in family:
             if len(p) != n:
                 raise ValueError("family members must share a ground set")
-            if not _close(sum(p, Fraction(0)), 1):
+            if not close(sum(p, Fraction(0)), 1):
                 raise ValueError("family members must be probability vectors")
-            if any(not _le(0, x) for x in p):
+            if any(not le(0, x) for x in p):
                 raise ValueError("family members must be nonnegative")
         self.family = [list(p) for p in family]
         table = []
@@ -139,14 +119,14 @@ def classify_capacity(mu: Capacity) -> dict:
         for b in range(1 << n):
             if a & b == 0:
                 s = mu.table[a] + mu.table[b]
-                if additive and not _close(mu.table[a | b], s):
+                if additive and not close(mu.table[a | b], s):
                     additive = False
                     witnesses["additive"] = (a, b)
-                if subadditive and not _le(mu.table[a | b], s):
+                if subadditive and not le(mu.table[a | b], s):
                     subadditive = False
                     witnesses["subadditive"] = (a, b)
             join, meet = a | b, a & b
-            if concave and not _le(mu.table[join] + mu.table[meet],
+            if concave and not le(mu.table[join] + mu.table[meet],
                                    mu.table[a] + mu.table[b]):
                 concave = False
                 witnesses["concave"] = (a, b)
@@ -181,7 +161,7 @@ def distort(p: Sequence, g: Callable) -> Capacity:
     attained values of P.
     """
     base = Capacity.additive(p)
-    if not _close(g(base.table[0]), 0) or not _close(g(base.table[-1]), 1):
+    if not close(g(base.table[0]), 0) or not close(g(base.table[-1]), 1):
         raise ValueError("distortion must fix 0 and 1")
     table = [g(x) for x in base.table]
     return Capacity(base.n, table)
@@ -198,8 +178,8 @@ def _solve_linear(rows, rhs):
     singular systems.
     """
     n = len(rows)
-    exact = all(_is_exact(x) for row in rows for x in row) and \
-        all(_is_exact(x) for x in rhs)
+    exact = all(is_exact(x) for row in rows for x in row) and \
+        all(is_exact(x) for x in rhs)
     if exact:
         a = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
              for i, row in enumerate(rows)]
@@ -245,7 +225,7 @@ def core_vertices(mu: Capacity, n_limit: int = 6) -> list[list]:
     constraints = []
     full = (1 << n) - 1
     for a in range(1, full):
-        if _le(1, mu.table[a]):
+        if le(1, mu.table[a]):
             continue  # never strictly binding given normalisation
         constraints.append(("ub", a, mu.table[a]))
     for i in range(n):
@@ -272,12 +252,12 @@ def core_vertices(mu: Capacity, n_limit: int = 6) -> list[list]:
         sol = _solve_linear(rows, rhs)
         if sol is None:
             continue
-        if any(not _le(0, x, tol) for x in sol):
+        if any(not le(0, x, tol) for x in sol):
             continue
         feasible = True
         for a in range(1, full):
             s = sum(sol[i] for i in indices_of(a))
-            if not _le(s, mu.table[a], tol):
+            if not le(s, mu.table[a], tol):
                 feasible = False
                 break
         if not feasible:
@@ -307,10 +287,10 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
 
 
 def in_core(mu: Capacity, p: Sequence, tol=FLOAT_TOL) -> bool:
-    if not _close(sum(p, Fraction(0)), 1, tol):
+    if not close(sum(p, Fraction(0)), 1, tol):
         return False
     for a in range(1, 1 << mu.n):
-        if not _le(sum(p[i] for i in indices_of(a)), mu.table[a], tol):
+        if not le(sum(p[i] for i in indices_of(a)), mu.table[a], tol):
             return False
     return True
 

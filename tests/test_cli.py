@@ -57,6 +57,16 @@ def test_bad_override_is_config_error(tmp_path):
                     "--out", str(tmp_path)]) == 2
 
 
+def test_unknown_override_key_is_config_error(tmp_path):
+    assert run_cli(["run", "rotation-swap-halves", "--set", "N=64", "--set",
+                    "bogus=1", "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"name": "rotation-swap-halves",
+                               "config": {"N": 64, "bogus": 1}}))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "rotation-swap-halves").exists()
+
+
 def test_zero_horizon_override_is_config_error(tmp_path):
     assert run_cli(["run", "rotation-swap-halves", "--set", "N=0",
                     "--out", str(tmp_path)]) == 2

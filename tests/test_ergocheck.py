@@ -171,6 +171,25 @@ def test_sqrt_moment_empty_event():
     assert out["exact_limit"] == 0
 
 
+def test_sqrt_moment_bounds_follow_r_on_both_regimes():
+    # P(B) = P(C) = 1/2 on both systems, so both give the bounds
+    # [P(B)^r P(C), P(B)^r P(C)^r] for r = 1/3
+    r = 1 / 3
+    lower, upper = 0.5 ** r * 0.5, 0.5 ** r * 0.5 ** r
+    whole = IntervalSet([(0, 1)], c=1)
+    leb = RestrictedLebesgue(whole)
+    sys = MeasuredSystem.from_interval(PiecewiseAffineMap.doubling(), [leb])
+    b = IntervalSet([(0, F(1, 2))], c=1)
+    c = IntervalSet([(F(1, 4), F(3, 4))], c=1)
+    interval = sqrt_moment_check(sys, leb, b, c, r, 64)
+    finite = sqrt_moment_check(swap_system(), [F(1, 2), F(1, 2)],
+                               0b01, 0b10, r, 16)
+    for out in (interval, finite):
+        assert abs(out["lower"] - lower) <= 1e-12
+        assert abs(out["upper"] - upper) <= 1e-12
+    assert set(interval) == set(finite)
+
+
 # --- density machinery ------------------------------------------------------
 
 

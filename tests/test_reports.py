@@ -1,0 +1,54 @@
+"""Pinned report bytes: every registry scenario at seed 7 must write a
+report.json with the sha256 recorded here (the values the benchmark pins
+in capbench/workloads.py), so a refactor that keeps the verdicts but
+changes a byte of a report fails here."""
+
+import hashlib
+
+import pytest
+
+from capergo import cli
+
+PINNED_SHA256 = {
+    "rotation-swap-ergodic":
+        "f378324f8f313d9e3572facf5664ce9fcbb07ba64622cd93ef4fb68f74a7d3d1",
+    "rotation-swap-birkhoff":
+        "407f60a84c1aeecdc062ec0f96af86d09d7b9ef7bffda160f5a16fd5d0e7870a",
+    "rotation-swap-halves":
+        "fb5af619bd720ed58bbc5a4eb1f81ffe0e909601d327015857a0430c687b4aa9",
+    "finite-swap-ergodic":
+        "81eafe6554af8b78e305b74d308fcd5774258bd09ead540966404cdebf3bf7ab",
+    "finite-swap-slln":
+        "474a07eb77da3d200d774fddbdc9f32c4f0f2a22ab8f4d4f86d404f2c69e71e1",
+    "choquet-independence-swap":
+        "4ff3ae3c55bc0b488ec9d2fc08fb899fb6eadc04c75c5026e108bcba4f84d95e",
+    "doubling-weak-mixing":
+        "6cb6ea8e035b851d2ee406c208a36c73dc147babfc7884a34ceac6d2ac90cc0a",
+    "doubling-paste-not-weakmixing":
+        "07f2fa7338d656a61530b98e26d0ccc0b8ea4569cd5aa87b6a1960d2c0ae5213",
+    "sqrt-distortion-core":
+        "388f6af7d03688fdf7413353c2b5d7b1b5dc7eebe8dd55410546ea09581b2e82",
+    "remark-sqrt-cesaro":
+        "4ba680e41d861a29a9b2fcaca8be1d455a88bd287ebd78549be9daffed98fb12",
+    "z-density-counterexample":
+        "0babaa5da62a38f04ab2b4f1c3968460eb2ff8d3d918ebb134c5c7632213e0bc",
+    "sqrt-moment-doubling":
+        "29cb2a52e63a75add3aa2be730b10af3aaae13c649aebeaad704202790b792c2",
+    "periodic-cycle-sqrt-moment":
+        "1fdbafb9f03da9acca812aa2c3dee3cc88e18b9915880fd9344af94d3ce0f422",
+    "polynomial-birkhoff":
+        "7a61f6607d253c8f5d882ee3787a2986c171231f27c10213428fdbfb6c0d4cc8",
+    "lyapunov-periodic-oracle":
+        "a59614e71a90e555eade13cfec219cd7612f04f9819f41e7a296a9ce6743cd48",
+    "oseledets-two-cycle":
+        "195b222c8a335e0e43dd33ce969b7e0eccbab352ba04dc036347d5c7788ce515",
+    "kingman-two-cycle":
+        "546653e3f1dcc27fb25d212315e1c873d13d9bd47be89fdc241365a89a500365",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+def test_report_bytes_match_pin(name, tmp_path):
+    assert cli.main(["run", name, "--seed", "7", "--out", str(tmp_path)]) == 0
+    blob = (tmp_path / name / "report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[name]
