@@ -12,8 +12,8 @@ from math import lcm
 from typing import Sequence
 
 from .numeric import close, parse
-from .setfun import (Capacity, UpperProbability, core_range, core_vertices,
-                     in_core, indices_of)
+from .setfun import (Capacity, UpperProbability, core_range, in_core,
+                     indices_of)
 
 CESARO_HORIZON_CAP = 10 ** 6
 
@@ -193,7 +193,8 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
 
     For an invariant ergodic upper probability the skeleton of every core
     element is the same ergodic measure Q; this builds Q and verifies
-    (a) all core vertices agree with Q on invariant-atom unions,
+    (a) the min and max of P(B) over the core, read in closed form from V,
+    both equal Q(B) on invariant-atom unions B,
     (b) Q is ergodic, (c) Q lies in the core, (d) Q(A)=0 iff V(A)=0 on
     atoms.  Returns {"ok": False, "reason": ...} when V is not an
     ergodic invariant upper probability.
@@ -208,14 +209,13 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     checks = {}
     # (a) every core element gives the same mass to invariant-atom unions
     if len(atoms) > 1:
-        vertices = core_vertices(v)
         agree = True
         for k in range(1 << len(atoms)):
             b = 0
             for j in range(len(atoms)):
                 if k & (1 << j):
                     b |= atoms[j]
-            lo, hi = core_range(v, b, vertices)
+            lo, hi = core_range(v, b)
             qb = sum(q[i] for i in indices_of(b))
             if not (close(lo, hi) and close(lo, qb)):
                 agree = False

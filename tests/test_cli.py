@@ -113,6 +113,41 @@ def test_missing_capacity_file(tmp_path):
     assert run_cli(["check-capacity", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 2, "table": {"0": "0", "1": None, "2": "1/2", "3": "1"}},
+    {"n": 100, "table": {"0": "0", "1": "1"}},
+    {"n": 2, "table": {"0": "0", "1": "1/2", "7": "1/2", "3": "1"}},
+    {"n": 2, "table": {"0": "0", "1": "1/0", "2": "1/2", "3": "1"}},
+    {"n": "2", "table": {"0": "0", "1": "1/2", "2": "1/2", "3": "1"}},
+    {"kind": "lambda", "lambda": [["1/2", None]]},
+    ["not", "an", "object"],
+], ids=["null-value", "huge-n", "mask-out-of-range", "zero-denominator",
+        "string-n", "null-in-lambda", "not-an-object"])
+@pytest.mark.parametrize("command", ["core", "check-capacity"])
+def test_malformed_capacity_file_is_config_error(tmp_path, capsys, obj,
+                                                 command):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_core_rejects_n6_before_building_bases(tmp_path, capsys,
+                                               monkeypatch):
+    from capergo import setfun
+
+    def no_bases(n):
+        raise AssertionError("bases built for n=%d" % n)
+
+    monkeypatch.setattr(setfun, "_bases", no_bases)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(
+        {"n": 6, "table": {str(a): "%d/6" % bin(a).count("1")
+                           for a in range(64)}}))
+    assert run_cli(["core", str(path)]) == 2
+    assert "10424128 candidate bases" in capsys.readouterr().err
+
+
 def test_lyapunov_subcommand_runs_cocycle_scenarios(tmp_path):
     assert run_cli(["lyapunov", "kingman-two-cycle", "--out",
                     str(tmp_path)]) == 0

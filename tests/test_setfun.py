@@ -1,13 +1,18 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capergo import setfun
+from capergo.numeric import is_exact, le
 from capergo.setfun import (Capacity, UpperProbability, choquet_integral,
                             classify_capacity, core_range, core_vertices,
-                            distort, in_core, mask_of, product_upper)
+                            distort, in_core, indices_of, mask_of,
+                            product_upper)
 
 F = Fraction
 
@@ -266,3 +271,197 @@ def test_product_symmetric_under_swap():
                         m12 |= 1 << (i * 2 + j)
                         m21 |= 1 << (j * 2 + i)
             assert p12.table[m12] == p21.table[m21]
+
+
+# --- differential oracle: the brute-force core enumerator --------------------
+
+
+def _solve_linear(rows, rhs):
+    """Solve a square system by Gaussian elimination.
+
+    Exact if every entry is rational, float otherwise.  Returns None for
+    singular systems.
+    """
+    n = len(rows)
+    exact = all(is_exact(x) for row in rows for x in row) and \
+        all(is_exact(x) for x in rhs)
+    if exact:
+        a = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(rows)]
+        zero_tol = 0
+    else:
+        a = [[float(x) for x in row] + [float(rhs[i])]
+             for i, row in enumerate(rows)]
+        zero_tol = 1e-11
+    for col in range(n):
+        piv = None
+        best = zero_tol
+        for r in range(col, n):
+            if abs(a[r][col]) > best:
+                piv, best = r, abs(a[r][col])
+                if zero_tol == 0:
+                    break
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[i][n] for i in range(n)]
+
+
+def brute_force_core_vertices(mu):
+    """One linear solve per (n-1)-subset of the active constraints, in
+    itertools.combinations order; feasible solutions deduplicated
+    first-seen on float keys within max(tol, 1e-10)."""
+    n = mu.n
+    tol = 0 if mu.is_exact() else 1e-9
+    full = (1 << n) - 1
+    constraints = [(a, mu.table[a]) for a in range(1, full)
+                   if not le(1, mu.table[a])]
+    constraints += [(1 << i, None) for i in range(n)]  # p_i >= 0
+    seen, vertices = [], []
+    for combo in itertools.combinations(constraints, n - 1):
+        rows = [[1] * n] + [[key >> i & 1 for i in range(n)]
+                            for key, _ in combo]
+        rhs = [1] + [0 if bound is None else bound for _, bound in combo]
+        sol = _solve_linear(rows, rhs)
+        if sol is None or any(not le(0, x, tol) for x in sol):
+            continue
+        if not all(le(sum(sol[i] for i in indices_of(a)), mu.table[a], tol)
+                   for a in range(1, full)):
+            continue
+        keyed = [float(x) for x in sol]
+        if any(max(abs(x - y) for x, y in zip(keyed, v)) <= max(tol, 1e-10)
+               for v in seen):
+            continue
+        seen.append(keyed)
+        vertices.append(sol)
+    return vertices
+
+
+def _exact_prob(weights):
+    total = sum(weights)
+    return [F(w, total) for w in weights]
+
+
+# 1-4 nonnegative integer weights with a positive sum; the wide range
+# makes some tables' common denominator too large for int64 arithmetic
+_weights = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(0, 12), st.integers(0, 10 ** 15)),
+    min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
+
+
+@st.composite
+def exact_capacities(draw):
+    """Envelopes of 1-3 rational vectors, or min(c * P, 1) and P**2
+    distortions, on up to 4 points (n = 5 is too slow for the oracle
+    on a dense table)."""
+    w = draw(_weights)
+    n = len(w)
+    kind = draw(st.sampled_from(["envelope", "concave", "convex"]))
+    if kind == "envelope":
+        extra = draw(st.lists(st.lists(st.integers(0, 12), min_size=n,
+                                       max_size=n).filter(any),
+                              max_size=2))
+        return UpperProbability([_exact_prob(w)] +
+                                [_exact_prob(e) for e in extra])
+    if kind == "concave":
+        c = F(draw(st.integers(4, 24)), 4)
+        return distort(_exact_prob(w), lambda x: min(c * x, F(1)))
+    return distort(_exact_prob(w), lambda x: x * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_capacities())
+@example(UpperProbability([_exact_prob([10 ** 15 + 1, 3, 7, 10 ** 14]),
+                           _exact_prob([1, 2, 3, 4])]))
+def test_core_vertices_match_brute_force_exact(mu):
+    got = core_vertices(mu)
+    assert got == brute_force_core_vertices(mu)
+    assert all(type(x) is F for v in got for x in v)
+
+
+@pytest.mark.parametrize("mu", [
+    # the Dirac member pins V(A) = 1 on every A containing point 0
+    UpperProbability([[F(1, 5)] * 5, [F(1), F(0), F(0), F(0), F(0)]]),
+    distort([F(1, 10), F(2, 10), F(3, 10), F(1, 10), F(3, 10)],
+            lambda x: min(3 * x, F(1))),
+    Capacity.additive([F(1, 15), F(2, 15), F(3, 15), F(4, 15), F(5, 15)]),
+], ids=["envelope-with-dirac", "min-linear", "additive"])
+def test_core_vertices_match_brute_force_exact_n5(mu):
+    assert core_vertices(mu) == brute_force_core_vertices(mu)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_core_vertices_match_brute_force_float_n5(seed):
+    rng = random.Random(seed)
+    p = [rng.uniform(1.0, 2.0) for _ in range(5)]
+    total = sum(p)
+    mu = distort([x / total for x in p], math.sqrt)
+    got, want = core_vertices(mu), brute_force_core_vertices(mu)
+    assert len(got) == len(want) == 120
+    assert max(abs(x - y) for v, w in zip(got, want)
+               for x, y in zip(v, w)) <= 1e-12
+
+
+def test_cached_bases_are_exact_adjugates():
+    for n in range(1, 6):
+        rows, adj, det = setfun._bases(n)
+        full = (1 << n) - 1
+        vecs = [[a >> j & 1 for j in range(n)] for a in range(1, full)] + \
+            [[int(i == j) for j in range(n)] for i in range(n)]
+        combos = list(itertools.combinations(range(len(vecs)), n - 1))
+        kept = [tuple(rows[k * (n - 1):(k + 1) * (n - 1)])
+                for k in range(len(det))]
+        if n <= 4:  # every nonsingular candidate, in candidate order
+            assert kept == [c for c in combos if _solve_linear(
+                [[1] * n] + [vecs[t] for t in c], [1] * n) is not None]
+        for k, c in enumerate(kept):
+            a = [[1] * n] + [vecs[t] for t in c]
+            b = [adj[k * n * n + j * n:k * n * n + j * n + n]
+                 for j in range(n)]
+            assert det[k] > 0
+            assert [[sum(a[i][t] * b[t][j] for t in range(n))
+                     for j in range(n)] for i in range(n)] == \
+                [[det[k] * (i == j) for j in range(n)] for i in range(n)]
+    assert [len(setfun._bases(n)[2]) for n in range(1, 6)] == \
+        [1, 4, 27, 476, 26405]
+
+
+def test_core_vertices_limit_names_the_basis_count():
+    mu = Capacity.additive([F(1, 6)] * 6)
+    with pytest.raises(ValueError, match="10424128 candidate bases"):
+        core_vertices(mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any),
+    min_size=1, max_size=3)))
+def test_closed_form_core_range_matches_vertices(family):
+    v = UpperProbability([_exact_prob(w) for w in family])
+    verts = core_vertices(v)
+    for a in range(1 << v.n):
+        assert core_range(v, a) == core_range(v, a, verts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(0, 12),
+                       st.floats(0.0, 1.0, allow_subnormal=False)),
+             min_size=n, max_size=n).filter(lambda w: sum(w) > 0),
+    min_size=1, max_size=3)))
+def test_envelope_table_matches_per_mask_sums(family):
+    fam = []
+    for w in family:
+        total = sum(w)
+        fam.append([F(x, total) if isinstance(total, int) else x / total
+                    for x in w])
+    v = UpperProbability(fam)
+    want = [max(sum((p[i] for i in indices_of(a)), F(0)) for p in fam)
+            for a in range(1 << v.n)]
+    assert v.table == want
+    assert [type(x) for x in v.table] == [type(x) for x in want]
