@@ -42,11 +42,17 @@ class MatrixGen:
         # spot-check the declared bound once per distinct (hashable) point
         key = omega if isinstance(omega, (int, str)) else None
         if key is None or key not in self._validated:
-            nrm = np.linalg.norm(a, 2)
-            if nrm == 0 or not np.isfinite(nrm):
-                raise ValueError("generator must be invertible and finite")
-            if abs(math.log(nrm)) > self.bound_m + 1e-9:
-                raise ValueError("declared log-norm bound violated")
+            # ||a||_F / sqrt(d) <= ||a||_2 <= ||a||_F, so a Frobenius norm
+            # well inside the bound passes without the 2-norm's SVD
+            fro = float(np.linalg.norm(a))
+            if not (0 < fro < math.inf and
+                    -self.bound_m + 0.5 * math.log(self.d) <= math.log(fro)
+                    <= self.bound_m):
+                nrm = np.linalg.norm(a, 2)
+                if nrm == 0 or not np.isfinite(nrm):
+                    raise ValueError("generator must be invertible and finite")
+                if abs(math.log(nrm)) > self.bound_m + 1e-9:
+                    raise ValueError("declared log-norm bound violated")
             if key is not None:
                 self._validated.add(key)
         return a
@@ -295,9 +301,28 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int,
     d = gen.d
     spec = lyapunov_qr(gen, omega, n)
     groups = spec.grouped(gap_tol)
-    orbit = gen.orbit(omega, n)
-    basis = _right_subspace_basis(gen, orbit)
-    basis_next = _right_subspace_basis(gen, gen.orbit(gen.step(omega), n))
+    min_gap = min((groups[i][0] - groups[i + 1][0]
+                   for i in range(len(groups) - 1)), default=1.0)
+    # On a periodic base the V_i at every cycle point are available, so a
+    # slow vector can be re-projected into its V_i each step; that stops
+    # machine-epsilon fast components from taking over and allows a long
+    # measurement horizon.  Aperiodic bases fall back to a horizon capped
+    # near 30/gap, before the roundoff contamination sets in.
+    period = _detect_period(gen, omega)
+    if period:
+        # one backward pass per cycle point; omega and T omega are the
+        # first two, so their bases need no passes of their own
+        cycle = gen.orbit(omega, period)
+        bases_at = [_right_subspace_basis(gen, gen.orbit(pt, n))
+                    for pt in cycle]
+        basis, basis_next = bases_at[0], bases_at[1 % period]
+        if dir_horizon is None:
+            dir_horizon = min(n, 500 * period)
+    else:
+        basis = _right_subspace_basis(gen, gen.orbit(omega, n))
+        basis_next = _right_subspace_basis(gen, gen.orbit(gen.step(omega), n))
+        if dir_horizon is None:
+            dir_horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
 
     filtration = []
     sizes = []
@@ -306,23 +331,6 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int,
         filtration.append(basis[:, s:])  # V_i: slow part after s fast dirs
         sizes.append(mult)
         s += mult
-    min_gap = min((groups[i][0] - groups[i + 1][0]
-                   for i in range(len(groups) - 1)), default=1.0)
-
-    # On a periodic base the V_i at every cycle point are available, so a
-    # slow vector can be re-projected into its V_i each step; that stops
-    # machine-epsilon fast components from taking over and allows a long
-    # measurement horizon.  Aperiodic bases fall back to a horizon capped
-    # near 30/gap, before the roundoff contamination sets in.
-    period = _detect_period(gen, omega)
-    if period:
-        cycle = gen.orbit(omega, period)
-        bases_at = [_right_subspace_basis(gen, gen.orbit(pt, n))
-                    for pt in cycle]
-        if dir_horizon is None:
-            dir_horizon = min(n, 500 * period)
-    elif dir_horizon is None:
-        dir_horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
 
     def directional(x, start_idx, block_start):
         v = np.array(x, dtype=float)

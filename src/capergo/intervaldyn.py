@@ -297,13 +297,16 @@ def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
 
 
 def _rot_overlap(x_pieces, y_pieces, t):
-    """Measure of X intersected with the unit-circle rotate of Y by -t."""
+    """Measure of X intersected with the unit-circle rotate of Y by -t.
+
+    Exact when t and every endpoint are Fractions, float when t is.
+    """
     t = t % 1
-    total = 0.0
+    total = 0.0 if isinstance(t, float) else Fraction(0)
     for a, b in y_pieces:
         a2 = (a - t) % 1
         b2 = a2 + (b - a)
-        shifted = [(a2, b2)] if b2 <= 1 else [(a2, 1.0), (0.0, b2 - 1)]
+        shifted = [(a2, b2)] if b2 <= 1 else [(a2, 1), (0, b2 - 1)]
         for lo, hi in shifted:
             for xa, xb in x_pieces:
                 l, h = max(lo, xa), min(hi, xb)
@@ -328,17 +331,22 @@ def _rotation_correlations(p, mp, b, c_set, n):
 
     The i-th preimage is a rotate of C (rotation) or, for the swap map, a
     parity-alternating pair of rotates of C's two unit halves: the square
-    of the swap map rotates each half by alpha.
+    of the swap map rotates each half by alpha.  The terms are Fractions
+    when alpha and every endpoint of C and of B within the window are,
+    and floats otherwise.
     """
     bw = b.intersect(p.window)
-    bw_f = [(float(a), float(hi)) for a, hi in bw.intervals]
+    ends = [v for s in (bw, c_set) for piece in s.intervals for v in piece]
+    exact = is_exact(mp.branches[0][3]) and all(map(is_exact, ends))
+    num = Fraction if exact else float
+    bw_f = [(num(a), num(hi)) for a, hi in bw.intervals]
     if mp.kind == "rotation":
-        alpha = float(mp.branches[0][3]) % 1
-        cf = [(float(a), float(hi)) for a, hi in c_set.intervals]
+        alpha = num(mp.branches[0][3]) % 1
+        cf = [(num(a), num(hi)) for a, hi in c_set.intervals]
         return [_rot_overlap(bw_f, cf, (i * alpha) % 1) for i in range(n)]
-    alpha = float(mp.branches[0][3]) - 1  # lower branch sends x to x+a+1
+    alpha = num(mp.branches[0][3]) - 1  # lower branch sends x to x+a+1
     x_low, x_up = _split_halves(bw_f)
-    y0, y1 = _split_halves([(float(a), float(hi))
+    y0, y1 = _split_halves([(num(a), num(hi))
                             for a, hi in c_set.intervals])
     out = []
     for i in range(n):
@@ -443,18 +451,26 @@ class BitstreamPoint:
 
     Applying the doubling map m times to the encoded point just moves the
     read head to offset m, so orbit values at arbitrary iterates are exact
-    reads of finitely many bits.
+    reads of finitely many bits.  The `budget` bits are those of
+    `random.Random(seed).getrandbits(budget)`, bit k being that integer's
+    2^k digit; they are held as little-endian bytes, so a read costs O(1)
+    whatever the budget.
     """
 
     def __init__(self, seed: int, budget: int):
         import random
         self.budget = budget
-        self._big = random.Random(seed).getrandbits(budget)
+        # getrandbits, not randbytes: the two differ in the last partial
+        # 32-bit word when budget % 32 != 0
+        self._bits = random.Random(seed).getrandbits(budget).to_bytes(
+            (budget + 7) // 8, "little")
 
     def bit(self, k: int) -> int:
         if k >= self.budget:
             raise BudgetError("bit budget exceeded")
-        return (self._big >> k) & 1
+        if k < 0:
+            raise ValueError("negative bit index")
+        return self._bits[k >> 3] >> (k & 7) & 1
 
     def value_at(self, m: int, depth: int) -> Fraction:
         """The first `depth` binary digits of T^m x, as a dyadic rational."""

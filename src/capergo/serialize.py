@@ -16,6 +16,10 @@ from .setfun import Capacity, UpperProbability
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+# an envelope on n points is a 2**n table, and classify_capacity loops
+# over its 4**n event pairs, so a file's vector length bounds the work
+LAMBDA_N_LIMIT = 12
+
 
 def _value(x):
     """A table or family entry: a finite number or a "p/q" string."""
@@ -39,6 +43,12 @@ def capacity_from_json(obj) -> Capacity:
         if not isinstance(family, list) or \
                 not all(isinstance(p, list) for p in family):
             raise ValueError("'lambda' must be a list of probability vectors")
+        n = max(map(len, family), default=0)
+        if n > LAMBDA_N_LIMIT:
+            raise ValueError(
+                "'lambda' vectors limited to n <= %d points: n=%d needs a "
+                "2**n = %d entry table and 4**n = %d event pairs"
+                % (LAMBDA_N_LIMIT, n, 1 << n, 1 << 2 * n))
         return UpperProbability([[_value(x) for x in p] for p in family])
     if kind != "table":
         raise ValueError("unknown capacity kind %r" % (kind,))

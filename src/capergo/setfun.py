@@ -107,7 +107,11 @@ class UpperProbability(Capacity):
             for x in p:
                 sums += [s + x for s in sums]
             table = sums if table is None else list(map(max, table, sums))
-        super().__init__(n, table)
+        # adding a term >= 0 never lowers a rounded partial sum, so with no
+        # negative entry the table is monotone and normalised as built; an
+        # entry in [-FLOAT_TOL, 0) still gets the full check
+        super().__init__(n, table,
+                         validate=any(x < 0 for p in self.family for x in p))
 
 
 def classify_capacity(mu: Capacity) -> dict:

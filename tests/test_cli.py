@@ -148,6 +148,24 @@ def test_core_rejects_n6_before_building_bases(tmp_path, capsys,
     assert "10424128 candidate bases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["core", "check-capacity"])
+def test_lambda_file_rejects_n40_before_building_envelope(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          command):
+    from capergo import serialize
+
+    def no_envelope(family):
+        raise AssertionError("envelope built on %d points" % len(family[0]))
+
+    monkeypatch.setattr(serialize, "UpperProbability", no_envelope)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"kind": "lambda", "lambda": [["1/40"] * 40]}))
+    assert run_cli([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "2**n = %d" % 2 ** 40 in err and "4**n = %d" % 4 ** 40 in err
+
+
 def test_lyapunov_subcommand_runs_cocycle_scenarios(tmp_path):
     assert run_cli(["lyapunov", "kingman-two-cycle", "--out",
                     str(tmp_path)]) == 0

@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from capergo import cocycle
 from capergo.cocycle import (MatrixGen, cocycle_matrix, compound_power,
                              lyapunov_qr, monodromy_oracle,
                              oseledets_filtration, principal_angles,
@@ -77,6 +80,51 @@ def test_generator_bound_is_enforced():
                     lambda i: i, bound_m=0.5)
     with pytest.raises(ValueError):
         gen.matrix(0)
+
+
+@st.composite
+def scaled_matrices(draw):
+    """(a, M): a random d x d matrix rescaled so that log ||a||_F lies
+    within 1 of +-M, where the Frobenius shortcut and the SVD can differ."""
+    d = draw(st.integers(1, 4))
+    bound_m = draw(st.floats(0.05, 5.0))
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                               max_size=d * d)), dtype=float).reshape(d, d)
+    fro = np.linalg.norm(a)
+    if fro == 0:
+        a, fro = np.eye(d), math.sqrt(d)
+    target = draw(st.sampled_from([bound_m, -bound_m])) + \
+        draw(st.floats(-1.0, 1.0))
+    return a * (math.exp(target) / fro), bound_m
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_matrices())
+@example((np.eye(3) * math.exp(-1.5), 1.5))   # ||a||_2 = ||a||_F / sqrt(d)
+@example((np.outer([1.0, 2.0], [3.0, -1.0]) / math.sqrt(50) * math.e, 1.0))
+def test_frobenius_shortcut_agrees_with_svd_bound(case):
+    a, bound_m = case
+    svd_ok = abs(math.log(np.linalg.svd(a, compute_uv=False)[0])) <= \
+        bound_m + 1e-9
+    real_norm = np.linalg.norm
+    svd_calls = []
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            svd_calls.append(1)
+        return real_norm(x, ord, *args, **kwargs)
+
+    gen = MatrixGen(a.shape[0], lambda x: a, lambda x: x, bound_m=bound_m)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "norm", norm)
+        try:
+            gen.matrix(0.5)  # a float point is checked on every call
+            accepted = True
+        except ValueError:
+            accepted = False
+    assert accepted == svd_ok
+    if not svd_calls:  # the shortcut accepted on its own
+        assert svd_ok
 
 
 # --- exterior powers --------------------------------------------------------
@@ -270,6 +318,88 @@ def test_exponents_constant_along_transient_orbit():
     oracle = monodromy_oracle(gen, [1, 2])
     assert abs(spec.exponents[0] - oracle.exponents[0]) <= 1e-9
     assert abs(spec.exponents[1] - oracle.exponents[1]) <= 1e-9
+
+
+def _parent_oseledets_filtration(gen, omega, n, gap_tol=cocycle.GAP_TOL,
+                                 seed=0):
+    """The filtration as computed with period + 2 backward passes on a
+    periodic base: omega, T omega, then every cycle point again."""
+    rsb = cocycle._right_subspace_basis
+    rng = random.Random(seed)
+    groups = lyapunov_qr(gen, omega, n).grouped(gap_tol)
+    basis = rsb(gen, gen.orbit(omega, n))
+    basis_next = rsb(gen, gen.orbit(gen.step(omega), n))
+    filtration, s = [], 0
+    for lam, mult in groups:
+        filtration.append(basis[:, s:])
+        s += mult
+    min_gap = min((groups[i][0] - groups[i + 1][0]
+                   for i in range(len(groups) - 1)), default=1.0)
+    period = cocycle._detect_period(gen, omega)
+    if period:
+        cycle = gen.orbit(omega, period)
+        bases_at = [rsb(gen, gen.orbit(pt, n)) for pt in cycle]
+        horizon = min(n, 500 * period)
+    else:
+        horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
+        orbit = gen.orbit(omega, horizon + 2)
+
+    def directional(x, start, block):
+        v, acc = np.array(x, dtype=float), 0.0
+        for i in range(horizon):
+            pt = cycle[(start + i) % period] if period else orbit[start + i]
+            v = gen.matrix(pt) @ v
+            if period:
+                vi = bases_at[(start + i + 1) % period][:, block:]
+                v = vi @ (vi.T @ v)
+            nrm = np.linalg.norm(v)
+            acc += math.log(nrm)
+            v /= nrm
+        return acc / horizon
+
+    checks = {"directional": [], "invariance": [], "angles": []}
+    s = 0
+    for vi, (lam, mult) in zip(filtration, groups):
+        x = vi @ np.array([rng.gauss(0, 1) for _ in range(vi.shape[1])])
+        x /= np.linalg.norm(x)
+        lam_x = directional(x, 0, s)
+        checks["directional"].append((lam, lam_x))
+        lx = gen.matrix(omega) @ x
+        checks["invariance"].append(
+            (lam_x, directional(lx / np.linalg.norm(lx), 1, s)))
+        ang = principal_angles(gen.matrix(omega) @ vi, basis_next[:, s:])
+        checks["angles"].append(float(ang.max()) if ang.size else 0.0)
+        s += mult
+    return filtration, checks
+
+
+@pytest.mark.parametrize("make_gen, omega, n, passes", [
+    (lambda: diag_gen(2.0, 0.5), 0, 2000, 1),
+    (two_cycle_gen, 1, 2000, 2),
+    (lambda: random_periodic_generator(random.Random(48), 3, 3,
+                                       min_gap=0.1), 0, 3000, 3),
+    (lambda: MatrixGen.from_json({"kind": "rotation_angle", "d": 2}),
+     0.1234, 300, 2),
+], ids=["period-1", "period-2", "period-3", "aperiodic"])
+def test_oseledets_backward_passes_match_parent_sequence(monkeypatch,
+                                                         make_gen, omega,
+                                                         n, passes):
+    want_filtration, want_checks = _parent_oseledets_filtration(
+        make_gen(), omega, n)
+    real = cocycle._right_subspace_basis
+    calls = []
+
+    def counted(gen, orbit):
+        calls.append(orbit[0])
+        return real(gen, orbit)
+
+    monkeypatch.setattr(cocycle, "_right_subspace_basis", counted)
+    got = oseledets_filtration(make_gen(), omega, n)
+    assert len(calls) == passes
+    assert len(got.filtration) == len(want_filtration)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(got.filtration, want_filtration))
+    assert got.checks == want_checks
 
 
 def test_principal_angles_orthogonal_vs_aligned():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capergo.intervaldyn import (GOLDEN, BitstreamPoint, BoundaryHitError,
                                  BudgetError, IntervalSet, PiecewiseAffineMap,
@@ -183,6 +185,40 @@ def test_rotation_swap_fast_path_matches_iterated_preimage():
         assert all(abs(float(x - y)) <= 1e-10 for x, y in zip(fast, slow))
 
 
+@st.composite
+def exact_sets(draw, c):
+    """An IntervalSet on [0, c) with up to 3 rational pieces."""
+    denom = draw(st.integers(1, 24))
+    ends = st.integers(0, c * denom)
+    pieces = draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return IntervalSet([(F(a, denom), F(b, denom)) for a, b in pieces], c=c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["rotation", "rotation_swap"]),
+       st.integers(2, 30).flatmap(
+           lambda q: st.builds(F, st.integers(1, q - 1), st.just(q))),
+       st.data(), st.integers(1, 30))
+@example("rotation", F(1, 3), None, 4)
+def test_rotation_fast_path_stays_exact_for_rational_alpha(kind, alpha, data,
+                                                           n):
+    if kind == "rotation":
+        mp, c = PiecewiseAffineMap.rotation(alpha), 1
+    else:
+        mp, c = PiecewiseAffineMap.rotation_swap(alpha), 2
+    if data is None:
+        b, c_set = IntervalSet([(0, F(1, 2))], c=1), \
+            IntervalSet([(F(1, 4), F(3, 4))], c=1)
+        window = IntervalSet([(0, 1)], c=1)
+    else:
+        b, c_set, window = (data.draw(exact_sets(c)) for _ in range(3))
+    p = RestrictedLebesgue(window)
+    generic = PiecewiseAffineMap(mp.branches, c=mp.c, kind="custom")
+    fast = correlation_sequence(p, mp, b, c_set, n)
+    assert fast == correlation_sequence(p, generic, b, c_set, n)
+    assert all(type(x) is F for x in fast)
+
+
 def test_generic_expanding_map_honours_budget():
     mp = PiecewiseAffineMap.doubling_paste()
     b = IntervalSet([(0, 1)], c=2)
@@ -236,6 +272,25 @@ def test_bitstream_is_deterministic_per_seed():
     a = BitstreamPoint(seed=9, budget=128)
     b = BitstreamPoint(seed=9, budget=128)
     assert [a.bit(k) for k in range(50)] == [b.bit(k) for k in range(50)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 64), st.integers(1, 5000))
+@example(7, 1)
+@example(7, 33)     # budget % 8 != 0 and budget % 32 != 0
+@example(7, 4999)
+@example(7, 4096)
+def test_bitstream_bits_are_the_getrandbits_digits(seed, budget):
+    x = BitstreamPoint(seed=seed, budget=budget)
+    big = random.Random(seed).getrandbits(budget)
+    assert [x.bit(k) for k in range(budget)] == \
+        [(big >> k) & 1 for k in range(budget)]
+    with pytest.raises(BudgetError):
+        x.bit(budget)
+    with pytest.raises(BudgetError):
+        x.value_at(budget, 1)
+    with pytest.raises(BudgetError):
+        x.value_at(0, budget + 1)
 
 
 def test_polynomial_orbit_average_constant_and_indicator():

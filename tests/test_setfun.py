@@ -465,3 +465,34 @@ def test_envelope_table_matches_per_mask_sums(family):
             for a in range(1 << v.n)]
     assert v.table == want
     assert [type(x) for x in v.table] == [type(x) for x in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(0, 12),
+                       st.floats(0.0, 1.0, allow_subnormal=False)),
+             min_size=n, max_size=n).filter(lambda w: sum(w) > 0),
+    min_size=1, max_size=3)))
+def test_envelope_table_passes_capacity_validation(family):
+    fam = []
+    for w in family:
+        total = sum(w)
+        fam.append([F(x, total) if isinstance(total, int) else x / total
+                    for x in w])
+    v = UpperProbability(fam)
+    Capacity(v.n, v.table)  # validates: normalised and monotone
+
+
+def test_envelope_validates_only_with_negative_entries(monkeypatch):
+    checked = []
+    real = Capacity._validate
+
+    def spy(self):
+        checked.append(self.table)
+        return real(self)
+
+    monkeypatch.setattr(Capacity, "_validate", spy)
+    UpperProbability([[F(1, 3), F(2, 3)], [0.25, 0.75]])
+    assert checked == []
+    UpperProbability([[1.0 + 1e-13, -1e-13]])  # within FLOAT_TOL of >= 0
+    assert len(checked) == 1
