@@ -104,8 +104,7 @@ def cmd_core(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    if args.scenario not in ("lyapunov-periodic-oracle",
-                             "oseledets-two-cycle", "kingman-two-cycle"):
+    if args.scenario not in scenarios.COCYCLE:
         raise ConfigError("not a cocycle scenario: %r" % args.scenario)
     ns = argparse.Namespace(scenario=args.scenario, set=args.set,
                             seed=args.seed, out=args.out)

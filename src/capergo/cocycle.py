@@ -18,8 +18,32 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 GAP_TOL = 1e-3
+
+
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing "
+                                "QR factorization")
+
+
+def _qr(a):
+    """(Q, diag R) of a float matrix or a (B, d, d) stack, bit for bit as
+    `np.linalg.qr` gives them.
+
+    Calls the two LAPACK gufuncs behind `np.linalg.qr` directly, under the
+    same error state, and skips the wrapper's type dispatch and its `triu`
+    of R, whose diagonal is all the callers read.  The per-call wrapper
+    cost is most of the time of a 3 x 3 factorization.  The gufunc names
+    are those of numpy >= 2.0.
+    """
+    a = np.array(a, dtype=np.float64)  # a copy: qr_r_raw overwrites it
+    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    return q, np.diagonal(a, axis1=-2, axis2=-1)
 
 
 class MatrixGen:
@@ -167,18 +191,16 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
     q = np.eye(d)
     logs = np.zeros(d)
     x = omega
-    block = np.eye(d)
-    steps = 0
+    block = None
     for i in range(n):
-        block = gen.matrix(x) @ block
+        a = gen.matrix(x)
+        block = a if block is None else a @ block
         x = gen.step(x)
-        steps += 1
-        if steps == renorm_period or i == n - 1:
-            q, r = np.linalg.qr(block @ q)
+        if (i + 1) % renorm_period == 0 or i == n - 1:
+            q, r_diag = _qr(block @ q)
             if i >= burn_in:
-                logs += np.log(np.abs(np.diag(r)))
-            block = np.eye(d)
-            steps = 0
+                logs += np.log(np.abs(r_diag))
+            block = None
     exps = sorted((logs / (n - burn_in)).tolist(), reverse=True)
     return LyapunovSpectrum(exps, [1] * d, n, renorm_period)
 
@@ -245,19 +267,23 @@ def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,
     return {"subadditive": ok, "witness": witness, "linear_bound": bound_ok}
 
 
-def _right_subspace_basis(gen: MatrixGen, orbit: Sequence) -> np.ndarray:
-    """Orthonormal basis whose first s columns span, for every s, the
-    top-s right-singular subspace of Phi(n, omega).
+def _right_subspace_bases(gen: MatrixGen, orbits: Sequence) -> np.ndarray:
+    """Stacked (B, d, d) orthonormal bases, one per orbit of length n:
+    for every s, the first s columns of the b-th basis span the top-s
+    right-singular subspace of Phi(n, orbits[b][0]).
 
-    Propagates the transposed generator backward along the orbit (the
-    transpose product has the same right singular structure with the
-    factor order reversed), QR-normalizing each step.
+    Propagates the transposed generator backward along all orbits at once
+    (the transpose product has the same right singular structure with the
+    factor order reversed), QR-normalizing the whole stack each step.
     """
     d = gen.d
-    q = np.eye(d)
-    for pt in reversed(orbit):
-        q, r = np.linalg.qr(gen.matrix(pt).T @ q)
-        q = q * np.sign(np.diag(r))  # fix orientation for determinism
+    q = np.tile(np.eye(d), (len(orbits), 1, 1))
+    mats = np.empty_like(q)
+    for k in range(len(orbits[0]) - 1, -1, -1):
+        for b, orbit in enumerate(orbits):
+            mats[b] = gen.matrix(orbit[k])
+        q, r_diag = _qr(mats.transpose(0, 2, 1) @ q)
+        q *= np.sign(r_diag)[:, None, :]  # fix orientation for determinism
     return q
 
 
@@ -310,17 +336,17 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int,
     # near 30/gap, before the roundoff contamination sets in.
     period = _detect_period(gen, omega)
     if period:
-        # one backward pass per cycle point; omega and T omega are the
-        # first two, so their bases need no passes of their own
+        # one stacked backward pass over the orbits of every cycle point;
+        # omega and T omega are the first two
         cycle = gen.orbit(omega, period)
-        bases_at = [_right_subspace_basis(gen, gen.orbit(pt, n))
-                    for pt in cycle]
+        bases_at = list(_right_subspace_bases(
+            gen, [gen.orbit(pt, n) for pt in cycle]))
         basis, basis_next = bases_at[0], bases_at[1 % period]
         if dir_horizon is None:
             dir_horizon = min(n, 500 * period)
     else:
-        basis = _right_subspace_basis(gen, gen.orbit(omega, n))
-        basis_next = _right_subspace_basis(gen, gen.orbit(gen.step(omega), n))
+        orbit = gen.orbit(omega, n + 1)
+        basis, basis_next = _right_subspace_bases(gen, [orbit[:n], orbit[1:]])
         if dir_horizon is None:
             dir_horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
 

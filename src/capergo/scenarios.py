@@ -521,6 +521,10 @@ REGISTRY = [
 BY_NAME = {name: (fn, dict(defaults), desc)
            for name, fn, defaults, desc in REGISTRY}
 
+# the matrix-cocycle scenarios, which `capergo lyapunov` accepts
+COCYCLE = frozenset({"lyapunov-periodic-oracle", "oseledets-two-cycle",
+                     "kingman-two-cycle"})
+
 
 def list_scenarios():
     return [{"name": name, "description": desc, "defaults": _jsonable(defs)}

@@ -16,9 +16,9 @@ from .setfun import Capacity, UpperProbability
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# an envelope on n points is a 2**n table, and classify_capacity loops
-# over its 4**n event pairs, so a file's vector length bounds the work
-LAMBDA_N_LIMIT = 12
+# a capacity on n points is a 2**n table, and classify_capacity loops
+# over its 4**n event pairs, so a file's point count bounds the work
+N_LIMIT = 12
 
 
 def _value(x):
@@ -34,6 +34,16 @@ def _value(x):
     raise ValueError("not a number or 'p/q' string: %r" % (x,))
 
 
+def _check_size(n):
+    if n > N_LIMIT:
+        # a huge n stays symbolic: 1 << n alone could exhaust memory
+        sizes = (1 << n, 1 << 2 * n) if n <= 64 else \
+            ("2**%d" % n, "4**%d" % n)
+        raise ValueError(
+            "capacities limited to n <= %d points: n=%d needs a 2**n = %s "
+            "entry table and 4**n = %s event pairs" % ((N_LIMIT, n) + sizes))
+
+
 def capacity_from_json(obj) -> Capacity:
     if not isinstance(obj, dict):
         raise ValueError("capacity file must hold a JSON object")
@@ -43,22 +53,17 @@ def capacity_from_json(obj) -> Capacity:
         if not isinstance(family, list) or \
                 not all(isinstance(p, list) for p in family):
             raise ValueError("'lambda' must be a list of probability vectors")
-        n = max(map(len, family), default=0)
-        if n > LAMBDA_N_LIMIT:
-            raise ValueError(
-                "'lambda' vectors limited to n <= %d points: n=%d needs a "
-                "2**n = %d entry table and 4**n = %d event pairs"
-                % (LAMBDA_N_LIMIT, n, 1 << n, 1 << 2 * n))
+        _check_size(max(map(len, family), default=0))
         return UpperProbability([[_value(x) for x in p] for p in family])
     if kind != "table":
         raise ValueError("unknown capacity kind %r" % (kind,))
     n, table = obj.get("n"), obj.get("table")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("'n' must be an integer >= 1")
+    _check_size(n)
     if not isinstance(table, dict):
         raise ValueError("'table' must map event masks to values")
-    # checked by bit length first, so a huge n costs nothing
-    if len(table).bit_length() != n + 1 or len(table) != 1 << n:
+    if len(table) != 1 << n:
         raise ValueError("'table' must have 2**n entries for n=%d" % n)
     values = [None] * len(table)
     for key, val in table.items():

@@ -166,6 +166,45 @@ def test_lambda_file_rejects_n40_before_building_envelope(tmp_path, capsys,
     assert "2**n = %d" % 2 ** 40 in err and "4**n = %d" % 4 ** 40 in err
 
 
+@pytest.mark.parametrize("command", ["core", "check-capacity"])
+def test_table_file_rejects_n13_before_building_capacity(tmp_path, capsys,
+                                                         monkeypatch,
+                                                         command):
+    from capergo import serialize
+
+    def no_capacity(n, table):
+        raise AssertionError("capacity built on %d points" % n)
+
+    monkeypatch.setattr(serialize, "Capacity", no_capacity)
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(
+        {"n": 13, "table": {str(a): "%d/13" % bin(a).count("1")
+                            for a in range(1 << 13)}}))
+    assert run_cli([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "2**n = %d" % 2 ** 13 in err and "4**n = %d" % 4 ** 13 in err
+
+
+COCYCLE_SCENARIOS = {"lyapunov-periodic-oracle", "oseledets-two-cycle",
+                     "kingman-two-cycle"}
+
+
+@pytest.mark.parametrize("name", [entry[0] for entry in REGISTRY])
+def test_lyapunov_accepts_exactly_the_cocycle_scenarios(tmp_path,
+                                                        monkeypatch, name):
+    from capergo import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "cmd_run", lambda ns: ran.append(ns.scenario)
+                        or 0)
+    code = run_cli(["lyapunov", name, "--out", str(tmp_path)])
+    if name in COCYCLE_SCENARIOS:
+        assert (code, ran) == (0, [name])
+    else:
+        assert (code, ran) == (2, [])
+
+
 def test_lyapunov_subcommand_runs_cocycle_scenarios(tmp_path):
     assert run_cli(["lyapunov", "kingman-two-cycle", "--out",
                     str(tmp_path)]) == 0

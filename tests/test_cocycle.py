@@ -213,6 +213,115 @@ def test_lyapunov_qr_two_cycle_averages():
     assert abs(spec.exponents[1] + LOG2 / 2) <= 1e-12
 
 
+# --- the lean QR step against np.linalg.qr -----------------------------------
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def qr_inputs(draw):
+    """A d x d matrix (stack == 0) or a (stack, d, d) array, d <= 4, with
+    signed zeros, NaN and infinities mixed into finite entries."""
+    d = draw(st.integers(1, 4))
+    stack = draw(st.integers(0, 6))
+    shape = (d, d) if stack == 0 else (stack, d, d)
+    entry = st.one_of(st.floats(-1e3, 1e3),
+                      st.sampled_from([0.0, -0.0, math.nan, math.inf,
+                                       -math.inf]))
+    size = d * d * max(stack, 1)
+    return np.array(draw(st.lists(entry, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qr_inputs())
+@example(np.array([[1.0, -0.0], [0.0, 1.0]]))
+@example(np.zeros((2, 3, 3)))
+@example(np.array([[[math.nan, 1.0], [2.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]]]))
+@example(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+def test_lean_qr_matches_numpy_bit_for_bit(a):
+    # _qr calls numpy's private LAPACK gufuncs; this test is the canary
+    # for a numpy release that changes them
+    before = a.copy()
+    try:
+        want = np.linalg.qr(a)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            cocycle._qr(a)
+    else:
+        q, r_diag = cocycle._qr(a)
+        assert q.shape == want.Q.shape
+        assert np.array_equal(_bits(q), _bits(want.Q))
+        assert np.array_equal(
+            _bits(r_diag),
+            _bits(np.diagonal(want.R, axis1=-2, axis2=-1)))
+    assert np.array_equal(_bits(a), _bits(before))  # input left unmodified
+
+
+def _parent_lyapunov_qr(gen, omega, n, renorm_period=1, burn_in=None):
+    """The QR loop with identity-started renormalization blocks and
+    `np.linalg.qr`, as the lean loop must reproduce bit for bit."""
+    if burn_in is None:
+        burn_in = n // 5
+    d = gen.d
+    q, logs, x = np.eye(d), np.zeros(d), omega
+    block, steps = np.eye(d), 0
+    for i in range(n):
+        block = gen.matrix(x) @ block
+        x = gen.step(x)
+        steps += 1
+        if steps == renorm_period or i == n - 1:
+            q, r = np.linalg.qr(block @ q)
+            if i >= burn_in:
+                logs += np.log(np.abs(np.diag(r)))
+            block, steps = np.eye(d), 0
+    return sorted((logs / (n - burn_in)).tolist(), reverse=True)
+
+
+def _transient_gen():
+    """A tail point 0 feeding the 2-cycle {1, 2}."""
+    t = Endomap([1, 2, 1])
+    mats = [np.diag([3.0, 1.0]), np.diag([2.0, 1.0]), np.diag([1.0, 0.5])]
+    return MatrixGen(2, lambda i: mats[i], lambda i: t(i), bound_m=3.0)
+
+
+def _rotation_gen(scale):
+    return MatrixGen.from_json({"kind": "rotation_angle", "d": 2,
+                                "angle_scale": scale})
+
+
+@pytest.mark.parametrize("renorm_period", [1, 2, 7])
+@pytest.mark.parametrize("make_gen, omega", [
+    (lambda: random_gen(random.Random(60), 2, 3), 0),
+    (lambda: random_gen(random.Random(61), 3, 4), 1),
+    (lambda: random_periodic_generator(random.Random(62), 3, 2), 0),
+    (lambda: _rotation_gen(1.0), 0.0),  # -sin(0) is a signed zero
+    (lambda: _rotation_gen(1.7), random.Random(63).random()),
+    (_transient_gen, 0),
+], ids=["periodic-d2", "periodic-d3", "separated-d3", "rotation-x0-zero",
+        "rotation-random-x0", "transient"])
+def test_lyapunov_qr_matches_parent_loop(make_gen, omega, renorm_period):
+    n = 601  # a multiple of neither 2 nor 7, so the last block is short
+    for burn_in in (None, 0, 7):
+        want = _parent_lyapunov_qr(make_gen(), omega, n, renorm_period,
+                                   burn_in)
+        got = lyapunov_qr(make_gen(), omega, n, renorm_period, burn_in)
+        assert got.exponents == want
+
+
+def test_lyapunov_qr_overflowing_block_raises_like_parent_loop():
+    gen = diag_gen(1e10, 1.0)  # a 40-step block overflows float range
+    errors = []
+    for run in (_parent_lyapunov_qr, lyapunov_qr):
+        with np.errstate(over="raise"), \
+                pytest.raises(FloatingPointError) as info:
+            run(gen, 0, 200, renorm_period=40)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
 def test_monodromy_fixed_point_diag():
     spec = monodromy_oracle(diag_gen(3.0, 5.0), [0])
     assert np.allclose(spec.exponents, [math.log(5.0), math.log(3.0)])
@@ -308,9 +417,7 @@ def test_oseledets_random_generator_checks_pass():
 def test_exponents_constant_along_transient_orbit():
     # base has a tail point feeding a 2-cycle; after burn-in the window
     # sits entirely on the cycle, so the spectrum matches the monodromy
-    t = Endomap([1, 2, 1])
-    mats = [np.diag([3.0, 1.0]), np.diag([2.0, 1.0]), np.diag([1.0, 0.5])]
-    gen = MatrixGen(2, lambda i: mats[i], lambda i: t(i), bound_m=3.0)
+    gen = _transient_gen()
     n = 4000
     burn = n // 5
     burn += (n - burn) % 2
@@ -320,11 +427,34 @@ def test_exponents_constant_along_transient_orbit():
     assert abs(spec.exponents[1] - oracle.exponents[1]) <= 1e-9
 
 
+# --- differential oracle: one backward pass per orbit -----------------------
+
+
+def _right_subspace_basis(gen, orbit):
+    """Orthonormal basis whose first s columns span, for every s, the
+    top-s right-singular subspace of Phi(n, omega): the transposed
+    generator propagated backward along one orbit through `np.linalg.qr`."""
+    q = np.eye(gen.d)
+    for pt in reversed(orbit):
+        q, r = np.linalg.qr(gen.matrix(pt).T @ q)
+        q = q * np.sign(np.diag(r))
+    return q
+
+
+def _skew_gen():
+    """Upper-triangular generator over the golden rotation: exponents
+    +-log 2, with a slow direction that moves with the base point."""
+    from capergo.intervaldyn import GOLDEN, PiecewiseAffineMap
+    base = PiecewiseAffineMap.rotation(GOLDEN, c=1)
+    return MatrixGen(2, lambda x: [[2.0, math.cos(2 * math.pi * x)],
+                                   [0.0, 0.5]], base.apply, bound_m=2.0)
+
+
 def _parent_oseledets_filtration(gen, omega, n, gap_tol=cocycle.GAP_TOL,
                                  seed=0):
-    """The filtration as computed with period + 2 backward passes on a
-    periodic base: omega, T omega, then every cycle point again."""
-    rsb = cocycle._right_subspace_basis
+    """The filtration as computed with period + 2 separate backward passes
+    on a periodic base: omega, T omega, then every cycle point again."""
+    rsb = _right_subspace_basis
     rng = random.Random(seed)
     groups = lyapunov_qr(gen, omega, n).grouped(gap_tol)
     basis = rsb(gen, gen.orbit(omega, n))
@@ -380,26 +510,43 @@ def _parent_oseledets_filtration(gen, omega, n, gap_tol=cocycle.GAP_TOL,
                                        min_gap=0.1), 0, 3000, 3),
     (lambda: MatrixGen.from_json({"kind": "rotation_angle", "d": 2}),
      0.1234, 300, 2),
-], ids=["period-1", "period-2", "period-3", "aperiodic"])
+    (_skew_gen, 0.1234, 300, 2),
+], ids=["period-1", "period-2", "period-3", "aperiodic", "aperiodic-gapped"])
 def test_oseledets_backward_passes_match_parent_sequence(monkeypatch,
                                                          make_gen, omega,
                                                          n, passes):
     want_filtration, want_checks = _parent_oseledets_filtration(
         make_gen(), omega, n)
-    real = cocycle._right_subspace_basis
+    real = cocycle._right_subspace_bases
     calls = []
 
-    def counted(gen, orbit):
-        calls.append(orbit[0])
-        return real(gen, orbit)
+    def counted(gen, orbits):
+        calls.append(len(orbits))
+        return real(gen, orbits)
 
-    monkeypatch.setattr(cocycle, "_right_subspace_basis", counted)
+    monkeypatch.setattr(cocycle, "_right_subspace_bases", counted)
     got = oseledets_filtration(make_gen(), omega, n)
-    assert len(calls) == passes
+    assert calls == [passes]  # every orbit in one stacked pass
     assert len(got.filtration) == len(want_filtration)
     assert all(np.array_equal(a, b)
                for a, b in zip(got.filtration, want_filtration))
     assert got.checks == want_checks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_stacked_backward_pass_matches_single_orbit_passes(d, ell, stack,
+                                                           seed):
+    rng = random.Random(seed)
+    gen = random_gen(rng, d, ell)
+    n = rng.randint(1, 60)
+    orbits = [gen.orbit(rng.randrange(ell), n) for _ in range(stack)]
+    got = cocycle._right_subspace_bases(gen, orbits)
+    assert got.shape == (stack, d, d)
+    for basis, orbit in zip(got, orbits):
+        assert np.array_equal(_bits(basis),
+                              _bits(_right_subspace_basis(gen, orbit)))
 
 
 def test_principal_angles_orthogonal_vs_aligned():
