@@ -54,11 +54,15 @@ def _write_report(out_root, name, report, csv_tables):
 def _load_scenario_file(path: str):
     with open(path) as fh:
         obj = json.load(fh)
-    name = obj.get("name")
-    if name not in scenarios.BY_NAME:
+    if not isinstance(obj, dict):
+        raise ConfigError("scenario file must hold a JSON object")
+    name, config = obj.get("name"), obj.get("config", {})
+    if not isinstance(name, str) or name not in scenarios.BY_NAME:
         raise ConfigError("scenario file references unknown scenario %r"
-                          % name)
-    return name, obj.get("config", {})
+                          % (name,))
+    if not isinstance(config, dict):
+        raise ConfigError("scenario file's 'config' must be a JSON object")
+    return name, config
 
 
 def cmd_run(args) -> int:
@@ -106,9 +110,17 @@ def cmd_core(args) -> int:
 def cmd_lyapunov(args) -> int:
     if args.scenario not in scenarios.COCYCLE:
         raise ConfigError("not a cocycle scenario: %r" % args.scenario)
-    ns = argparse.Namespace(scenario=args.scenario, set=args.set,
-                            seed=args.seed, out=args.out)
-    return cmd_run(ns)
+    return cmd_run(args)
+
+
+def _add_scenario_command(sub, name, help_text, fn):
+    """A subcommand taking a scenario and --seed, --out and --set."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("scenario")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.add_argument("--set", action="append", metavar="key=value")
+    p.set_defaults(fn=fn)
 
 
 def main(argv=None) -> int:
@@ -118,12 +130,8 @@ def main(argv=None) -> int:
                     "probabilities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a scenario by name or file")
-    run_p.add_argument("scenario")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None)
-    run_p.add_argument("--set", action="append", metavar="key=value")
-    run_p.set_defaults(fn=cmd_run)
+    _add_scenario_command(sub, "run", "run a scenario by name or file",
+                          cmd_run)
 
     list_p = sub.add_parser("list", help="list built-in scenarios")
     list_p.set_defaults(fn=cmd_list)
@@ -137,12 +145,8 @@ def main(argv=None) -> int:
     core_p.add_argument("file")
     core_p.set_defaults(fn=cmd_core)
 
-    lyap_p = sub.add_parser("lyapunov", help="run a cocycle scenario")
-    lyap_p.add_argument("scenario")
-    lyap_p.add_argument("--seed", type=int, default=None)
-    lyap_p.add_argument("--out", default=None)
-    lyap_p.add_argument("--set", action="append", metavar="key=value")
-    lyap_p.set_defaults(fn=cmd_lyapunov)
+    _add_scenario_command(sub, "lyapunov", "run a cocycle scenario",
+                          cmd_lyapunov)
 
     args = parser.parse_args(argv)
     try:

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+from . import finitedyn
+from .numeric import parse
 
 GAP_TOL = 1e-3
 
@@ -212,10 +216,7 @@ def monodromy_oracle(gen: MatrixGen, cycle: Sequence) -> LyapunovSpectrum:
     for i, pt in enumerate(cycle):
         if gen.step(pt) != cycle[(i + 1) % ell]:
             raise ValueError("point list is not a cycle of the base map")
-    phi = np.eye(gen.d)
-    for pt in cycle:
-        phi = gen.matrix(pt) @ phi
-    eig = np.linalg.eigvals(phi)
+    eig = np.linalg.eigvals(cocycle_matrix(gen, cycle[0], ell))
     mods = sorted(np.abs(eig).tolist(), reverse=True)
     if any(m == 0 for m in mods):
         raise ValueError("monodromy is singular")
@@ -224,13 +225,12 @@ def monodromy_oracle(gen: MatrixGen, cycle: Sequence) -> LyapunovSpectrum:
 
 
 def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,
-                      pairs: int = 40, seed: int = 0) -> dict:
+                      seed: int = 0) -> dict:
     """f_n = log ||wedge^k Phi(n, .)||: subadditivity and the linear bound.
 
-    Verifies f_{n+m}(w) <= f_n(w) + f_m(T^n w) on sampled (n, m) with
+    Verifies f_{n+m}(w) <= f_n(w) + f_m(T^n w) on 40 sampled (n, m) with
     n + m <= n_max, and |f_n| <= k n M throughout.
     """
-    import random
     rng = random.Random(seed)
     orbit = gen.orbit(omega, n_max + 1)
 
@@ -252,8 +252,8 @@ def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,
     ok = True
     witness = None
     bound_ok = True
-    samples = [(rng.randint(1, n_max - 1),) for _ in range(pairs)]
-    for (n,) in samples:
+    samples = [rng.randint(1, n_max - 1) for _ in range(40)]
+    for n in samples:
         m = rng.randint(1, n_max - n)
         fn = f(n, 0)
         fm = f(m, n)
@@ -304,10 +304,7 @@ class OseledetsApprox:
     checks: dict = field(default_factory=dict)
 
 
-def oseledets_filtration(gen: MatrixGen, omega, n: int,
-                         gap_tol: float = GAP_TOL,
-                         dir_horizon: int = None,
-                         seed: int = 0) -> OseledetsApprox:
+def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
     """Filtration approximant V_i = {x : growth rate <= lambda_i}.
 
     Exponents come from the forward QR pass; V_i is the orthogonal
@@ -320,13 +317,12 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int,
     Directional exponents are measured over a shortened horizon: a slow
     vector's forward iterates pick up fast components at the level of
     machine epsilon, which dominate after roughly 36/gap steps, so the
-    horizon is capped accordingly.
+    horizon is capped accordingly.  Exponents closer than GAP_TOL form
+    one block.
     """
-    import random
-    rng = random.Random(seed)
-    d = gen.d
+    rng = random.Random(0)
     spec = lyapunov_qr(gen, omega, n)
-    groups = spec.grouped(gap_tol)
+    groups = spec.grouped()
     min_gap = min((groups[i][0] - groups[i + 1][0]
                    for i in range(len(groups) - 1)), default=1.0)
     # On a periodic base the V_i at every cycle point are available, so a
@@ -342,13 +338,11 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int,
         bases_at = list(_right_subspace_bases(
             gen, [gen.orbit(pt, n) for pt in cycle]))
         basis, basis_next = bases_at[0], bases_at[1 % period]
-        if dir_horizon is None:
-            dir_horizon = min(n, 500 * period)
+        dir_horizon = min(n, 500 * period)
     else:
         orbit = gen.orbit(omega, n + 1)
         basis, basis_next = _right_subspace_bases(gen, [orbit[:n], orbit[1:]])
-        if dir_horizon is None:
-            dir_horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
+        dir_horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
 
     filtration = []
     sizes = []
@@ -417,21 +411,17 @@ def _detect_period(gen, omega, limit: int = 64):
 
 
 def subadditive_limit_finite(f_seq: Callable[[int], Sequence], t,
-                             horizon: int, sample_pairs: int = 30,
-                             seed: int = 0) -> dict:
+                             horizon: int) -> dict:
     """f* = inf over n <= horizon of the cycle average of f_n / n.
 
     f_seq(n) returns the vector of f_n values on the finite base.
-    Subadditivity f_{n+m} <= f_n + f_m o T^n is spot-checked; the inf is
-    required to have stabilized over the last quarter of the horizon.
+    Subadditivity f_{n+m} <= f_n + f_m o T^n is spot-checked on 30
+    sampled (n, m); the inf is required to have stabilized over the last
+    quarter of the horizon.
     """
-    import random
-
-    from . import finitedyn
-    from .numeric import parse
-    rng = random.Random(seed)
+    rng = random.Random(0)
     m_pts = len(f_seq(1))
-    for _ in range(sample_pairs):
+    for _ in range(30):
         n = rng.randint(1, horizon - 1)
         m = rng.randint(1, horizon - n)
         fn, fm, fnm = f_seq(n), f_seq(m), f_seq(n + m)

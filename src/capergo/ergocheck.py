@@ -1,16 +1,18 @@
 """Cesaro-characterization checks of ergodicity and weak mixing.
 
-The checks run on a measured system of either regime: finite (exact
-rational limits via cycle periodicity, tolerance zero) or interval
-(partial Cesaro means at checkpoints N/8, N/4, N/2, N against a
-tolerance).  Each system supplies the correlation terms P(B & T^{-i}C);
-one Cesaro pipeline turns them into every check.
+The checks run on a system of either regime: a `FiniteSystem` (exact
+rational limits via cycle periodicity, tolerance zero) or an
+`IntervalSystem` (partial Cesaro means at checkpoints N/8, N/4, N/2, N
+against a tolerance).  Each system supplies prob(p, event),
+q_measure(event) (the shared skeleton Q, or None when there is none) and
+the correlation terms P(B & T^{-i}C); one Cesaro pipeline turns them
+into every check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -62,37 +64,18 @@ class ConvergenceReport:
                 "target": float(self.target)}
 
 
-class MeasuredSystem:
-    """A system the Cesaro checks run on.
-
-    Build one with `from_finite` or `from_interval`.  Each kind supplies
-    prob(p, event), q_measure(event) (the shared skeleton Q, or None when
-    there is none) and correlations(p, b, c, n).
-    """
-
-    @staticmethod
-    def from_finite(v: UpperProbability, t: Endomap) -> "FiniteSystem":
-        sk = finitedyn.ergodic_skeleton(v, t)
-        return FiniteSystem(v, t, sk["skeleton"] if sk.get("ok") else None,
-                            sk)
-
-    @staticmethod
-    def from_interval(mp: PiecewiseAffineMap,
-                      family: Sequence[RestrictedLebesgue],
-                      budget: int = intervaldyn.DOUBLING_BUDGET
-                      ) -> "IntervalSystem":
-        return IntervalSystem(mp, list(family), budget)
-
-
 @dataclass
-class FiniteSystem(MeasuredSystem):
+class FiniteSystem:
     """An upper probability v with the endomap t, and their ergodic
     skeleton (None when ergodic_skeleton fails)."""
 
     v: UpperProbability
     t: Endomap
-    skeleton: Optional[list]
-    skeleton_report: dict
+    skeleton: Optional[list] = field(init=False)
+
+    def __post_init__(self):
+        sk = finitedyn.ergodic_skeleton(self.v, self.t)
+        self.skeleton = sk["skeleton"] if sk["ok"] else None
 
     def prob(self, p: Sequence, mask: int):
         return sum((p[i] for i in indices_of(mask)), Fraction(0))
@@ -122,13 +105,12 @@ class FiniteSystem(MeasuredSystem):
 
 
 @dataclass
-class IntervalSystem(MeasuredSystem):
+class IntervalSystem:
     """A piecewise-affine map with a family of restricted Lebesgue
     measures; the shared skeleton is normalized Lebesgue on [0, c)."""
 
     map: PiecewiseAffineMap
     family: list
-    budget: int = intervaldyn.DOUBLING_BUDGET
 
     @staticmethod
     def _measure(p):
@@ -144,10 +126,13 @@ class IntervalSystem(MeasuredSystem):
     def correlations(self, p, b: IntervalSet, c: IntervalSet, n: int):
         """The terms P(B & T^{-i}C) for i < n; they have no known period."""
         return intervaldyn.correlation_sequence(
-            self._measure(p), self.map, b, c, n, self.budget), None
+            self._measure(p), self.map, b, c, n), None
 
 
-def _cesaro(sys: MeasuredSystem, p, b, c, n: int, transform: Callable):
+System = FiniteSystem | IntervalSystem
+
+
+def _cesaro(sys: System, p, b, c, n: int, transform: Callable):
     """Checkpoints, partial Cesaro means of transform(P(B & T^{-i}C)) at
     them, and the exact limit (the mean over one period) when the terms
     are eventually periodic, else None."""
@@ -188,14 +173,14 @@ def _skeleton_check(name, sys, p, b, c, n, tol, float_tol, transform,
                              exact_limit=limit)
 
 
-def independence_check(sys: MeasuredSystem, p, b, c, n: int,
+def independence_check(sys: System, p, b, c, n: int,
                        tol=None) -> ConvergenceReport:
     """Cesaro mean of P(B & T^{-i}C) against the target P(B) Q(C)."""
     return _skeleton_check("independence", sys, p, b, c, n, tol, 1e-3,
                            lambda x, center: x, lambda center: center)
 
 
-def squared_deviation_check(sys: MeasuredSystem, p, b, c, n: int,
+def squared_deviation_check(sys: System, p, b, c, n: int,
                             tol=None) -> ConvergenceReport:
     """Cesaro mean of |P(B & T^{-i}C) - P(B)Q(C)|^2; zero iff weak mixing."""
     return _skeleton_check("squared_deviation", sys, p, b, c, n, tol, 1e-2,
@@ -203,8 +188,8 @@ def squared_deviation_check(sys: MeasuredSystem, p, b, c, n: int,
                            lambda center: 0)
 
 
-def choquet_independence_check(sys: MeasuredSystem, f: Sequence, g: Sequence,
-                               n: int, tol=0) -> ConvergenceReport:
+def choquet_independence_check(sys: System, f: Sequence, g: Sequence,
+                               n: int) -> ConvergenceReport:
     """Choquet average of f * (g o T^i) against (int f dV)(int g dQ).
 
     Finite regime only: each checkpoint evaluates an exact Choquet
@@ -238,10 +223,10 @@ def choquet_independence_check(sys: MeasuredSystem, f: Sequence, g: Sequence,
     target = choquet_integral(v, list(f)) * sum(
         Fraction(g[x]) * sys.skeleton[x] for x in range(m))
     return ConvergenceReport("choquet_independence", pts, partials, target,
-                             tol, exact_limit=limit)
+                             0, exact_limit=limit)
 
 
-def sqrt_moment_check(sys: MeasuredSystem, p, b, c, r, n: int,
+def sqrt_moment_check(sys: System, p, b, c, r, n: int,
                       tol=1e-2) -> dict:
     """Cesaro means of P(B & T^{-i}C)**r against the two-sided bounds.
 
@@ -270,26 +255,21 @@ class DensitySubset:
     """A subset of the integers with window-count access.
 
     Membership is a predicate; count_fn, when given, returns
-    |A intersect [0, n]| in closed form so huge windows stay cheap.
-    Sets are assumed to live in the nonnegative integers unless
-    membership says otherwise (two-sided windows then enumerate).
+    |A intersect [0, n]| in closed form so huge windows stay cheap, for a
+    set of nonnegative integers.  Without it, two-sided windows enumerate
+    up to `bound`.
     """
 
     def __init__(self, membership: Callable[[int], bool], bound: int,
-                 count_fn: Optional[Callable[[int], int]] = None,
-                 two_sided_symmetric: bool = False):
+                 count_fn: Optional[Callable[[int], int]] = None):
         self.membership = membership
         self.bound = bound
         self.count_fn = count_fn
-        self.two_sided_symmetric = two_sided_symmetric
 
     def window_count(self, n: int) -> int:
         """|A intersect [-n, n]|."""
         if self.count_fn is not None:
-            pos = self.count_fn(n)
-            if self.two_sided_symmetric:
-                return 2 * pos - (1 if self.membership(0) else 0)
-            return pos
+            return self.count_fn(n)
         if n > self.bound:
             raise ValueError("window exceeds enumeration bound")
         return sum(1 for k in range(-n, n + 1) if self.membership(k))
@@ -338,8 +318,10 @@ def density(a: DensitySubset, windows: Sequence[int],
     return out
 
 
-def extract_null_density_set(seq: Sequence[float], limit: float,
-                             m_max: int = 8) -> dict:
+KVN_LEVELS = 8
+
+
+def extract_null_density_set(seq: Sequence[float], limit: float) -> dict:
     """Koopman-von Neumann extraction of a density-zero exception set.
 
     Level sets J_m = {n : |seq_n - limit| > 1/m} are merged blockwise:
@@ -347,12 +329,12 @@ def extract_null_density_set(seq: Sequence[float], limit: float,
     density of J_{m+1} stays below 1/(m+1), and J picks up J_{m+1} on
     (N_m, N_{m+1}].  Off J, deviations past block m are at most 1/(m+1).
     Refuses when the Cesaro mean of |seq - limit| has not converged to 0
-    over the horizon.
+    over the horizon.  Blocks run up to m = KVN_LEVELS.
     """
     horizon = len(seq)
     devs = [abs(x - limit) for x in seq]
     cesaro_tail = sum(devs) / horizon
-    if cesaro_tail > 1.0 / (m_max + 1):
+    if cesaro_tail > 1.0 / (KVN_LEVELS + 1):
         return {"refused": True, "cesaro_mean": cesaro_tail}
 
     def level_set(m):
@@ -360,7 +342,6 @@ def extract_null_density_set(seq: Sequence[float], limit: float,
 
     # first index from which the running density of J_m stays <= 1/m
     def settle_index(jm, m):
-        bad_after = horizon
         cnt = 0
         counts = [0] * (horizon + 1)
         js = set(jm)
@@ -375,7 +356,7 @@ def extract_null_density_set(seq: Sequence[float], limit: float,
 
     blocks = []
     prev = 0
-    for m in range(1, m_max + 1):
+    for m in range(1, KVN_LEVELS + 1):
         jm = level_set(m + 1)
         start = settle_index(jm, m + 1)
         nm = max(prev + 1, start)
@@ -397,7 +378,6 @@ def extract_null_density_set(seq: Sequence[float], limit: float,
     j.sort()
     pts = checkpoints_of(horizon)
     dens = []
-    js = set(j)
     for n in pts:
         dens.append(sum(1 for k in j if k < n) / n)
     return {"refused": False, "indices": j,
@@ -466,8 +446,8 @@ def paper_sequence_6_remark(K: int) -> dict:
 # stationary-process SLLN
 
 
-def process_slln_check(sys: MeasuredSystem, h: Sequence, depth: int,
-                       n: int, tol=0) -> dict:
+def process_slln_check(sys: System, h: Sequence, depth: int,
+                       n: int) -> dict:
     """Stationarity of Y_k = h o T^{k-1} plus the per-point SLLN.
 
     Stationarity compares V of every depth-d cylinder event with V of its
@@ -506,7 +486,7 @@ def process_slln_check(sys: MeasuredSystem, h: Sequence, depth: int,
     limits = finitedyn.common_cond_exp(h, t)
     fail_mask = 0
     for x in range(m):
-        if abs(limits[x] - target) > tol:
+        if abs(limits[x] - target) > 0:
             fail_mask |= 1 << x
     finite_avgs = [float(finitedyn.birkhoff_average(h, t, x, n))
                    for x in range(m)]

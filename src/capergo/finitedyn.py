@@ -8,14 +8,11 @@ skeleton measures are all finite computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .numeric import close, parse
 from .setfun import (Capacity, UpperProbability, core_range, in_core,
-                     indices_of)
-
-CESARO_HORIZON_CAP = 10 ** 6
+                     product_upper, subset_sums)
 
 
 class Endomap:
@@ -98,6 +95,13 @@ def invariant_atoms(t: Endomap) -> list[int]:
     return sorted(atoms)
 
 
+def invariant_events(t: Endomap) -> list[int]:
+    """Every event B with T^{-1} B = B: the k-th is the union of the atoms
+    j with bit j of k set.  The atoms are disjoint bitmasks, so these
+    unions are their subset sums."""
+    return subset_sums(invariant_atoms(t), 0)
+
+
 def skeleton(p: Sequence, t: Endomap) -> list:
     """Cesaro limit of the pushforwards P o T^{-i}.
 
@@ -119,13 +123,6 @@ def pushforward(p: Sequence, t: Endomap) -> list:
     for i, w in enumerate(p):
         out[t(i)] = out[t(i)] + w
     return out
-
-
-def cesaro_horizon(t: Endomap) -> int:
-    dec = cycle_decomposition(t)
-    period = lcm(*(len(c) for c in dec["cycles"]))
-    horizon = max(dec["entry_time"]) + period
-    return min(horizon, CESARO_HORIZON_CAP)
 
 
 def common_cond_exp(f: Sequence, t: Endomap) -> list:
@@ -151,10 +148,6 @@ def birkhoff_average(f: Sequence, t: Endomap, x: int, n: int):
     return total / n
 
 
-def birkhoff_limit(f: Sequence, t: Endomap, x: int):
-    return common_cond_exp(f, t)[x]
-
-
 def is_invariant_capacity(mu: Capacity, t: Endomap) -> bool:
     return all(close(mu.table[t.preimage_mask(a)], mu.table[a])
                for a in range(1 << mu.n))
@@ -167,25 +160,18 @@ def ergodicity_check(mu: Capacity, t: Endomap) -> dict:
     mu(B) = 0 or mu(complement B) = 0.  Returns a witness mask on failure.
     """
     invariant = is_invariant_capacity(mu, t)
-    atoms = invariant_atoms(t)
     full = (1 << mu.n) - 1
-    ergodic = True
     witness = None
-    for k in range(1 << len(atoms)):
-        b = 0
-        for j in range(len(atoms)):
-            if k & (1 << j):
-                b |= atoms[j]
+    for b in invariant_events(t):
         vb = mu.table[b]
         vc = mu.table[full ^ b]
         zero_one = (close(vb, 0) or close(vb, 1))
         null_side = (close(vb, 0) or close(vc, 0))
         if not (zero_one and null_side):
-            ergodic = False
             witness = b
             break
-    return {"invariant": invariant, "ergodic": invariant and ergodic,
-            "witness": witness}
+    return {"invariant": invariant,
+            "ergodic": invariant and witness is None, "witness": witness}
 
 
 def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
@@ -205,24 +191,18 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     if not erg["ergodic"]:
         return {"ok": False, "reason": "not ergodic", "witness": erg["witness"]}
     q = skeleton(v.family[0], t)
-    atoms = invariant_atoms(t)
+    q_of = subset_sums(q, 0)  # Q(A) for every mask A
+    events = invariant_events(t)
     checks = {}
+
+    def agrees(b):
+        lo, hi = core_range(v, b)
+        return close(lo, hi) and close(lo, q_of[b])
+
     # (a) every core element gives the same mass to invariant-atom unions
-    if len(atoms) > 1:
-        agree = True
-        for k in range(1 << len(atoms)):
-            b = 0
-            for j in range(len(atoms)):
-                if k & (1 << j):
-                    b |= atoms[j]
-            lo, hi = core_range(v, b)
-            qb = sum(q[i] for i in indices_of(b))
-            if not (close(lo, hi) and close(lo, qb)):
-                agree = False
-                break
-        checks["core_agrees_on_invariants"] = agree
-    else:
-        checks["core_agrees_on_invariants"] = True
+    # (trivially so when the only ones are the empty and full events)
+    checks["core_agrees_on_invariants"] = \
+        len(events) == 2 or all(map(agrees, events))
     # (b) Q ergodic: exactly one terminal cycle carries mass
     dec = cycle_decomposition(t)
     charged = [ci for ci, cyc in enumerate(dec["cycles"])
@@ -230,19 +210,11 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     checks["skeleton_ergodic"] = len(charged) == 1
     # (c) Q in core(V)
     checks["skeleton_in_core"] = in_core(v, q)
-    # (d) null sets of Q and V coincide
-    full = (1 << v.n) - 1
-    null_match = True
-    for a in range(1 << v.n):
-        qa = sum(q[i] for i in indices_of(a))
-        if close(qa, 0) != close(v.table[a], 0):
-            # Q-null iff V-null holds for invariant events and is what
-            # the ergodic characterisation needs; on arbitrary events only
-            # V(A)=0 => Q(A)=0 is guaranteed.
-            if close(v.table[a], 0) and not close(qa, 0):
-                null_match = False
-                break
-    checks["v_null_implies_q_null"] = null_match
+    # (d) null sets of Q and V coincide.  Q-null iff V-null holds for
+    # invariant events and is what the ergodic characterisation needs; on
+    # arbitrary events only V(A)=0 => Q(A)=0 is guaranteed.
+    checks["v_null_implies_q_null"] = not any(
+        close(va, 0) and not close(qa, 0) for va, qa in zip(v.table, q_of))
     ok = all(checks.values())
     return {"ok": ok, "skeleton": q, "checks": checks}
 
@@ -255,7 +227,6 @@ def weak_mixing_check(v: UpperProbability, t: Endomap,
     single charged cycle has length 1.  Oracle route: the product system
     (V x V, T x T) is ergodic.  Both verdicts are reported.
     """
-    from .setfun import product_upper
     sk = ergodic_skeleton(v, t)
     if not sk.get("ok"):
         return {"ok": False, "reason": sk.get("reason", "skeleton failed")}

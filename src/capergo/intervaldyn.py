@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import FLOAT_TOL, encode, is_exact, parse
+from .numeric import FLOAT_TOL, is_exact, parse
 
 BOUNDARY_SNAP = 1e-15
 DOUBLING_BUDGET = 24
@@ -98,15 +98,6 @@ class IntervalSet:
     def _check(self, other):
         if self.c != other.c:
             raise ValueError("mismatched circumference")
-
-    def to_json(self):
-        return {"c": encode(self.c),
-                "intervals": [[encode(a), encode(b)]
-                              for a, b in self.intervals]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["intervals"], obj.get("c", 2))
 
     def __eq__(self, other):
         return (self.c == other.c and self.intervals == other.intervals)
@@ -197,31 +188,6 @@ class PiecewiseAffineMap:
                     (Fraction(1, 2), 1, 2, 0),
                     (1, 2, 1, -1)], c=2, kind="doubling_paste")
 
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.kind in ("rotation", "rotation_swap"):
-            alpha = self.branches[0][3]
-            if self.kind == "rotation_swap":
-                alpha = alpha - 1
-            out["alpha"] = encode(alpha)
-        if self.kind == "rotation":
-            out["c"] = encode(self.c)
-        return out
-
-    @classmethod
-    def from_json(cls, obj):
-        kind = obj["kind"]
-        if kind == "rotation":
-            return cls.rotation(parse(obj.get("alpha", GOLDEN)),
-                                parse(obj.get("c", 1)))
-        if kind == "doubling":
-            return cls.doubling()
-        if kind == "rotation_swap":
-            return cls.rotation_swap(parse(obj.get("alpha", GOLDEN)))
-        if kind == "doubling_paste":
-            return cls.doubling_paste()
-        raise ValueError("unknown map kind %r" % kind)
-
 
 class PiecewiseConstant:
     """Function on [0, c): value values[j] on [cuts[j], cuts[j+1])."""
@@ -271,22 +237,22 @@ class PiecewiseConstant:
 
 
 def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
-                         b: IntervalSet, c_set: IntervalSet, n: int,
-                         budget: int = DOUBLING_BUDGET) -> list:
+                         b: IntervalSet, c_set: IntervalSet, n: int) -> list:
     """Terms P(B intersect T^{-i} C) for i = 0 .. n-1.
 
     For the plain doubling map the i-th preimage is periodic with period
     2^-i and a pattern that is just C rescaled, so the terms are computed
     in constant work per i and the exponential interval blowup (and with
-    it the iterate budget) disappears.  Other expanding maps honour the
-    budget literally.
+    it the iterate budget) disappears.  Other expanding maps may take at
+    most DOUBLING_BUDGET preimage steps.
     """
     if mp.kind == "doubling":
         return _doubling_correlations(p, b, c_set, n)
     if mp.kind == "rotation_swap" or (mp.kind == "rotation" and mp.c == 1):
         return _rotation_correlations(p, mp, b, c_set, n)
-    if mp.expanding and n - 1 > budget:
-        raise BudgetError("preimage budget exceeded at iterate %d" % (budget + 1))
+    if mp.expanding and n - 1 > DOUBLING_BUDGET:
+        raise BudgetError("preimage budget exceeded at iterate %d"
+                          % (DOUBLING_BUDGET + 1))
     out = []
     cur = c_set
     for i in range(n):
@@ -513,13 +479,13 @@ def polynomial_orbit_average(f: PiecewiseConstant, p, x: BitstreamPoint,
 
 
 def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
-                         lam, tol=FLOAT_TOL) -> bool:
+                         lam) -> bool:
     """Decide f(T x) = lam * f(x) off a finite set of boundary points.
 
     The composition f o T is piecewise constant on the refinement of the
     map's branches against the preimages of f's pieces; on each refined
-    piece both sides are single labels, compared exactly (or within tol
-    in float mode).
+    piece both sides are single labels, compared exactly (or within
+    FLOAT_TOL in float mode).
     """
     cuts = set()
     for lo, hi, _, _ in mp.branches:
@@ -539,6 +505,6 @@ def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
         mid = (a + b) / 2
         lhs = f(mp.apply(mid))
         rhs = lam * f(mid)
-        if abs(lhs - rhs) > tol:
+        if abs(lhs - rhs) > FLOAT_TOL:
             return False
     return True

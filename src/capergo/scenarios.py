@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cocycle, ergocheck, finitedyn, intervaldyn, setfun
-from .ergocheck import MeasuredSystem
+from .ergocheck import FiniteSystem, IntervalSystem
 from .finitedyn import Endomap
 from .intervaldyn import (GOLDEN, IntervalSet, PiecewiseAffineMap,
                           PiecewiseConstant, RestrictedLebesgue)
@@ -44,10 +44,6 @@ def _check(name, verdict, **details):
             "details": _jsonable(details)}
 
 
-def _report_csv(rep: ergocheck.ConvergenceReport):
-    return rep.csv_rows()
-
-
 def _rep_check(rep: ergocheck.ConvergenceReport, name=None):
     details = {k: v for k, v in rep.summary().items()
                if k not in ("check", "verdict")}
@@ -55,9 +51,12 @@ def _rep_check(rep: ergocheck.ConvergenceReport, name=None):
 
 
 def _require_n(config, key="N"):
-    n = int(config[key])
-    if n < 1:
-        raise ConfigError("%s must be >= 1" % key)
+    """config[key] as an int >= 1; a float counts only if it is integral."""
+    n = config[key]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError("%s must be an integer >= 1, got %r" % (key, n))
     return n
 
 
@@ -69,7 +68,7 @@ def _swap_system(alpha):
     mp = PiecewiseAffineMap.rotation_swap(alpha)
     p1 = RestrictedLebesgue(IntervalSet([(0, 1)], 2))
     p2 = RestrictedLebesgue(IntervalSet([(1, 2)], 2))
-    return MeasuredSystem.from_interval(mp, [p1, p2])
+    return IntervalSystem(mp, [p1, p2])
 
 
 def rotation_swap_ergodic(config):
@@ -80,7 +79,7 @@ def rotation_swap_ergodic(config):
     rep = ergocheck.independence_check(sys, sys.family[0], b, c, n,
                                        tol=float(config["tol"]))
     checks = [_rep_check(rep)]
-    return checks, {"independence": _report_csv(rep)}
+    return checks, {"independence": rep.csv_rows()}
 
 
 def rotation_swap_birkhoff(config):
@@ -89,7 +88,8 @@ def rotation_swap_birkhoff(config):
     mp = PiecewiseAffineMap.rotation_swap(float(config["alpha"]))
     f = PiecewiseConstant.indicator(IntervalSet([(1, 2)], 2))
     rng = random.Random(int(config["seed"]))
-    points = [rng.uniform(0.0, 2.0) for _ in range(int(config["points"]))]
+    points = [rng.uniform(0.0, 2.0)
+              for _ in range(_require_n(config, "points"))]
     rows = [("point", "average", "deviation")]
     worst = 0.0
     for x in points:
@@ -114,14 +114,14 @@ def rotation_swap_halves(config):
     checks = [_check("halves_alternate", alternating,
                      first_terms=[float(t) for t in terms]),
               _rep_check(rep)]
-    return checks, {"independence": _report_csv(rep)}
+    return checks, {"independence": rep.csv_rows()}
 
 
 def doubling_weak_mixing(config):
     n = _require_n(config)
     mp = PiecewiseAffineMap.doubling()
     leb = RestrictedLebesgue(IntervalSet([(0, 1)], 1))
-    sys = MeasuredSystem.from_interval(mp, [leb])
+    sys = IntervalSystem(mp, [leb])
     b = c = IntervalSet([(0, Fraction(1, 2))], 1)
     rep = ergocheck.squared_deviation_check(sys, leb, b, c, n,
                                             tol=float(config["tol"]))
@@ -136,7 +136,7 @@ def doubling_weak_mixing(config):
               _check("null_density_extraction", kvn_ok,
                      density_at_horizon=kvn["certificate"]
                      ["window_density"][-1] if not kvn["refused"] else None)]
-    return checks, {"squared_deviation": _report_csv(rep)}
+    return checks, {"squared_deviation": rep.csv_rows()}
 
 
 def doubling_paste_not_weakmixing(config):
@@ -162,10 +162,8 @@ def doubling_paste_not_weakmixing(config):
 
     # finite analog: the two-point swap carries the same eigenfunction
     # obstruction, with an exact positive squared-deviation limit
-    swap = Endomap([1, 0])
-    v = UpperProbability([[Fraction(1), Fraction(0)],
-                          [Fraction(0), Fraction(1)]])
-    fsys = MeasuredSystem.from_finite(v, swap)
+    v, swap = _finite_swap()
+    fsys = FiniteSystem(v, swap)
     rep = ergocheck.squared_deviation_check(fsys, v.family[0], 0b01, 0b01, 64)
     wm = finitedyn.weak_mixing_check(v, swap)
     checks = [
@@ -178,14 +176,14 @@ def doubling_paste_not_weakmixing(config):
                wm["ok"] and not wm["weak_mixing"]
                and not wm["product_ergodic"]),
     ]
-    return checks, {"finite_analog": _report_csv(rep)}
+    return checks, {"finite_analog": rep.csv_rows()}
 
 
 def sqrt_moment_doubling(config):
     n = _require_n(config)
     mp = PiecewiseAffineMap.doubling()
     leb = RestrictedLebesgue(IntervalSet([(0, 1)], 1))
-    sys = MeasuredSystem.from_interval(mp, [leb])
+    sys = IntervalSystem(mp, [leb])
     b = c = IntervalSet([(0, Fraction(1, 2))], 1)
     out = ergocheck.sqrt_moment_check(sys, leb, b, c, 0.5, n,
                                       tol=float(config["tol"]))
@@ -235,7 +233,7 @@ def finite_swap_ergodic(config):
     v, swap = _finite_swap()
     erg = finitedyn.ergodicity_check(v, swap)
     sk = finitedyn.ergodic_skeleton(v, swap)
-    sys = MeasuredSystem.from_finite(v, swap)
+    sys = FiniteSystem(v, swap)
     rep = ergocheck.independence_check(sys, v.family[0], 0b01, 0b01, 64)
     q_ok = sk["ok"] and sk["skeleton"] == [Fraction(1, 2), Fraction(1, 2)]
     checks = [
@@ -245,24 +243,24 @@ def finite_swap_ergodic(config):
                rep.exact_limit == rep.target == Fraction(1, 2),
                exact_limit=rep.exact_limit, target=rep.target),
     ]
-    return checks, {"independence": _report_csv(rep)}
+    return checks, {"independence": rep.csv_rows()}
 
 
 def choquet_independence_swap(config):
     v, swap = _finite_swap()
-    sys = MeasuredSystem.from_finite(v, swap)
+    sys = FiniteSystem(v, swap)
     f = [Fraction(1), Fraction(0)]
     g = [Fraction(1), Fraction(0)]
     rep = ergocheck.choquet_independence_check(sys, f, g, 64)
     ok = rep.exact_limit == rep.target == Fraction(1, 2)
     checks = [_check("choquet_independence", ok,
                      exact_limit=rep.exact_limit, target=rep.target)]
-    return checks, {"choquet_independence": _report_csv(rep)}
+    return checks, {"choquet_independence": rep.csv_rows()}
 
 
 def finite_swap_slln(config):
     v, swap = _finite_swap()
-    sys = MeasuredSystem.from_finite(v, swap)
+    sys = FiniteSystem(v, swap)
     out = ergocheck.process_slln_check(sys, [0, 1], depth=3, n=64)
     ok = out["stationary"] and out["slln"]["verdict"] and \
         out["slln"]["target"] == Fraction(1, 2)
@@ -272,11 +270,11 @@ def finite_swap_slln(config):
 
 
 def periodic_cycle_sqrt_moment(config):
-    r0 = int(config["cycle_length"])
+    r0 = _require_n(config, "cycle_length")
     t = Endomap([(i + 1) % r0 for i in range(r0)])
     p = [Fraction(1, r0)] * r0
     v = UpperProbability([p])
-    sys = MeasuredSystem.from_finite(v, t)
+    sys = FiniteSystem(v, t)
     out = ergocheck.sqrt_moment_check(sys, p, 0b1, 0b1, 0.5, 64)
     target = (1.0 / r0) * math.sqrt(1.0 / r0)  # P^{1/2}(B) P(C)
     ok = abs(out["exact_limit"] - target) <= 1e-12
@@ -402,8 +400,8 @@ def compare_with_oracle(gen, ell, n):
 
 def lyapunov_periodic_oracle(config):
     rng = random.Random(int(config["seed"]))
-    d = int(config["d"])
-    ell = int(config["period"])
+    d = _require_n(config, "d")
+    ell = _require_n(config, "period")
     gen = random_periodic_generator(rng, d, ell)
     worst, qr, oracle = compare_with_oracle(gen, ell, _require_n(config))
     sub = cocycle.subadditive_check(gen, 0, k=1, n_max=30,

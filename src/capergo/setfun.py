@@ -16,9 +16,13 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numeric import FLOAT_TOL, close, is_exact, le
+from .numeric import close, is_exact, le
 
 Number = object  # Fraction or float; kept loose on purpose
+
+# core_vertices solves C(2**n + n - 2, n - 1) candidate bases: 52,360 at
+# n=5 and 10,424,128 at n=6
+CORE_N_LIMIT = 5
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -26,6 +30,18 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def subset_sums(p: Sequence, zero) -> list:
+    """[zero + sum of p[i] over i in A, for every mask A].
+
+    sums[a] = sums[a ^ top] + p[top] for top the highest bit of a, so each
+    sum adds its terms in ascending index order, as sum() would.
+    """
+    sums = [zero]
+    for x in p:
+        sums += [s + x for s in sums]
+    return sums
 
 
 def indices_of(mask: int) -> list[int]:
@@ -78,10 +94,7 @@ class Capacity:
     @classmethod
     def additive(cls, weights: Sequence) -> "Capacity":
         """Capacity induced by a probability vector."""
-        n = len(weights)
-        table = [sum((weights[i] for i in indices_of(a)), Fraction(0))
-                 for a in range(1 << n)]
-        return cls(n, table)
+        return cls(len(weights), subset_sums(weights, Fraction(0)))
 
 
 class UpperProbability(Capacity):
@@ -101,15 +114,11 @@ class UpperProbability(Capacity):
         self.family = [list(p) for p in family]
         table = None
         for p in self.family:
-            # sums[a] = sums[a ^ top] + p[top] for top the highest bit of
-            # a: terms added in ascending index order, as sum() would
-            sums = [Fraction(0)]
-            for x in p:
-                sums += [s + x for s in sums]
+            sums = subset_sums(p, Fraction(0))
             table = sums if table is None else list(map(max, table, sums))
         # adding a term >= 0 never lowers a rounded partial sum, so with no
         # negative entry the table is monotone and normalised as built; an
-        # entry in [-FLOAT_TOL, 0) still gets the full check
+        # entry in [-numeric.FLOAT_TOL, 0) still gets the full check
         super().__init__(n, table,
                          validate=any(x < 0 for p in self.family for x in p))
 
@@ -257,7 +266,7 @@ def _bases(n: int):
     return tuple(memoryview(a).toreadonly() for a in (rows, adj, det))
 
 
-def core_vertices(mu: Capacity, n_limit: int = 5) -> list[list]:
+def core_vertices(mu: Capacity) -> list[list]:
     """Vertices of {P additive prob.: P(A) <= mu(A) for all A}.
 
     A vertex solves the normalisation plus n - 1 binding constraints.  The
@@ -269,14 +278,13 @@ def core_vertices(mu: Capacity, n_limit: int = 5) -> list[list]:
     every constraint, deduplicated first-seen in candidate order.  Exact
     tables stay exact (integers scaled by the lcm of the denominators);
     a table with any float entry is solved in floats with tolerance
-    1e-9.  There are C(2**n + n - 2, n - 1) candidate bases, 52,360 at
-    n=5 and 10,424,128 at n=6, so n is guarded by n_limit.
+    1e-9.  n is guarded by CORE_N_LIMIT.
     """
     n = mu.n
-    if n > n_limit:
+    if n > CORE_N_LIMIT:
         raise ValueError(
             "core_vertices limited to n <= %d: n=%d has %d candidate bases"
-            % (n_limit, n, _candidate_count(n)))
+            % (CORE_N_LIMIT, n, _candidate_count(n)))
     rows, adj, det = _bases(n)
     full = (1 << n) - 1
     table = mu.table
@@ -311,11 +319,7 @@ def core_vertices(mu: Capacity, n_limit: int = 5) -> list[list]:
                 break
             x.append(v)
         else:
-            # sums[a] = sums[a ^ top] + x[top]: each subset sum adds its
-            # terms in ascending index order
-            sums = [0]
-            for v in x:
-                sums += [s + v for s in sums]
+            sums = subset_sums(x, 0)
             if all(map(operator.le, sums[1:full], caps[d])):
                 found.append((x, d * scale if exact else 1.0))
     kept = _first_seen(found, max(tol, 1e-10))
@@ -363,17 +367,14 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
     return min(vals), max(vals)
 
 
-def in_core(mu: Capacity, p: Sequence, tol=FLOAT_TOL) -> bool:
-    if not close(sum(p, Fraction(0)), 1, tol):
+def in_core(mu: Capacity, p: Sequence) -> bool:
+    if not close(sum(p, Fraction(0)), 1):
         return False
-    for a in range(1, 1 << mu.n):
-        if not le(sum(p[i] for i in indices_of(a)), mu.table[a], tol):
-            return False
-    return True
+    return all(map(le, subset_sums(p, 0)[1:], mu.table[1:]))
 
 
-def product_upper(v1: UpperProbability, v2: UpperProbability,
-                  n_limit: int = 5) -> UpperProbability:
+def product_upper(v1: UpperProbability,
+                  v2: UpperProbability) -> UpperProbability:
     """Product upper probability on the product ground set.
 
     Built as the upper envelope of {P1 x P2 : Pi a core vertex of Vi};
@@ -381,8 +382,8 @@ def product_upper(v1: UpperProbability, v2: UpperProbability,
     over vertex pairs equals the envelope over all core pairs because
     each P1 x P2 evaluation is bilinear in (P1, P2).
     """
-    vs1 = core_vertices(v1, n_limit)
-    vs2 = core_vertices(v2, n_limit)
+    vs1 = core_vertices(v1)
+    vs2 = core_vertices(v2)
     n2 = v2.n
     family = []
     for p1 in vs1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from capergo import cli, ergocheck, finitedyn, scenarios, setfun
 from capergo.cocycle import oseledets_filtration
-from capergo.ergocheck import MeasuredSystem
+from capergo.ergocheck import FiniteSystem, IntervalSystem
 from capergo.finitedyn import Endomap
 from capergo.intervaldyn import (BitstreamPoint, IntervalSet,
                                  PiecewiseAffineMap, PiecewiseConstant,
@@ -53,7 +53,7 @@ def test_criterion_01_rotation_swap_independence(acceptance_log):
     started = time.monotonic()
     mp = PiecewiseAffineMap.rotation_swap(ALPHA)
     p1 = RestrictedLebesgue(IntervalSet([(0, 1)], 2))
-    sys = MeasuredSystem.from_interval(mp, [p1])
+    sys = IntervalSystem(mp, [p1])
     b = IntervalSet([(0, F(1, 2))], 2)
     c = IntervalSet([(1, F(17, 10))], 2)
     rep = ergocheck.independence_check(sys, p1, b, c, 100_000, tol=1e-3)
@@ -229,10 +229,10 @@ def test_criterion_07_doubling_paste_battery(acceptance_log):
     doubling = PiecewiseAffineMap.doubling()
     leb = RestrictedLebesgue(IntervalSet([(0, 1)], 1))
     half = IntervalSet([(0, F(1, 2))], 1)
-    sysd = MeasuredSystem.from_interval(doubling, [leb])
+    sysd = IntervalSystem(doubling, [leb])
     mixing = ergocheck.squared_deviation_check(sysd, leb, half, half, 24,
                                               tol=1e-2)
-    swap = MeasuredSystem.from_finite(
+    swap = FiniteSystem(
         UpperProbability([[F(1), F(0)], [F(0), F(1)]]), Endomap([1, 0]))
     analog = ergocheck.squared_deviation_check(swap, [F(1), F(0)],
                                                0b01, 0b01, 16)
@@ -247,7 +247,7 @@ def test_criterion_08_sqrt_moment_bounds(acceptance_log):
     rng = random.Random(108)
     mp = PiecewiseAffineMap.doubling()
     leb = RestrictedLebesgue(IntervalSet([(0, 1)], 1))
-    sys = MeasuredSystem.from_interval(mp, [leb])
+    sys = IntervalSystem(mp, [leb])
     all_in = True
     for _ in range(50):
         b = _random_interval_set(rng, c=1)
@@ -260,7 +260,7 @@ def test_criterion_08_sqrt_moment_bounds(acceptance_log):
     for r in range(2, 6):
         t = Endomap([(i + 1) % r for i in range(r)])
         p = [F(1, r)] * r
-        fsys = MeasuredSystem.from_finite(UpperProbability([p]), t)
+        fsys = FiniteSystem(UpperProbability([p]), t)
         out = ergocheck.sqrt_moment_check(fsys, p, 1, 1, 0.5, 4 * r)
         if abs(out["exact_limit"] - math.sqrt(1 / r) / r) > 1e-12:
             exact = False

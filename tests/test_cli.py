@@ -88,6 +88,46 @@ def test_scenario_file_unknown_name(tmp_path):
     assert run_cli(["run", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("obj", [
+    [],
+    {"name": "rotation-swap-halves", "config": [["N", 64]]},
+    {"name": "rotation-swap-halves", "config": "N=64"},
+    {"name": ["rotation-swap-halves"]},
+], ids=["list", "config-list", "config-string", "unhashable-name"])
+def test_scenario_file_of_wrong_shape_is_config_error(tmp_path, capsys, obj):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(obj))
+    assert run_cli(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "rotation-swap-halves").exists()
+
+
+@pytest.mark.parametrize("name,setting", [
+    ("rotation-swap-halves", "N=inf"),
+    ("rotation-swap-halves", "N=nan"),
+    ("rotation-swap-halves", "N=2.5"),
+    ("rotation-swap-halves", "N=-3"),
+    ("rotation-swap-halves", "N=many"),
+    ("periodic-cycle-sqrt-moment", "cycle_length=0"),
+    ("lyapunov-periodic-oracle", "period=0"),
+    ("lyapunov-periodic-oracle", "d=0"),
+    ("rotation-swap-birkhoff", "points=0"),
+])
+def test_bad_integer_override_is_config_error(tmp_path, capsys, name,
+                                              setting):
+    assert run_cli(["run", name, "--set", setting,
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be an integer >= 1"
+                          % setting.split("=")[0])
+    assert not (tmp_path / name).exists()
+
+
+def test_integral_float_override_is_accepted(tmp_path):
+    assert run_cli(["run", "rotation-swap-halves", "--set", "N=64.0",
+                    "--out", str(tmp_path)]) == 0
+
+
 def test_check_capacity_subcommand(tmp_path, capsys):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(

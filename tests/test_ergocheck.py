@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from capergo import ergocheck
-from capergo.ergocheck import (MeasuredSystem, block_power_set,
+from capergo.ergocheck import (FiniteSystem, IntervalSystem, block_power_set,
                                checkpoints_of, choquet_independence_check,
                                density, extract_null_density_set,
                                independence_check, paper_sequence_6_remark,
@@ -22,7 +22,7 @@ F = Fraction
 def swap_system():
     t = Endomap([1, 0])
     v = UpperProbability([[F(1), F(0)], [F(0), F(1)]])
-    return MeasuredSystem.from_finite(v, t)
+    return FiniteSystem(v, t)
 
 
 # --- checkpoints ------------------------------------------------------------
@@ -59,7 +59,7 @@ def test_finite_swap_squared_deviation_quarter():
 def test_no_skeleton_status_on_non_ergodic_system():
     t = Endomap([0, 1])
     v = UpperProbability([[F(1), F(0)], [F(0), F(1)]])
-    sys = MeasuredSystem.from_finite(v, t)
+    sys = FiniteSystem(v, t)
     rep = independence_check(sys, [F(1), F(0)], 0b01, 0b01, 8)
     assert rep.status == "no-skeleton"
 
@@ -76,7 +76,7 @@ def test_non_ergodic_system_has_partition_witness():
 def test_interval_independence_rotation_swap():
     mp = PiecewiseAffineMap.rotation_swap()
     whole = IntervalSet([(0, 2)], c=2)
-    sys = MeasuredSystem.from_interval(mp, [RestrictedLebesgue(whole)])
+    sys = IntervalSystem(mp, [RestrictedLebesgue(whole)])
     # normalized window: use the half-mass restriction explicitly
     b = IntervalSet([(0, F(1, 2))], c=2)
     c = IntervalSet([(1, F(17, 10))], c=2)
@@ -90,7 +90,7 @@ def test_interval_independence_rotation_swap():
 def test_interval_squared_deviation_doubling_small():
     mp = PiecewiseAffineMap.doubling()
     whole = IntervalSet([(0, 1)], c=1)
-    sys = MeasuredSystem.from_interval(mp, [RestrictedLebesgue(whole)])
+    sys = IntervalSystem(mp, [RestrictedLebesgue(whole)])
     half = IntervalSet([(0, F(1, 2))], c=1)
     rep = squared_deviation_check(sys, RestrictedLebesgue(whole), half, half,
                                   24, tol=1e-2)
@@ -126,7 +126,7 @@ def test_choquet_independence_constant_g():
         n = rng.randint(2, 4)
         t = Endomap([rng.randrange(n) for _ in range(n)])
         fam = [skeleton([F(1, n)] * n, t)]
-        sys = MeasuredSystem.from_finite(UpperProbability(fam), t)
+        sys = FiniteSystem(UpperProbability(fam), t)
         if sys.skeleton is None:
             continue
         f = [F(rng.randint(0, 5)) for _ in range(n)]
@@ -148,7 +148,7 @@ def test_sqrt_moment_three_cycle_exact():
     r0 = 3
     t = Endomap([1, 2, 0])
     p = [F(1, 3)] * 3
-    sys = MeasuredSystem.from_finite(UpperProbability([p]), t)
+    sys = FiniteSystem(UpperProbability([p]), t)
     out = sqrt_moment_check(sys, p, 0b001, 0b001, 0.5, 30)
     # terms are 1/3, 0, 0 repeating: the sqrt mean is (1/r0) sqrt(1/r0)
     assert abs(out["exact_limit"] - math.sqrt(1 / r0) / r0) <= 1e-12
@@ -158,7 +158,7 @@ def test_sqrt_moment_three_cycle_exact():
 def test_sqrt_moment_doubling_inside_bounds():
     mp = PiecewiseAffineMap.doubling()
     whole = IntervalSet([(0, 1)], c=1)
-    sys = MeasuredSystem.from_interval(mp, [RestrictedLebesgue(whole)])
+    sys = IntervalSystem(mp, [RestrictedLebesgue(whole)])
     b = IntervalSet([(0, F(1, 2))], c=1)
     c = IntervalSet([(F(1, 4), F(3, 4))], c=1)
     out = sqrt_moment_check(sys, RestrictedLebesgue(whole), b, c, 0.5, 400)
@@ -178,7 +178,7 @@ def test_sqrt_moment_bounds_follow_r_on_both_regimes():
     lower, upper = 0.5 ** r * 0.5, 0.5 ** r * 0.5 ** r
     whole = IntervalSet([(0, 1)], c=1)
     leb = RestrictedLebesgue(whole)
-    sys = MeasuredSystem.from_interval(PiecewiseAffineMap.doubling(), [leb])
+    sys = IntervalSystem(PiecewiseAffineMap.doubling(), [leb])
     b = IntervalSet([(0, F(1, 2))], c=1)
     c = IntervalSet([(F(1, 4), F(3, 4))], c=1)
     interval = sqrt_moment_check(sys, leb, b, c, r, 64)
@@ -293,7 +293,7 @@ def test_slln_constant_observable():
         n = rng.randint(2, 5)
         t = Endomap([rng.randrange(n) for _ in range(n)])
         fam = [skeleton([F(1, n)] * n, t)]
-        sys = MeasuredSystem.from_finite(UpperProbability(fam), t)
+        sys = FiniteSystem(UpperProbability(fam), t)
         out = process_slln_check(sys, [F(2)] * n, 2, 16)
         assert out["stationary"]
         if sys.skeleton is not None:
@@ -303,7 +303,7 @@ def test_slln_constant_observable():
 def test_slln_detects_non_stationary_process():
     t = Endomap([1, 1])
     v = UpperProbability([[F(1), F(0)]])  # not invariant under T
-    sys = MeasuredSystem.from_finite(v, t)
+    sys = FiniteSystem(v, t)
     out = process_slln_check(sys, [F(1), F(0)], 2, 8)
     assert not out["stationary"]
 

@@ -1,10 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from capergo.finitedyn import (Endomap, birkhoff_average, birkhoff_limit,
-                               cesaro_horizon, common_cond_exp,
+from capergo.finitedyn import (Endomap, birkhoff_average, common_cond_exp,
                                cycle_decomposition, ergodic_skeleton,
                                ergodicity_check, invariant_atoms,
                                is_invariant_capacity, pushforward, skeleton,
@@ -16,6 +16,13 @@ F = Fraction
 
 def dirac(n, i):
     return [F(1) if j == i else F(0) for j in range(n)]
+
+
+def transient_and_period(t):
+    """Steps until every orbit has reached its cycle, and the lcm of the
+    cycle lengths: every orbit is periodic with that period afterwards."""
+    dec = cycle_decomposition(t)
+    return max(dec["entry_time"]), math.lcm(*map(len, dec["cycles"]))
 
 
 # --- cycle structure --------------------------------------------------------
@@ -83,23 +90,16 @@ def test_skeleton_is_cesaro_limit_of_pushforwards():
         p = [F(rng.randint(0, 5)) for _ in range(n)]
         s = sum(p) or F(1)
         p = [x / s for x in p]
-        horizon = cesaro_horizon(t)
-        acc = [F(0)] * n
-        cur = p
-        for _ in range(horizon):
-            cur = pushforward(cur, t)
-            acc = [a + c for a, c in zip(acc, cur)]
-        stride = cesaro_horizon(t) - max(cycle_decomposition(t)["entry_time"])
+        transient, period = transient_and_period(t)
         # average over one full period after the transient
-        tail = [F(0)] * n
         cur = p
-        for i in range(horizon):
+        for _ in range(transient + period):
             cur = pushforward(cur, t)
         period_avg = [F(0)] * n
-        for _ in range(stride):
+        for _ in range(period):
             period_avg = [a + c for a, c in zip(period_avg, cur)]
             cur = pushforward(cur, t)
-        period_avg = [a / stride for a in period_avg]
+        period_avg = [a / period for a in period_avg]
         assert period_avg == skeleton(p, t)
 
 
@@ -134,14 +134,21 @@ def test_common_cond_exp_defining_property():
             assert lhs == rhs or q == pushforward(q, t)
 
 
-def test_birkhoff_limit_matches_common_cond_exp():
+def test_common_cond_exp_is_birkhoff_average_over_a_period():
+    # the Birkhoff limit at x, by definition: once the orbit of x is
+    # periodic, the average over one full period
     rng = random.Random(10)
     for _ in range(30):
         n = rng.randint(1, 6)
         t = Endomap([rng.randrange(n) for _ in range(n)])
         f = [F(rng.randint(-5, 5)) for _ in range(n)]
-        limits = [birkhoff_limit(f, t, x) for x in range(n)]
-        assert limits == common_cond_exp(f, t)
+        transient, period = transient_and_period(t)
+        limits = common_cond_exp(f, t)
+        for x in range(n):
+            y = x
+            for _ in range(transient):
+                y = t(y)
+            assert limits[x] == birkhoff_average(f, t, y, period)
 
 
 def test_birkhoff_average_converges_along_periods():
