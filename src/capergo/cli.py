@@ -31,10 +31,6 @@ def _parse_override(text: str):
     return key, raw
 
 
-def _out_dir(args) -> str:
-    return args.out or os.environ.get("CAPERGO_OUT", "capergo-out")
-
-
 def _write_report(out_root, name, report, csv_tables):
     directory = os.path.join(out_root, name)
     os.makedirs(directory, exist_ok=True)
@@ -45,9 +41,7 @@ def _write_report(out_root, name, report, csv_tables):
     for check_name, rows in csv_tables.items():
         with open(os.path.join(directory, check_name + ".csv"), "w",
                   newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow(row)
+            csv.writer(fh).writerows(rows)
     return path
 
 
@@ -70,13 +64,12 @@ def cmd_run(args) -> int:
     name = args.scenario
     if os.path.sep in name or name.endswith(".json"):
         name, file_config = _load_scenario_file(name)
-        merged = dict(file_config)
-        merged.update(overrides)
-        overrides = merged
+        overrides = {**file_config, **overrides}
     started = time.monotonic()
     report, csv_tables = scenarios.run_scenario(name, overrides, args.seed)
     elapsed = time.monotonic() - started
-    path = _write_report(_out_dir(args), name, report, csv_tables)
+    out_root = args.out or os.environ.get("CAPERGO_OUT", "capergo-out")
+    path = _write_report(out_root, name, report, csv_tables)
     # wall time goes to the console only, so report.json stays
     # byte-identical across repeated runs
     print("%s: %s (%.2fs) -> %s" % (
@@ -85,8 +78,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_list(args) -> int:
-    for entry in scenarios.list_scenarios():
-        print("%-32s %s" % (entry["name"], entry["description"]))
+    for name, _, _, desc in scenarios.REGISTRY:
+        print("%-32s %s" % (name, desc))
     return 0
 
 
@@ -151,7 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, BudgetError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, BudgetError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -106,10 +106,9 @@ class MatrixGen:
     @classmethod
     def from_json(cls, obj):
         kind = obj["kind"]
-        d = obj["d"]
         if kind in ("table", "two_point"):
-            return cls.periodic(obj["matrices"])
-        if kind == "rotation_angle":
+            gen = cls.periodic(obj["matrices"])
+        elif kind == "rotation_angle":
             # L(x) = planar rotation by angle_scale * x over the circle
             # rotation base with the default irrational angle
             from .intervaldyn import GOLDEN, PiecewiseAffineMap
@@ -121,8 +120,13 @@ class MatrixGen:
                 return [[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]]
 
-            return cls(2, l_of, mp.apply, bound_m=1.0, label="rotation_angle")
-        raise ValueError("unknown generator kind %r" % kind)
+            gen = cls(2, l_of, mp.apply, bound_m=1.0, label="rotation_angle")
+        else:
+            raise ValueError("unknown generator kind %r" % kind)
+        if obj.get("d") != gen.d:
+            raise ValueError("declared d=%r, but the generator is %d x %d"
+                             % (obj.get("d"), gen.d, gen.d))
+        return gen
 
 
 def cocycle_matrix(gen: MatrixGen, omega, n: int) -> np.ndarray:

@@ -67,9 +67,8 @@ def cycle_decomposition(t: Endomap) -> dict:
             cyc = path[k:]
             ci = len(cycles)
             cycles.append(sorted(cyc))
-            for p in cyc:
+            for p in cyc:  # entry time 0, as initialised
                 cycle_of[p] = ci
-                entry[p] = 0
             tail = path[:k]
         else:
             tail = path  # ran into already-classified territory
@@ -182,7 +181,8 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     (a) the min and max of P(B) over the core, read in closed form from V,
     both equal Q(B) on invariant-atom unions B,
     (b) Q is ergodic, (c) Q lies in the core, (d) Q(A)=0 iff V(A)=0 on
-    atoms.  Returns {"ok": False, "reason": ...} when V is not an
+    atoms.  Also returns Q's charged cycles, the terminal cycles it puts
+    mass on.  Returns {"ok": False, "reason": ...} when V is not an
     ergodic invariant upper probability.
     """
     erg = ergodicity_check(v, t)
@@ -205,7 +205,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
         len(events) == 2 or all(map(agrees, events))
     # (b) Q ergodic: exactly one terminal cycle carries mass
     dec = cycle_decomposition(t)
-    charged = [ci for ci, cyc in enumerate(dec["cycles"])
+    charged = [cyc for cyc in dec["cycles"]
                if any(not close(q[c], 0) for c in cyc)]
     checks["skeleton_ergodic"] = len(charged) == 1
     # (c) Q in core(V)
@@ -216,7 +216,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     checks["v_null_implies_q_null"] = not any(
         close(va, 0) and not close(qa, 0) for va, qa in zip(v.table, q_of))
     ok = all(checks.values())
-    return {"ok": ok, "skeleton": q, "checks": checks}
+    return {"ok": ok, "skeleton": q, "charged": charged, "checks": checks}
 
 
 def weak_mixing_check(v: UpperProbability, t: Endomap,
@@ -230,10 +230,7 @@ def weak_mixing_check(v: UpperProbability, t: Endomap,
     sk = ergodic_skeleton(v, t)
     if not sk.get("ok"):
         return {"ok": False, "reason": sk.get("reason", "skeleton failed")}
-    dec = cycle_decomposition(t)
-    charged = [cyc for cyc in dec["cycles"]
-               if any(not close(p, 0) for p in
-                      (sk["skeleton"][c] for c in cyc))]
+    charged = sk["charged"]
     eig_verdict = all(len(cyc) == 1 for cyc in charged)
     out = {"ok": True, "weak_mixing": eig_verdict,
            "charged_periods": sorted(len(c) for c in charged)}

@@ -44,20 +44,10 @@ def _check(name, verdict, **details):
             "details": _jsonable(details)}
 
 
-def _rep_check(rep: ergocheck.ConvergenceReport, name=None):
+def _rep_check(rep: ergocheck.ConvergenceReport):
     details = {k: v for k, v in rep.summary().items()
                if k not in ("check", "verdict")}
-    return _check(name or rep.name, rep.verdict, **details)
-
-
-def _require_n(config, key="N"):
-    """config[key] as an int >= 1; a float counts only if it is integral."""
-    n = config[key]
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError("%s must be an integer >= 1, got %r" % (key, n))
-    return n
+    return _check(rep.name, rep.verdict, **details)
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +62,19 @@ def _swap_system(alpha):
 
 
 def rotation_swap_ergodic(config):
-    n = _require_n(config)
-    sys = _swap_system(float(config["alpha"]))
-    b = IntervalSet([(0, 0.5)], 2)
-    c = IntervalSet([(1, 1.7)], 2)
-    rep = ergocheck.independence_check(sys, sys.family[0], b, c, n,
-                                       tol=float(config["tol"]))
-    checks = [_rep_check(rep)]
-    return checks, {"independence": rep.csv_rows()}
+    sys = _swap_system(config["alpha"])
+    b, c = IntervalSet([(0, 0.5)], 2), IntervalSet([(1, 1.7)], 2)
+    rep = ergocheck.independence_check(sys, sys.family[0], b, c, config["N"],
+                                       tol=config["tol"])
+    return [_rep_check(rep)], {"independence": rep.csv_rows()}
 
 
 def rotation_swap_birkhoff(config):
-    n = _require_n(config)
-    tol = float(config["tol"])
-    mp = PiecewiseAffineMap.rotation_swap(float(config["alpha"]))
+    n, tol = config["N"], config["tol"]
+    mp = PiecewiseAffineMap.rotation_swap(config["alpha"])
     f = PiecewiseConstant.indicator(IntervalSet([(1, 2)], 2))
-    rng = random.Random(int(config["seed"]))
-    points = [rng.uniform(0.0, 2.0)
-              for _ in range(_require_n(config, "points"))]
+    rng = random.Random(config["seed"])
+    points = [rng.uniform(0.0, 2.0) for _ in range(config["points"])]
     rows = [("point", "average", "deviation")]
     worst = 0.0
     for x in points:
@@ -103,11 +88,10 @@ def rotation_swap_birkhoff(config):
 
 
 def rotation_swap_halves(config):
-    n = _require_n(config)
-    sys = _swap_system(float(config["alpha"]))
+    sys = _swap_system(config["alpha"])
     b = c = IntervalSet([(0, 1)], 2)
-    rep = ergocheck.independence_check(sys, sys.family[0], b, c, n,
-                                       tol=float(config["tol"]))
+    rep = ergocheck.independence_check(sys, sys.family[0], b, c, config["N"],
+                                       tol=config["tol"])
     terms = intervaldyn.correlation_sequence(sys.family[0], sys.map, b, c, 6)
     alternating = all(float(t) == (1.0 if i % 2 == 0 else 0.0)
                       for i, t in enumerate(terms))
@@ -118,16 +102,15 @@ def rotation_swap_halves(config):
 
 
 def doubling_weak_mixing(config):
-    n = _require_n(config)
     mp = PiecewiseAffineMap.doubling()
     leb = RestrictedLebesgue(IntervalSet([(0, 1)], 1))
     sys = IntervalSystem(mp, [leb])
     b = c = IntervalSet([(0, Fraction(1, 2))], 1)
-    rep = ergocheck.squared_deviation_check(sys, leb, b, c, n,
-                                            tol=float(config["tol"]))
+    rep = ergocheck.squared_deviation_check(sys, leb, b, c, config["N"],
+                                            tol=config["tol"])
     # density-zero exception set on the raw deviations
-    horizon = int(config["kvn_horizon"])
-    terms = intervaldyn.correlation_sequence(leb, mp, b, c, horizon)
+    terms = intervaldyn.correlation_sequence(leb, mp, b, c,
+                                             config["kvn_horizon"])
     devs = [float(t) for t in terms]
     kvn = ergocheck.extract_null_density_set(devs, 0.25)
     kvn_ok = (not kvn["refused"] and
@@ -147,10 +130,10 @@ def doubling_paste_not_weakmixing(config):
     def v_of(s):
         return max(p1(s), p2(s))
 
-    rng = random.Random(int(config["seed"]))
+    rng = random.Random(config["seed"])
     events = [IntervalSet([(0, 1)], 2), IntervalSet([(1, 2)], 2),
               IntervalSet([(Fraction(1, 4), Fraction(3, 2))], 2)]
-    for _ in range(int(config["events"])):
+    for _ in range(config["events"]):
         a = Fraction(rng.randrange(0, 63), 32)
         b = Fraction(rng.randrange(1, 16), 32)
         events.append(IntervalSet([(a, min(a + b, Fraction(2)))], 2))
@@ -180,15 +163,14 @@ def doubling_paste_not_weakmixing(config):
 
 
 def sqrt_moment_doubling(config):
-    n = _require_n(config)
     mp = PiecewiseAffineMap.doubling()
     leb = RestrictedLebesgue(IntervalSet([(0, 1)], 1))
     sys = IntervalSystem(mp, [leb])
     b = c = IntervalSet([(0, Fraction(1, 2))], 1)
-    out = ergocheck.sqrt_moment_check(sys, leb, b, c, 0.5, n,
-                                      tol=float(config["tol"]))
+    out = ergocheck.sqrt_moment_check(sys, leb, b, c, 0.5, config["N"],
+                                      tol=config["tol"])
     final = out["partials"][-1]
-    ok = out["verdict"] and abs(final - 0.5) <= float(config["tol"])
+    ok = out["verdict"] and abs(final - 0.5) <= config["tol"]
     rows = [("checkpoint", "partial_mean", "lower", "upper")]
     for q, v in zip(out["checkpoints"], out["partials"]):
         rows.append((q, v, out["lower"], out["upper"]))
@@ -198,10 +180,8 @@ def sqrt_moment_doubling(config):
 
 
 def polynomial_birkhoff(config):
-    n = _require_n(config, "n")
-    streams = int(config["streams"])
-    seed = int(config["seed"])
-    tol = float(config["tol"])
+    n, streams, seed = config["n"], config["streams"], config["seed"]
+    tol = config["tol"]
     f = PiecewiseConstant([0, Fraction(1, 2), 1], [0, 1], c=1)
     budget = n * n + 8
     rows = [("stream", "average", "deviation")]
@@ -270,7 +250,7 @@ def finite_swap_slln(config):
 
 
 def periodic_cycle_sqrt_moment(config):
-    r0 = _require_n(config, "cycle_length")
+    r0 = config["cycle_length"]
     t = Endomap([(i + 1) % r0 for i in range(r0)])
     p = [Fraction(1, r0)] * r0
     v = UpperProbability([p])
@@ -307,8 +287,7 @@ def sqrt_distortion_core(config):
 
 
 def remark_sqrt_cesaro(config):
-    k = int(config["K"])
-    out = ergocheck.paper_sequence_6_remark(k)
+    out = ergocheck.paper_sequence_6_remark(config["K"])
     t = out["targets"]
     ok_even = abs(out["sqrt_cesaro_even_window"] - t["even"]) <= 1e-2
     ok_odd = abs(out["sqrt_cesaro_odd_window"] - t["odd"]) <= 1e-2
@@ -324,7 +303,7 @@ def remark_sqrt_cesaro(config):
 
 
 def z_density_counterexample(config):
-    k = int(config["K"])
+    k = config["K"]
     a = ergocheck.block_power_set()
     even_windows = [1 << (2 * j) for j in range(6, k + 1)]
     odd_windows = [1 << (2 * j + 1) for j in range(6, k + 1)]
@@ -399,13 +378,12 @@ def compare_with_oracle(gen, ell, n):
 
 
 def lyapunov_periodic_oracle(config):
-    rng = random.Random(int(config["seed"]))
-    d = _require_n(config, "d")
-    ell = _require_n(config, "period")
-    gen = random_periodic_generator(rng, d, ell)
-    worst, qr, oracle = compare_with_oracle(gen, ell, _require_n(config))
+    rng = random.Random(config["seed"])
+    ell = config["period"]
+    gen = random_periodic_generator(rng, config["d"], ell)
+    worst, qr, oracle = compare_with_oracle(gen, ell, config["N"])
     sub = cocycle.subadditive_check(gen, 0, k=1, n_max=30,
-                                   seed=int(config["seed"]))
+                                   seed=config["seed"])
     checks = [
         _check("qr_vs_monodromy", worst <= 1e-6, worst=worst,
                qr=qr.exponents, oracle=oracle.exponents),
@@ -424,7 +402,7 @@ def oseledets_two_cycle(config):
     scalar_ok = max(abs(e - 0.5 * math.log(2)) for e in spec.exponents) < 1e-9
     # gapped diagonal generator: exact filtration known
     gen2 = cocycle.MatrixGen.periodic([np.diag([2.0, 0.5])])
-    approx = cocycle.oseledets_filtration(gen2, 0, _require_n(config))
+    approx = cocycle.oseledets_filtration(gen2, 0, config["N"])
     dir_ok = all(abs(lam - lam_x) <= 1e-2
                  for lam, lam_x in approx.checks["directional"])
     inv_ok = all(abs(a - b) <= 1e-2
@@ -468,87 +446,115 @@ def kingman_two_cycle(config):
 
 # ---------------------------------------------------------------------------
 # registry
+#
+# Each entry declares its parameters once, as key -> (default, low, high):
+# the value's type is the default's type (int or float), and the inclusive
+# range [low, high] keeps every run non-vacuous and within its work budget.
+
+SEED = (7, -2 ** 63, 2 ** 63 - 1)  # any signed 64-bit seed
+ALPHA = (GOLDEN, 0.001, 0.999)  # rotation_swap needs 0 < alpha < 1
 
 REGISTRY = [
     ("rotation-swap-ergodic", rotation_swap_ergodic,
-     {"alpha": GOLDEN, "N": 100000, "tol": 1e-3, "seed": 7},
+     {"alpha": ALPHA, "N": (100000, 1, 10 ** 6), "tol": (1e-3, 0.0, 0.1),
+      "seed": SEED},
      "asymptotic independence on the rotation-swap circle"),
     ("rotation-swap-birkhoff", rotation_swap_birkhoff,
-     {"alpha": GOLDEN, "N": 100000, "tol": 5e-3, "points": 20, "seed": 7},
+     {"alpha": ALPHA, "N": (100000, 1, 10 ** 6), "tol": (5e-3, 0.0, 0.1),
+      "points": (20, 1, 50), "seed": SEED},
      "pathwise Birkhoff averages at seeded points"),
     ("rotation-swap-halves", rotation_swap_halves,
-     {"alpha": GOLDEN, "N": 4096, "tol": 1e-3, "seed": 7},
+     {"alpha": ALPHA, "N": (4096, 1, 10 ** 6), "tol": (1e-3, 0.0, 0.1),
+      "seed": SEED},
      "half-window correlations alternate 1, 0"),
-    ("finite-swap-ergodic", finite_swap_ergodic, {"seed": 7},
+    ("finite-swap-ergodic", finite_swap_ergodic, {"seed": SEED},
      "two-point swap: exact ergodicity and independence"),
-    ("finite-swap-slln", finite_swap_slln, {"seed": 7},
+    ("finite-swap-slln", finite_swap_slln, {"seed": SEED},
      "stationary process law of large numbers on the swap"),
-    ("choquet-independence-swap", choquet_independence_swap, {"seed": 7},
+    ("choquet-independence-swap", choquet_independence_swap, {"seed": SEED},
      "Choquet-integral independence on the swap"),
     ("doubling-weak-mixing", doubling_weak_mixing,
-     {"N": 24, "tol": 1e-2, "kvn_horizon": 4096, "seed": 7},
+     {"N": (24, 1, 10 ** 4), "tol": (1e-2, 0.0, 0.1),
+      "kvn_horizon": (4096, 1, 20000), "seed": SEED},
      "squared deviations vanish for the doubling map"),
     ("doubling-paste-not-weakmixing", doubling_paste_not_weakmixing,
-     {"events": 20, "seed": 7},
+     {"events": (20, 0, 10 ** 4), "seed": SEED},
      "ergodic but not weakly mixing: eigenfunction obstruction"),
-    ("sqrt-distortion-core", sqrt_distortion_core, {"seed": 7},
+    ("sqrt-distortion-core", sqrt_distortion_core, {"seed": SEED},
      "sqrt distortion: core vertices and Choquet maximum"),
-    ("remark-sqrt-cesaro", remark_sqrt_cesaro, {"K": 12, "seed": 7},
+    ("remark-sqrt-cesaro", remark_sqrt_cesaro,
+     {"K": (12, 1, 14), "seed": SEED},
      "square-root Cesaro means with two subsequence limits"),
     ("z-density-counterexample", z_density_counterexample,
-     {"K": 12, "seed": 7},
+     {"K": (12, 6, 14), "seed": SEED},
      "integer block set with no natural density"),
     ("sqrt-moment-doubling", sqrt_moment_doubling,
-     {"N": 400, "tol": 1e-2, "seed": 7},
+     {"N": (400, 1, 10 ** 4), "tol": (1e-2, 0.0, 0.1), "seed": SEED},
      "sqrt-moment Cesaro bounds on the doubling map"),
     ("periodic-cycle-sqrt-moment", periodic_cycle_sqrt_moment,
-     {"cycle_length": 3, "seed": 7},
+     {"cycle_length": (3, 1, 16), "seed": SEED},
      "periodic case: lower sqrt-moment bound attained exactly"),
     ("polynomial-birkhoff", polynomial_birkhoff,
-     {"n": 2000, "streams": 10, "tol": 0.05, "seed": 7},
+     {"n": (2000, 1, 10 ** 4), "streams": (10, 2, 20),
+      "tol": (0.05, 0.0, 0.1), "seed": SEED},
      "Birkhoff averages along squares on bitstream orbits"),
     ("lyapunov-periodic-oracle", lyapunov_periodic_oracle,
-     {"d": 3, "period": 4, "N": 10000, "seed": 7},
+     # N >= 10 leaves at least one whole period after the burn-in
+     {"d": (3, 1, 8), "period": (4, 1, 8), "N": (10000, 10, 10 ** 5),
+      "seed": SEED},
      "QR exponents against the exact monodromy spectrum"),
-    ("oseledets-two-cycle", oseledets_two_cycle, {"N": 10000, "seed": 7},
+    ("oseledets-two-cycle", oseledets_two_cycle,
+     {"N": (10000, 1, 10 ** 5), "seed": SEED},
      "filtration approximant checks on diagonal cocycles"),
-    ("kingman-two-cycle", kingman_two_cycle, {"seed": 7},
+    ("kingman-two-cycle", kingman_two_cycle, {"seed": SEED},
      "subadditive limit on a two-cycle matrix cocycle"),
 ]
 
-BY_NAME = {name: (fn, dict(defaults), desc)
-           for name, fn, defaults, desc in REGISTRY}
+BY_NAME = {name: (fn, params, desc) for name, fn, params, desc in REGISTRY}
 
 # the matrix-cocycle scenarios, which `capergo lyapunov` accepts
 COCYCLE = frozenset({"lyapunov-periodic-oracle", "oseledets-two-cycle",
                      "kingman-two-cycle"})
 
 
-def list_scenarios():
-    return [{"name": name, "description": desc, "defaults": _jsonable(defs)}
-            for name, _, defs, desc in REGISTRY]
+def _resolve(name, params, given):
+    """The config: each declared key's default, or its given value checked
+    against the declared type and range.  An integral float passes for an
+    int key; a bool, a string, nan or inf never does."""
+    for key in given:
+        if key not in params:
+            raise ConfigError("unknown config key %r for %s" % (key, name))
+    config = {}
+    for key, (default, lo, hi) in params.items():
+        value = given.get(key, default)
+        kind = type(default)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not lo <= value <= hi
+                or kind is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise ConfigError("%s must be %s >= %r and <= %r, got %r" % (
+                key, "an integer" if kind is int else "a number", lo, hi,
+                value))
+        config[key] = kind(value)
+    return config
 
 
 def run_scenario(name: str, overrides: dict = None, seed: int = None):
     """Execute a named scenario; returns the report dict.
 
-    Override keys must be keys of the scenario's defaults.
+    The overrides, and the seed if given, are checked against the
+    scenario's declared parameters before the scenario starts.
     """
     if name not in BY_NAME:
         raise ConfigError("unknown scenario %r" % name)
-    fn, config, desc = BY_NAME[name]
-    config = dict(config)
-    overrides = overrides or {}
-    unknown = sorted(str(k) for k in set(overrides) - set(config))
-    if unknown:
-        raise ConfigError("unknown config key(s) for %s: %s"
-                          % (name, ", ".join(unknown)))
-    config.update(overrides)
+    fn, params, desc = BY_NAME[name]
+    given = dict(overrides or {})
     if seed is not None:
-        config["seed"] = int(seed)
+        given["seed"] = seed
+    config = _resolve(name, params, given)
     checks, csv_tables = fn(config)
     overall = all(c["verdict"] for c in checks)
     report = {"scenario": name, "description": desc,
-              "config": _jsonable(config), "checks": checks,
+              "config": config, "checks": checks,
               "overall": overall}
     return report, csv_tables

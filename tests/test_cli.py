@@ -265,3 +265,11 @@ def test_seed_flag_changes_seeded_config(tmp_path):
     b = json.loads((tmp_path / "b" / "polynomial-birkhoff" /
                     "report.json").read_text())
     assert a["config"]["seed"] == 3 and b["config"]["seed"] == 4
+
+
+@pytest.mark.parametrize("command", ["run", "core", "check-capacity"])
+def test_directory_argument_is_config_error(tmp_path, capsys, command):
+    directory = tmp_path / "job.json"
+    directory.mkdir()
+    assert run_cli([command, str(directory)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

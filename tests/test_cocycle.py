@@ -591,3 +591,23 @@ def test_kingman_rejects_superadditive_sequence():
     t = Endomap([0])
     res = subadditive_limit_finite(lambda n: [float(n * n)], t, horizon=30)
     assert not res["ok"] and res["witness"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "table", "d": 3, "matrices": [[[2.0, 0.0], [0.0, 1.0]]]},
+    {"kind": "table", "matrices": [[[2.0, 0.0], [0.0, 1.0]]]},
+    {"kind": "rotation_angle", "d": 1, "angle_scale": 1.0},
+    {"kind": "rotation_angle"},
+], ids=["table-d3-over-2x2", "table-no-d", "rotation-d1", "rotation-no-d"])
+def test_from_json_rejects_missing_or_wrong_d(spec):
+    with pytest.raises(ValueError, match="d="):
+        MatrixGen.from_json(spec)
+
+
+def test_from_json_builds_the_declared_d():
+    gen = MatrixGen.from_json({"kind": "rotation_angle", "d": 2,
+                               "angle_scale": 1.3})
+    assert gen.d == 2
+    gen = MatrixGen.from_json({"kind": "table", "d": 3,
+                               "matrices": [np.diag([2.0, 1.0, 0.5])]})
+    assert gen.d == 3

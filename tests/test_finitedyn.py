@@ -252,3 +252,18 @@ def test_product_oracle_agrees_with_period_criterion():
             continue
         out = weak_mixing_check(v, t)
         assert out["weak_mixing"] == out["product_ergodic"]
+
+
+def test_charged_periods_are_the_cycles_carrying_skeleton_mass():
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        t = Endomap([rng.randrange(n) for _ in range(n)])
+        p = skeleton(dirac(n, rng.randrange(n)), t)
+        v = UpperProbability([p])
+        out = weak_mixing_check(v, t, product_oracle=False)
+        assert out["ok"]
+        cycles = cycle_decomposition(t)["cycles"]
+        assert out["charged_periods"] == sorted(
+            len(cyc) for cyc in cycles if any(p[c] != 0 for c in cyc))
+        assert out["weak_mixing"] == (out["charged_periods"] == [1])
