@@ -46,8 +46,7 @@ def _write_report(out_root, name, report, csv_tables):
 
 
 def _load_scenario_file(path: str):
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = serialize.load_json(path)
     if not isinstance(obj, dict):
         raise ConfigError("scenario file must hold a JSON object")
     name, config = obj.get("name"), obj.get("config", {})

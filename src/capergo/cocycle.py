@@ -55,12 +55,11 @@ class MatrixGen:
     bound M on |log ||L||| that is spot-checked at evaluation time."""
 
     def __init__(self, d: int, l_of: Callable, step: Callable,
-                 bound_m: float, label: str = "gen"):
+                 bound_m: float):
         self.d = d
         self.l_of = l_of
         self.step = step  # base map: point -> next point
         self.bound_m = bound_m
-        self.label = label
         self._validated = set()
 
     def matrix(self, omega) -> np.ndarray:
@@ -92,7 +91,7 @@ class MatrixGen:
         return pts
 
     @classmethod
-    def periodic(cls, matrices: Sequence, label: str = "periodic"):
+    def periodic(cls, matrices: Sequence):
         """Base = cyclic shift on {0, ..., l-1}; L(i) = matrices[i]."""
         mats = [np.asarray(m, dtype=float) for m in matrices]
         d = mats[0].shape[0]
@@ -101,7 +100,7 @@ class MatrixGen:
             max(abs(math.log(np.linalg.norm(np.linalg.inv(m), 2)))
                 for m in mats) + 1
         return cls(d, lambda i: mats[i % ell], lambda i: (i + 1) % ell,
-                   bound, label)
+                   bound)
 
     @classmethod
     def from_json(cls, obj):
@@ -120,7 +119,7 @@ class MatrixGen:
                 return [[math.cos(th), -math.sin(th)],
                         [math.sin(th), math.cos(th)]]
 
-            gen = cls(2, l_of, mp.apply, bound_m=1.0, label="rotation_angle")
+            gen = cls(2, l_of, mp.apply, bound_m=1.0)
         else:
             raise ValueError("unknown generator kind %r" % kind)
         if obj.get("d") != gen.d:
@@ -166,9 +165,7 @@ def compound_power(a: np.ndarray, k: int) -> np.ndarray:
 @dataclass
 class LyapunovSpectrum:
     exponents: list
-    multiplicities: list = field(default_factory=list)
     n: int = 0
-    renorm_period: int = 1
 
     def grouped(self, gap_tol=GAP_TOL):
         """Distinct exponents with multiplicities, split at gaps > gap_tol."""
@@ -195,9 +192,8 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
         burn_in = n // 5
     if burn_in >= n:
         raise ValueError("burn_in must be < n")
-    d = gen.d
-    q = np.eye(d)
-    logs = np.zeros(d)
+    q = np.eye(gen.d)
+    logs = np.zeros(gen.d)
     x = omega
     block = None
     for i in range(n):
@@ -210,7 +206,7 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
                 logs += np.log(np.abs(r_diag))
             block = None
     exps = sorted((logs / (n - burn_in)).tolist(), reverse=True)
-    return LyapunovSpectrum(exps, [1] * d, n, renorm_period)
+    return LyapunovSpectrum(exps, n)
 
 
 def monodromy_oracle(gen: MatrixGen, cycle: Sequence) -> LyapunovSpectrum:
@@ -225,7 +221,7 @@ def monodromy_oracle(gen: MatrixGen, cycle: Sequence) -> LyapunovSpectrum:
     if any(m == 0 for m in mods):
         raise ValueError("monodromy is singular")
     exps = [math.log(m) / ell for m in mods]
-    return LyapunovSpectrum(exps, [1] * gen.d, ell)
+    return LyapunovSpectrum(exps, ell)
 
 
 def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from . import finitedyn, intervaldyn
 from .finitedyn import Endomap
 from .intervaldyn import IntervalSet, PiecewiseAffineMap, RestrictedLebesgue
+from .numeric import close
 from .setfun import UpperProbability, choquet_integral, indices_of
 
 
@@ -453,7 +454,9 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
     Stationarity compares V of every depth-d cylinder event with V of its
     one-step shift (an exact event-algebra identity when V is invariant).
     The SLLN compares each point's exact Birkhoff limit of h with
-    int h dQ; the failure set must be V-null.
+    int h dQ; the failure set must be V-null.  All three comparisons go
+    through `numeric.close`: exact on exact values, within FLOAT_TOL once
+    a float is involved.
     """
     if depth > 8:
         raise ValueError("depth budget: depth <= 8")
@@ -474,7 +477,7 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
         word = tuple(word)
         cylinders[word] = cylinders.get(word, 0) | (1 << x)
     for word, mask in cylinders.items():
-        if v.table[mask] != v.table[t.preimage_mask(mask)]:
+        if not close(v.table[mask], v.table[t.preimage_mask(mask)]):
             stationary = False
             witness = word
             break
@@ -486,7 +489,7 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
     limits = finitedyn.common_cond_exp(h, t)
     fail_mask = 0
     for x in range(m):
-        if abs(limits[x] - target) > 0:
+        if not close(limits[x], target):
             fail_mask |= 1 << x
     finite_avgs = [float(finitedyn.birkhoff_average(h, t, x, n))
                    for x in range(m)]
@@ -494,5 +497,5 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
                    "pointwise_limits": limits,
                    "averages_at_n": finite_avgs,
                    "failure_mask": fail_mask,
-                   "verdict": v.table[fail_mask] == 0}
+                   "verdict": close(v.table[fail_mask], 0)}
     return out

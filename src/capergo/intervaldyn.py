@@ -240,11 +240,15 @@ def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
                          b: IntervalSet, c_set: IntervalSet, n: int) -> list:
     """Terms P(B intersect T^{-i} C) for i = 0 .. n-1.
 
-    For the plain doubling map the i-th preimage is periodic with period
-    2^-i and a pattern that is just C rescaled, so the terms are computed
-    in constant work per i and the exponential interval blowup (and with
-    it the iterate budget) disappears.  Other expanding maps may take at
-    most DOUBLING_BUDGET preimage steps.
+    For the plain doubling map each term i >= 1 comes from the identity
+    Leb([a,b) & T^{-i}C) = (b-a)|C| + (H(2^i b mod 1) - H(2^i a mod 1))/2^i
+    with H(u) = |C & [0,u)| - u|C|, summed over the pieces [a, b) of B
+    within the window.  Endpoints are carried as u -> 2u mod 1 and keep
+    their input denominators, so the exponential interval blowup (and with
+    it the iterate budget) disappears; the terms are Fractions, exact on
+    float endpoints too, and past the dyadic level of every such endpoint
+    they equal P(B)|C|.  Other expanding maps may take at most DOUBLING_BUDGET
+    preimage steps.
     """
     if mp.kind == "doubling":
         return _doubling_correlations(p, b, c_set, n)
@@ -328,43 +332,24 @@ def _rotation_correlations(p, mp, b, c_set, n):
 
 
 def _doubling_correlations(p, b, c_set, n):
-    # T^{-i}C = union over residues m of (C / 2^i + m / 2^i): periodic
-    # with period 2^-i and pattern C scaled by 2^-i.
-    window = p.window
-    bw = b.intersect(window)
+    # Leb(T^{-i}C & [0,x)) = x|C| + H(2^i x mod 1) / 2^i, where
+    # H(u) = |C & [0,u)| - u|C|; each endpoint u is carried as 2u mod 1
+    cs = [(Fraction(lo), Fraction(hi)) for lo, hi in c_set.intervals]
+    c_len = sum((hi - lo for lo, hi in cs), Fraction(0))
+
+    def h(u):
+        return sum((min(hi, u) - lo for lo, hi in cs if lo < u),
+                   -u * c_len)
+
+    ends = [(Fraction(lo), Fraction(hi))
+            for lo, hi in b.intersect(p.window).intervals]
+    base = sum((hi - lo for lo, hi in ends), Fraction(0)) * c_len
     out = [p(b.intersect(c_set))]
-    pattern = [(Fraction(a), Fraction(bb)) for a, bb in c_set.intervals]
-    period = Fraction(1)
-    for _ in range(1, n):
-        period = period / 2
-        pattern = [(a / 2, bb / 2) for a, bb in pattern]
-        total = Fraction(0)
-        for a, bb in bw.intervals:
-            total += _periodic_overlap(Fraction(a), Fraction(bb),
-                                       pattern, period)
-        out.append(total)
+    for i in range(1, n):
+        ends = [(2 * lo % 1, 2 * hi % 1) for lo, hi in ends]
+        out.append(base + sum((h(hi) - h(lo) for lo, hi in ends),
+                              Fraction(0)) / (1 << i))
     return out
-
-
-def _periodic_overlap(a, b, pattern, period):
-    """Measure of [a,b) intersected with the period-tiled pattern."""
-    w_measure = sum(hi - lo for lo, hi in pattern)
-    ia = a // period
-    ib = b // period
-    if ia == ib:
-        return _window_overlap(a - ia * period, b - ia * period, pattern)
-    head = _window_overlap(a - ia * period, period, pattern)
-    tail = _window_overlap(Fraction(0), b - ib * period, pattern)
-    return head + tail + (ib - ia - 1) * w_measure
-
-
-def _window_overlap(lo, hi, pattern):
-    total = Fraction(0)
-    for a, b in pattern:
-        l, h = max(lo, a), min(hi, b)
-        if l < h:
-            total += h - l
-    return total
 
 
 def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):

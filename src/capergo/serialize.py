@@ -8,8 +8,8 @@ Malformed input raises ValueError before anything is allocated.
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 
 from .numeric import parse
 from .setfun import Capacity, UpperProbability
@@ -22,16 +22,21 @@ N_LIMIT = 12
 
 
 def _value(x):
-    """A table or family entry: a finite number or a "p/q" string."""
+    """A table or family entry: a number or a "p/q" string, finite and
+    within float range, so exact and float entries stay comparable."""
+    v = None
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
-            return parse(x)
+            v = parse(x)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % x) from None
-    if isinstance(x, (int, float)) and not isinstance(x, bool) and \
-            math.isfinite(x):
-        return parse(x)
-    raise ValueError("not a number or 'p/q' string: %r" % (x,))
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        v = parse(x)
+    # nan and inf fail this test too; an int is compared, not converted
+    if v is None or not abs(v) <= sys.float_info.max:
+        raise ValueError("not a finite number or 'p/q' string within float "
+                         "range: %.60r" % (x,))
+    return v
 
 
 def _check_size(n):
@@ -75,6 +80,9 @@ def capacity_from_json(obj) -> Capacity:
     return Capacity(n, values)
 
 
-def load_json(path: str) -> dict:
+def load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None

@@ -273,3 +273,28 @@ def test_directory_argument_is_config_error(tmp_path, capsys, command):
     directory.mkdir()
     assert run_cli([command, str(directory)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_HUGE = "1" + "0" * 400  # an integer beyond float range
+
+
+@pytest.mark.parametrize("command,text", [
+    ("run", "[" * 100_000 + "]" * 100_000),
+    ("core", "[" * 100_000 + "]" * 100_000),
+    ("check-capacity", "[" * 100_000 + "]" * 100_000),
+    ("core", '{"n": 1, "table": {"0": 0, "1": %s}}' % _HUGE),
+    ("check-capacity", '{"n": 1, "table": {"0": 0, "1": %s}}' % _HUGE),
+    ("check-capacity",
+     '{"n": 2, "table": {"0": 0.0, "1": 0.5, "2": %s, "3": 1}}' % _HUGE),
+    ("core", '{"kind": "lambda", "lambda": [[0.5, "%s/3"]]}' % _HUGE),
+], ids=["deep-run", "deep-core", "deep-check-capacity", "huge-int-core",
+        "huge-int-check-capacity", "huge-int-among-floats",
+        "huge-rational-among-floats"])
+def test_pathological_json_file_is_config_error(tmp_path, capsys, command,
+                                                text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert run_cli([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -11,7 +11,7 @@ from capergo.ergocheck import (FiniteSystem, IntervalSystem, block_power_set,
                                independence_check, paper_sequence_6_remark,
                                process_slln_check, remark_sequence_value,
                                sqrt_moment_check, squared_deviation_check)
-from capergo.finitedyn import Endomap, skeleton
+from capergo.finitedyn import Endomap, is_invariant_capacity, skeleton
 from capergo.intervaldyn import (IntervalSet, PiecewiseAffineMap,
                                  RestrictedLebesgue)
 from capergo.setfun import UpperProbability, choquet_integral
@@ -306,6 +306,30 @@ def test_slln_detects_non_stationary_process():
     sys = FiniteSystem(v, t)
     out = process_slln_check(sys, [F(1), F(0)], 2, 8)
     assert not out["stationary"]
+
+
+def _rotations(p):
+    return [p[k:] + p[:k] for k in range(len(p))]
+
+
+def test_slln_float_envelope_meets_its_exact_limits():
+    # the float target 1.6666666666666665 must match the exact limits 5/3
+    t = Endomap([1, 2, 0])
+    sys = FiniteSystem(UpperProbability(_rotations([0.1, 0.2, 0.7])), t)
+    out = process_slln_check(sys, [1, 2, 2], 1, 8)
+    assert out["stationary"]
+    assert out["slln"]["failure_mask"] == 0
+    assert out["slln"]["verdict"] is True
+
+
+def test_slln_float_invariant_envelope_is_stationary():
+    t = Endomap([1, 2, 3, 0])
+    v = UpperProbability(_rotations([0.1, 0.2, 0.3, 0.4]))
+    assert is_invariant_capacity(v, t)
+    out = process_slln_check(FiniteSystem(v, t), [0, 0, 0, 1], 1, 8)
+    assert out["stationary"] is True
+    assert out["witness"] is None
+    assert out["slln"]["verdict"] is True
 
 
 def test_slln_depth_budget():

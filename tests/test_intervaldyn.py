@@ -146,20 +146,6 @@ def test_doubling_halves_mix():
     assert terms == [F(1, 2), F(1, 4), F(1, 4), F(1, 4)]
 
 
-def test_doubling_fast_path_matches_iterated_preimage():
-    rng = random.Random(25)
-    mp = PiecewiseAffineMap.doubling()
-    p = RestrictedLebesgue(IntervalSet([(0, 1)], c=1))
-    for _ in range(5):
-        b, c = random_set(rng, c=1, denom=16), random_set(rng, c=1, denom=16)
-        fast = correlation_sequence(p, mp, b, c, 10)
-        cur, slow = c, []
-        for i in range(10):
-            slow.append(p(b.intersect(cur)))
-            cur = mp.preimage(cur)
-        assert fast == slow
-
-
 def test_rotation_swap_fast_path_matches_iterated_preimage():
     rng = random.Random(26)
     mp = PiecewiseAffineMap.rotation_swap(F(3, 10))
@@ -224,6 +210,98 @@ def test_rotation_fast_path_matches_preimage_path_for_float_alpha(kind, alpha,
     slow = correlation_sequence(p, generic, b, c_set, n)
     assert len(fast) == len(slow) == n
     assert all(abs(x - y) <= 1e-12 for x, y in zip(fast, slow))
+
+
+@st.composite
+def float_sets(draw):
+    """An IntervalSet on [0, 1) with up to 3 float pieces."""
+    ends = st.floats(0, 1)
+    return IntervalSet(draw(st.lists(st.tuples(ends, ends), max_size=3)),
+                       c=1)
+
+
+def _exact_copy(s):
+    return IntervalSet([(F(a), F(b)) for a, b in s.intervals], c=s.c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(exact_sets(1), float_sets()), min_size=3,
+                max_size=3), st.integers(1, 12))
+@example([IntervalSet([(0.1, 0.7)], c=1), IntervalSet([(0.3, 0.9)], c=1),
+          IntervalSet([(0.0, 1.0)], c=1)], 12)
+def test_doubling_fast_path_matches_iterated_preimage(sets, n):
+    """Exact sets give the generic path's terms, type for type.  On float
+    endpoints term 0 is the generic float term and every later term is the
+    generic path's exact term on the floats' exact values."""
+    b, c_set, window = sets
+    mp = PiecewiseAffineMap.doubling()
+    generic = PiecewiseAffineMap(mp.branches, c=1, kind="custom")
+    fast = correlation_sequence(RestrictedLebesgue(window), mp, b, c_set, n)
+    slow = correlation_sequence(RestrictedLebesgue(window), generic, b,
+                                c_set, n)
+    exact = correlation_sequence(RestrictedLebesgue(_exact_copy(window)),
+                                 generic, _exact_copy(b), _exact_copy(c_set),
+                                 n)
+    assert len(fast) == n
+    assert fast[0] == slow[0] and type(fast[0]) is type(slow[0])
+    assert fast[1:] == exact[1:]
+    assert all(type(x) is F for x in fast[1:])
+    assert all(abs(x - y) <= 1e-12 for x, y in zip(fast, slow))
+
+
+def _parent_doubling_correlations(p, b, c_set, n):
+    """The rescaled-tiling loop the identity-based loop replaced: the i-th
+    preimage is C scaled by 2^-i and tiled with period 2^-i."""
+
+    def window_overlap(lo, hi, pattern):
+        total = F(0)
+        for a, bb in pattern:
+            l, h = max(lo, a), min(hi, bb)
+            if l < h:
+                total += h - l
+        return total
+
+    def periodic_overlap(a, bb, pattern, period):
+        w_measure = sum(hi - lo for lo, hi in pattern)
+        ia, ib = a // period, bb // period
+        if ia == ib:
+            return window_overlap(a - ia * period, bb - ia * period, pattern)
+        head = window_overlap(a - ia * period, period, pattern)
+        tail = window_overlap(F(0), bb - ib * period, pattern)
+        return head + tail + (ib - ia - 1) * w_measure
+
+    bw = b.intersect(p.window)
+    out = [p(b.intersect(c_set))]
+    pattern = [(F(a), F(bb)) for a, bb in c_set.intervals]
+    period = F(1)
+    for _ in range(1, n):
+        period = period / 2
+        pattern = [(a / 2, bb / 2) for a, bb in pattern]
+        total = F(0)
+        for a, bb in bw.intervals:
+            total += periodic_overlap(F(a), F(bb), pattern, period)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("b,c_set,window", [
+    ([(F(1, 3), F(5, 7))], [(F(1, 5), F(1, 2)), (F(2, 3), 1)], [(0, 1)]),
+    ([(0, F(1, 3)), (F(5, 7), 1)], [(F(1, 3), F(5, 7))],
+     [(F(1, 7), F(6, 7))]),
+    ([(F(1, 11), F(10, 13))], [(F(3, 7), F(4, 7))], [(F(1, 9), 1)]),
+    ([(0.1, 0.7)], [(F(1, 3), 0.9)], [(0, 1)]),
+    ([(F(1, 3), 1)], [], [(0, 1)]),
+    ([], [(F(1, 3), F(5, 7))], [(0, 1)]),
+], ids=["thirds-sevenths", "two-pieces-window", "elevenths", "floats",
+        "empty-c", "empty-b"])
+def test_doubling_long_horizon_matches_parent_tiling(b, c_set, window):
+    mp = PiecewiseAffineMap.doubling()
+    p = RestrictedLebesgue(IntervalSet(window, c=1))
+    b, c_set = IntervalSet(b, c=1), IntervalSet(c_set, c=1)
+    want = _parent_doubling_correlations(p, b, c_set, 300)
+    got = correlation_sequence(p, mp, b, c_set, 300)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_generic_expanding_map_honours_budget():
