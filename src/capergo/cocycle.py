@@ -321,10 +321,7 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
     one block.
     """
     rng = random.Random(0)
-    spec = lyapunov_qr(gen, omega, n)
-    groups = spec.grouped()
-    min_gap = min((groups[i][0] - groups[i + 1][0]
-                   for i in range(len(groups) - 1)), default=1.0)
+    groups = lyapunov_qr(gen, omega, n).grouped()
     # On a periodic base the V_i at every cycle point are available, so a
     # slow vector can be re-projected into its V_i each step; that stops
     # machine-epsilon fast components from taking over and allows a long
@@ -332,52 +329,40 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
     # near 30/gap, before the roundoff contamination sets in.
     period = _detect_period(gen, omega)
     if period:
-        # one stacked backward pass over the orbits of every cycle point;
-        # omega and T omega are the first two
-        cycle = gen.orbit(omega, period)
-        bases_at = list(_right_subspace_bases(
-            gen, [gen.orbit(pt, n) for pt in cycle]))
-        basis, basis_next = bases_at[0], bases_at[1 % period]
         dir_horizon = min(n, 500 * period)
     else:
-        orbit = gen.orbit(omega, n + 1)
-        basis, basis_next = _right_subspace_bases(gen, [orbit[:n], orbit[1:]])
+        min_gap = min((groups[i][0] - groups[i + 1][0]
+                       for i in range(len(groups) - 1)), default=1.0)
         dir_horizon = max(40, min(n, int(30.0 / max(min_gap, 1e-2))))
-
-    filtration = []
-    sizes = []
-    s = 0
-    for lam, mult in groups:
-        filtration.append(basis[:, s:])  # V_i: slow part after s fast dirs
-        sizes.append(mult)
-        s += mult
+    # one orbit serves every pass: on a periodic base it runs round the
+    # cycle, so orbit[j:j + n] is the orbit of the j-th cycle point
+    starts = period or 2
+    orbit = gen.orbit(omega, max(n, dir_horizon) + starts)
+    # one stacked backward pass over the orbits of every cycle point, or
+    # of omega and T omega on an aperiodic base; omega and T omega first
+    bases_at = list(_right_subspace_bases(
+        gen, [orbit[j:j + n] for j in range(starts)]))
+    basis, basis_next = bases_at[0], bases_at[1 % starts]
 
     def directional(x, start_idx, block_start):
         v = np.array(x, dtype=float)
         acc = 0.0
-        for i in range(dir_horizon):
+        for i in range(start_idx, start_idx + dir_horizon):
+            v = gen.matrix(orbit[i]) @ v
             if period:
-                j = (start_idx + i) % period
-                pt = cycle[j]
-            else:
-                pt = aperiodic_orbit[start_idx + i]
-            v = gen.matrix(pt) @ v
-            if period:
-                vi_here = bases_at[(start_idx + i + 1) % period][:,
-                                                                 block_start:]
+                vi_here = bases_at[(i + 1) % period][:, block_start:]
                 v = vi_here @ (vi_here.T @ v)
             nrm = np.linalg.norm(v)
             acc += math.log(nrm)
             v /= nrm
         return acc / dir_horizon
 
-    if not period:
-        aperiodic_orbit = gen.orbit(omega, dir_horizon + 2)
-
+    filtration = []
     checks = {"directional": [], "invariance": [], "angles": []}
     s = 0
-    for bi, (lam, mult) in enumerate(groups):
-        vi = filtration[bi]
+    for lam, mult in groups:
+        vi = basis[:, s:]  # V_i: slow part after s fast dirs
+        filtration.append(vi)
         # random x in V_i, generically outside V_{i+1}
         coeffs = np.array([rng.gauss(0, 1) for _ in range(vi.shape[1])])
         x = vi @ coeffs
@@ -393,7 +378,8 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
         ang = principal_angles(img, vi_next)
         checks["angles"].append(float(ang.max()) if ang.size else 0.0)
         s += mult
-    return OseledetsApprox([g[0] for g in groups], sizes, filtration, n,
+    return OseledetsApprox([lam for lam, _ in groups],
+                           [mult for _, mult in groups], filtration, n,
                            checks)
 
 
@@ -444,8 +430,4 @@ def subadditive_limit_finite(f_seq: Callable[[int], Sequence], t,
     tail = history[3 * horizon // 4:]
     drift = max(abs(float(a - b))
                 for snap in tail for a, b in zip(snap, history[-1]))
-    f_star = history[-1]
-    # pathwise limits of f_n / n at every point, at the horizon
-    pathwise = [f_seq(horizon)[x] / horizon for x in range(m_pts)]
-    return {"ok": True, "f_star": f_star, "stabilized": drift < 1e-9,
-            "pathwise_at_horizon": pathwise}
+    return {"ok": True, "f_star": history[-1], "stabilized": drift < 1e-9}

@@ -11,6 +11,8 @@ into every check.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,15 +42,17 @@ class ConvergenceReport:
 
     @property
     def final_deviation(self):
+        """|limit - target|, or None when there is no skeleton to check."""
+        if self.status != "ok":
+            return None
         if self.exact_limit is not None:
             return abs(self.exact_limit - self.target)
         return abs(self.partials[-1] - self.target)
 
     @property
     def verdict(self) -> bool:
-        if self.status != "ok":
-            return False
-        return self.final_deviation <= self.tolerance
+        dev = self.final_deviation
+        return dev is not None and dev <= self.tolerance
 
     def csv_rows(self):
         rows = [("checkpoint", "partial_mean", "target", "deviation")]
@@ -58,9 +62,10 @@ class ConvergenceReport:
         return rows
 
     def summary(self):
+        dev = self.final_deviation
         return {"check": self.name, "verdict": bool(self.verdict),
                 "status": self.status,
-                "final_deviation": float(self.final_deviation),
+                "final_deviation": None if dev is None else float(dev),
                 "tolerance": float(self.tolerance),
                 "target": float(self.target)}
 
@@ -305,17 +310,12 @@ def block_power_set() -> DensitySubset:
 
 def density(a: DensitySubset, windows: Sequence[int],
             subsequences: Optional[dict] = None) -> dict:
-    """Two-sided window densities plus optional subsequence estimates."""
-    vals = {n: a.window_density(n) for n in windows}
-    out = {"windows": vals,
-           "upper_estimate": max(vals.values()),
-           "lower_estimate": min(vals.values())}
+    """Two-sided window densities plus, for each subsequence of windows,
+    the density at its last window as the estimate."""
+    out = {"windows": {n: a.window_density(n) for n in windows}}
     if subsequences:
-        subs = {}
-        for label, ns in subsequences.items():
-            dv = [a.window_density(n) for n in ns]
-            subs[label] = {"densities": dv, "estimate": dv[-1]}
-        out["subsequences"] = subs
+        out["subsequences"] = {label: {"estimate": a.window_density(ns[-1])}
+                               for label, ns in subsequences.items()}
     return out
 
 
@@ -338,51 +338,36 @@ def extract_null_density_set(seq: Sequence[float], limit: float) -> dict:
     if cesaro_tail > 1.0 / (KVN_LEVELS + 1):
         return {"refused": True, "cesaro_mean": cesaro_tail}
 
-    def level_set(m):
-        return [n for n, d in enumerate(devs) if d > 1.0 / m]
-
-    # first index from which the running density of J_m stays <= 1/m
-    def settle_index(jm, m):
-        cnt = 0
-        counts = [0] * (horizon + 1)
-        js = set(jm)
-        for n in range(horizon):
-            if n in js:
-                cnt += 1
-            counts[n + 1] = cnt
-        for n in range(horizon, 0, -1):
-            if counts[n] / n > 1.0 / m:
-                return n  # density still too high at window n
-        return 0
+    # first index from which the running density of J_m stays <= 1/m:
+    # the last window n at which it is still too high, else 0
+    def settle_index(m):
+        counts = list(itertools.accumulate(
+            (d > 1.0 / m for d in devs), initial=0))  # |J_m & [0, n)|
+        return next((n for n in range(horizon, 0, -1)
+                     if counts[n] / n > 1.0 / m), 0)
 
     blocks = []
     prev = 0
-    for m in range(1, KVN_LEVELS + 1):
-        jm = level_set(m + 1)
-        start = settle_index(jm, m + 1)
-        nm = max(prev + 1, start)
+    for m in range(2, KVN_LEVELS + 2):
+        nm = max(prev + 1, settle_index(m))
         if nm >= horizon:
             break
-        blocks.append((prev, nm, m + 1))
+        blocks.append((prev, nm, m))
         prev = nm
     blocks.append((prev, horizon, blocks[-1][2] + 1 if blocks else 2))
 
-    j = []
+    j = []  # ascending: the blocks tile [0, horizon) in order
     off_dev = []
     for lo, hi, m in blocks:
-        lvl = set(level_set(m))
-        block_members = [n for n in range(lo, hi) if n in lvl]
-        j.extend(block_members)
-        off = [devs[n] for n in range(lo, hi) if n not in lvl]
+        j.extend(n for n in range(lo, hi) if devs[n] > 1.0 / m)
+        off = [d for d in devs[lo:hi] if not d > 1.0 / m]
         off_dev.append({"block_threshold": 1.0 / m,
-                        "max_off_deviation": max(off) if off else 0.0})
-    j.sort()
+                        "max_off_deviation": max(off, default=0.0)})
     pts = checkpoints_of(horizon)
-    dens = []
-    for n in pts:
-        dens.append(sum(1 for k in j if k < n) / n)
     return {"refused": False, "indices": j,
-            "certificate": {"checkpoints": pts, "window_density": dens,
+            "certificate": {"checkpoints": pts,
+                            "window_density": [bisect.bisect_left(j, n) / n
+                                               for n in pts],
                             "blocks": off_dev}}
 
 
@@ -447,8 +432,7 @@ def paper_sequence_6_remark(K: int) -> dict:
 # stationary-process SLLN
 
 
-def process_slln_check(sys: System, h: Sequence, depth: int,
-                       n: int) -> dict:
+def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
     """Stationarity of Y_k = h o T^{k-1} plus the per-point SLLN.
 
     Stationarity compares V of every depth-d cylinder event with V of its
@@ -464,8 +448,6 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
         raise NotImplementedError("process checks run on finite systems")
     t, v = sys.t, sys.v
     m = v.n
-    stationary = True
-    witness = None
     # depth-d cylinder events {x : (h(x), h(Tx), ...) = word} as masks
     cylinders = {}
     for x in range(m):
@@ -476,12 +458,10 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
             y = t(y)
         word = tuple(word)
         cylinders[word] = cylinders.get(word, 0) | (1 << x)
-    for word, mask in cylinders.items():
-        if not close(v.table[mask], v.table[t.preimage_mask(mask)]):
-            stationary = False
-            witness = word
-            break
-    out = {"stationary": stationary, "witness": witness}
+    witness = next((word for word, mask in cylinders.items()
+                    if not close(v.table[mask],
+                                 v.table[t.preimage_mask(mask)])), None)
+    out = {"stationary": witness is None, "witness": witness}
     if sys.skeleton is None:
         out["slln"] = {"status": "no-skeleton"}
         return out
@@ -491,11 +471,7 @@ def process_slln_check(sys: System, h: Sequence, depth: int,
     for x in range(m):
         if not close(limits[x], target):
             fail_mask |= 1 << x
-    finite_avgs = [float(finitedyn.birkhoff_average(h, t, x, n))
-                   for x in range(m)]
     out["slln"] = {"status": "ok", "target": target,
-                   "pointwise_limits": limits,
-                   "averages_at_n": finite_avgs,
                    "failure_mask": fail_mask,
                    "verdict": close(v.table[fail_mask], 0)}
     return out

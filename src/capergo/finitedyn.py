@@ -148,6 +148,8 @@ def birkhoff_average(f: Sequence, t: Endomap, x: int, n: int):
 
 
 def is_invariant_capacity(mu: Capacity, t: Endomap) -> bool:
+    if mu.n != t.n:
+        raise ValueError("capacity on %d points, endomap on %d" % (mu.n, t.n))
     return all(close(mu.table[t.preimage_mask(a)], mu.table[a])
                for a in range(1 << mu.n))
 

@@ -9,10 +9,11 @@ stay half-open and measure computations never see boundary ambiguity.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import FLOAT_TOL, is_exact, parse
+from .numeric import close, is_exact, parse
 
 BOUNDARY_SNAP = 1e-15
 DOUBLING_BUDGET = 24
@@ -204,14 +205,10 @@ class PiecewiseConstant:
             raise ValueError("cuts must increase")
 
     def __call__(self, x):
-        lo, hi = 0, len(self.values) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.cuts[mid] <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.values[lo]
+        # the last piece whose left cut is <= x: the first one below 0,
+        # the last one at or past c
+        j = bisect_right(self.cuts, x, 1, len(self.values))
+        return self.values[j - 1]
 
     def pieces(self):
         for j, v in enumerate(self.values):
@@ -490,6 +487,6 @@ def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
         mid = (a + b) / 2
         lhs = f(mp.apply(mid))
         rhs = lam * f(mid)
-        if abs(lhs - rhs) > FLOAT_TOL:
+        if not close(lhs, rhs):
             return False
     return True

@@ -241,7 +241,7 @@ def choquet_independence_swap(config):
 def finite_swap_slln(config):
     v, swap = _finite_swap()
     sys = FiniteSystem(v, swap)
-    out = ergocheck.process_slln_check(sys, [0, 1], depth=3, n=64)
+    out = ergocheck.process_slln_check(sys, [0, 1], depth=3)
     ok = out["stationary"] and out["slln"]["verdict"] and \
         out["slln"]["target"] == Fraction(1, 2)
     checks = [_check("process_slln", ok, stationary=out["stationary"],

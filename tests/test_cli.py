@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capergo.cli import main
 from capergo.scenarios import REGISTRY
@@ -298,3 +302,118 @@ def test_pathological_json_file_is_config_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# --- fuzz: every input ends in exit 0, 1 or 2 without a traceback ----------
+
+_NAMES = [entry[0] for entry in REGISTRY] + ["no-such-scenario"]
+_KEYS = sorted({key for _, _, params, _ in REGISTRY for key in params}) + \
+    ["no_such_key"]
+_VALUES = ["0", "-1", "nan", "inf", "1e400", "9" * 500, "abc", "3", "0.5"]
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() |
+    st.text(max_size=4) | st.sampled_from(["1/2", "1/0", "-1/3", "x/y"]),
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_number = st.sampled_from([0, 1, -1, 0.5, "1/2", "1/3", "2/3", "1/0",
+                           1e400, float("nan"), 10 ** 500, True, None, "abc"])
+_vector = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(
+    any).map(lambda ks: ["%d/%d" % (k, sum(ks)) for k in ks])
+
+
+@st.composite
+def _tables(draw):
+    """A full 2**n table, of counting-capacity or of drawn values."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = ["%d/%d" % (bin(a).count("1"), n) for a in range(1 << n)]
+    else:
+        values = draw(st.lists(_number, min_size=1 << n, max_size=1 << n))
+    return {"n": n, "table": {str(a): v for a, v in enumerate(values)}}
+
+
+_capacity_files = _json | _tables() | st.fixed_dictionaries({
+    "n": st.integers(-1, 3) | _json,
+    "table": st.dictionaries(st.sampled_from(["0", "1", "2", "3", "4", "-1",
+                                              "01", "x"]),
+                             _number, max_size=5) | _json}) | \
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["lambda", "table", "other"]),
+        "lambda": st.lists(_vector | st.lists(_number, max_size=4),
+                           max_size=3) | _json})
+_scenario_files = _json | st.fixed_dictionaries({
+    "name": st.sampled_from(_NAMES) | _json,
+    "config": st.dictionaries(st.sampled_from(_KEYS), _number | _json,
+                              max_size=3) | _json})
+
+
+_FILE, _OUT = "<file>", "<out>"  # stand for paths in the drawn argv
+
+
+@st.composite
+def _argvs(draw):
+    """An argv and the JSON object that its file argument, if any, holds."""
+    command = draw(st.sampled_from(["run", "lyapunov", "core",
+                                    "check-capacity"]))
+    if command in ("core", "check-capacity"):
+        return [command, _FILE], draw(_capacity_files)
+    obj = None
+    if command == "run" and draw(st.booleans()):
+        argv, obj = [command, _FILE], draw(_scenario_files)
+    else:
+        argv = [command, draw(st.sampled_from(_NAMES))]
+    for key, value in draw(st.lists(st.tuples(st.sampled_from(_KEYS),
+                                              st.sampled_from(_VALUES)),
+                                    max_size=3)):
+        argv += ["--set", "%s=%s" % (key, value)]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(_VALUES))]
+    return argv + ["--out", _OUT], obj
+
+
+@pytest.fixture
+def small_cli(monkeypatch):
+    """The scenarios and the capacity constructors stand in small: the
+    fuzz is over the CLI's input handling, not over the checks."""
+    from capergo import scenarios, serialize
+
+    for name, (fn, params, desc) in list(scenarios.BY_NAME.items()):
+        monkeypatch.setitem(scenarios.BY_NAME, name,
+                            (lambda config: ([], {}), params, desc))
+
+    def small(real, points):
+        def build(*args):
+            if points(*args) > 4:
+                raise ValueError("stand-in: more than 4 points")
+            return real(*args)
+        return build
+
+    monkeypatch.setattr(serialize, "Capacity",
+                        small(serialize.Capacity, lambda n, table: n))
+    monkeypatch.setattr(serialize, "UpperProbability",
+                        small(serialize.UpperProbability,
+                              lambda family: max(map(len, family),
+                                                 default=0)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(tmp_path, small_cli,
+                                                   case):
+    argv, obj = case
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    paths = {_FILE: str(path), _OUT: str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

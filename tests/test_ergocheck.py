@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capergo import ergocheck
 from capergo.ergocheck import (FiniteSystem, IntervalSystem, block_power_set,
@@ -62,6 +64,14 @@ def test_no_skeleton_status_on_non_ergodic_system():
     sys = FiniteSystem(v, t)
     rep = independence_check(sys, [F(1), F(0)], 0b01, 0b01, 8)
     assert rep.status == "no-skeleton"
+    for rep in (rep,
+                squared_deviation_check(sys, [F(1), F(0)], 0b01, 0b01, 8),
+                choquet_independence_check(sys, [1, 0], [1, 0], 8)):
+        assert rep.final_deviation is None and not rep.verdict
+        assert rep.summary() == {"check": rep.name, "verdict": False,
+                                 "status": "no-skeleton",
+                                 "final_deviation": None,
+                                 "tolerance": 0.0, "target": 0.0}
 
 
 def test_non_ergodic_system_has_partition_witness():
@@ -247,6 +257,99 @@ def test_extraction_refuses_dense_deviations():
     assert out["refused"]
 
 
+def _parent_extract_null_density_set(seq, limit):
+    """The extraction as first written: every level set built as a list
+    and a set, a running-count list per level, a set per block and a
+    linear count per checkpoint."""
+    horizon = len(seq)
+    devs = [abs(x - limit) for x in seq]
+    cesaro_tail = sum(devs) / horizon
+    if cesaro_tail > 1.0 / (ergocheck.KVN_LEVELS + 1):
+        return {"refused": True, "cesaro_mean": cesaro_tail}
+
+    def level_set(m):
+        return [n for n, d in enumerate(devs) if d > 1.0 / m]
+
+    def settle_index(jm, m):
+        cnt = 0
+        counts = [0] * (horizon + 1)
+        js = set(jm)
+        for n in range(horizon):
+            if n in js:
+                cnt += 1
+            counts[n + 1] = cnt
+        for n in range(horizon, 0, -1):
+            if counts[n] / n > 1.0 / m:
+                return n
+        return 0
+
+    blocks = []
+    prev = 0
+    for m in range(1, ergocheck.KVN_LEVELS + 1):
+        jm = level_set(m + 1)
+        start = settle_index(jm, m + 1)
+        nm = max(prev + 1, start)
+        if nm >= horizon:
+            break
+        blocks.append((prev, nm, m + 1))
+        prev = nm
+    blocks.append((prev, horizon, blocks[-1][2] + 1 if blocks else 2))
+
+    j = []
+    off_dev = []
+    for lo, hi, m in blocks:
+        lvl = set(level_set(m))
+        j.extend([n for n in range(lo, hi) if n in lvl])
+        off = [devs[n] for n in range(lo, hi) if n not in lvl]
+        off_dev.append({"block_threshold": 1.0 / m,
+                        "max_off_deviation": max(off) if off else 0.0})
+    j.sort()
+    pts = checkpoints_of(horizon)
+    dens = [sum(1 for k in j if k < n) / n for n in pts]
+    return {"refused": False, "indices": j,
+            "certificate": {"checkpoints": pts, "window_density": dens,
+                            "blocks": off_dev}}
+
+
+@st.composite
+def kvn_sequences(draw):
+    """A decaying, noisy or flat deviation profile around a limit, with
+    runs of spikes; spike heights include the level thresholds 1/2, 1/3
+    and 1/4 exactly, and a run may start at a checkpoint index."""
+    n = draw(st.integers(1, 2000))
+    limit = draw(st.sampled_from([0.0, 0.25, 1e-3]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["decay", "noise", "flat"]))
+    rate = draw(st.floats(0.2, 3.0))
+    scale = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    if kind == "decay":
+        devs = [scale / (k + 1) ** rate for k in range(n)]
+    elif kind == "noise":
+        devs = [scale * rng.random() ** (1 + rate) for _ in range(n)]
+    else:
+        devs = [0.0] * n
+    seq = [limit + rng.choice((-1, 1)) * d for d in devs]
+    starts = st.integers(0, n - 1) | st.sampled_from(
+        [max(1, n // 8), max(1, n // 4), n // 2])
+    for _ in range(draw(st.integers(0, 6))):
+        start = min(draw(starts), n - 1)
+        height = draw(st.sampled_from([1 / 2, 1 / 3, 1 / 4, 1.0, 0.2]))
+        for k in range(start, min(n, start + draw(st.integers(1, 12)))):
+            seq[k] = limit + height
+    return seq, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(kvn_sequences())
+@example(([0.5, 0.5] + [0.0] * 62, 0.0))  # exactly 1/2 on the first level
+@example(([0.0] * 32 + [1.0] + [0.0] * 31, 0.0))  # spike at index N/2
+@example(([0.0] * 9 + [1 / 3] + [0.0] * 90, 0.0))
+def test_extraction_matches_parent_extraction(case):
+    seq, limit = case
+    assert extract_null_density_set(seq, limit) == \
+        _parent_extract_null_density_set(seq, limit)
+
+
 # --- the no-limit sqrt sequence ---------------------------------------------
 
 
@@ -280,7 +383,7 @@ def test_remark_sequence_budget():
 
 def test_slln_on_swap():
     sys = swap_system()
-    out = process_slln_check(sys, [F(1), F(0)], 3, 64)
+    out = process_slln_check(sys, [F(1), F(0)], 3)
     assert out["stationary"]
     assert out["slln"]["verdict"]
     assert out["slln"]["target"] == F(1, 2)
@@ -294,7 +397,7 @@ def test_slln_constant_observable():
         t = Endomap([rng.randrange(n) for _ in range(n)])
         fam = [skeleton([F(1, n)] * n, t)]
         sys = FiniteSystem(UpperProbability(fam), t)
-        out = process_slln_check(sys, [F(2)] * n, 2, 16)
+        out = process_slln_check(sys, [F(2)] * n, 2)
         assert out["stationary"]
         if sys.skeleton is not None:
             assert out["slln"]["verdict"]
@@ -304,7 +407,7 @@ def test_slln_detects_non_stationary_process():
     t = Endomap([1, 1])
     v = UpperProbability([[F(1), F(0)]])  # not invariant under T
     sys = FiniteSystem(v, t)
-    out = process_slln_check(sys, [F(1), F(0)], 2, 8)
+    out = process_slln_check(sys, [F(1), F(0)], 2)
     assert not out["stationary"]
 
 
@@ -316,7 +419,7 @@ def test_slln_float_envelope_meets_its_exact_limits():
     # the float target 1.6666666666666665 must match the exact limits 5/3
     t = Endomap([1, 2, 0])
     sys = FiniteSystem(UpperProbability(_rotations([0.1, 0.2, 0.7])), t)
-    out = process_slln_check(sys, [1, 2, 2], 1, 8)
+    out = process_slln_check(sys, [1, 2, 2], 1)
     assert out["stationary"]
     assert out["slln"]["failure_mask"] == 0
     assert out["slln"]["verdict"] is True
@@ -326,7 +429,7 @@ def test_slln_float_invariant_envelope_is_stationary():
     t = Endomap([1, 2, 3, 0])
     v = UpperProbability(_rotations([0.1, 0.2, 0.3, 0.4]))
     assert is_invariant_capacity(v, t)
-    out = process_slln_check(FiniteSystem(v, t), [0, 0, 0, 1], 1, 8)
+    out = process_slln_check(FiniteSystem(v, t), [0, 0, 0, 1], 1)
     assert out["stationary"] is True
     assert out["witness"] is None
     assert out["slln"]["verdict"] is True
@@ -334,4 +437,4 @@ def test_slln_float_invariant_envelope_is_stationary():
 
 def test_slln_depth_budget():
     with pytest.raises(ValueError):
-        process_slln_check(swap_system(), [F(1), F(0)], 9, 8)
+        process_slln_check(swap_system(), [F(1), F(0)], 9)

@@ -221,6 +221,19 @@ def test_invariance_of_capacity_helper():
     assert not is_invariant_capacity(UpperProbability([dirac(2, 0)]), t)
 
 
+@pytest.mark.parametrize("points, image", [(3, [1, 0]), (2, [1, 2, 0])],
+                         ids=["capacity-larger", "endomap-larger"])
+def test_capacity_and_endomap_on_different_ground_sets_rejected(points,
+                                                                image):
+    v = UpperProbability([[F(1, points)] * points])
+    t = Endomap(image)
+    for check in (is_invariant_capacity, ergodicity_check, ergodic_skeleton,
+                  weak_mixing_check):
+        with pytest.raises(ValueError, match="capacity on %d points, "
+                           "endomap on %d" % (points, len(image))):
+            check(v, t)
+
+
 # --- weak mixing ------------------------------------------------------------
 
 

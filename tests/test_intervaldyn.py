@@ -416,6 +416,28 @@ def test_polynomial_orbit_average_rejects_non_dyadic_pieces():
         polynomial_orbit_average(f, lambda i: i, x, 8)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.fractions(0, 2, max_denominator=12), max_size=6),
+       st.booleans(), st.data())
+def test_piecewise_constant_picks_the_piece_a_linear_scan_picks(inner,
+                                                                float_cuts,
+                                                                data):
+    cuts = [F(0)] + sorted(x for x in inner if 0 < x < 2) + [F(2)]
+    if float_cuts:
+        cuts = [float(x) for x in cuts]
+    f = PiecewiseConstant(cuts, list(range(len(cuts) - 1)), c=2)
+    # points below 0, at a cut (exact or float) and at or past c included
+    x = data.draw(st.sampled_from(cuts) |
+                  st.sampled_from([float(c) for c in cuts]) |
+                  st.fractions(-1, 3, max_denominator=24) |
+                  st.floats(-1, 3))
+    want = 0
+    for j in range(len(cuts) - 1):
+        if f.cuts[j] <= x:
+            want = j
+    assert f(x) == want
+
+
 # --- eigenfunctions ---------------------------------------------------------
 
 
@@ -424,6 +446,10 @@ def test_sign_function_is_eigenfunction_of_paste():
     f = PiecewiseConstant([0, 1, 2], [F(1), F(-1)], c=2)
     assert verify_eigenfunction(f, mp, F(-1))
     assert not verify_eigenfunction(f, mp, F(1))
+    # exact labels compare exactly; float labels within FLOAT_TOL
+    assert not verify_eigenfunction(f, mp, F(-1) + F(1, 10 ** 13))
+    g = PiecewiseConstant([0, 1, 2], [1.0, -1.0], c=2)
+    assert verify_eigenfunction(g, mp, -1 + 1e-13)
 
 
 def test_constant_is_fixed_eigenfunction():
