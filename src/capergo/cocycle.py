@@ -190,8 +190,8 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
         raise ValueError("need n >= renorm_period >= 1")
     if burn_in is None:
         burn_in = n // 5
-    if burn_in >= n:
-        raise ValueError("burn_in must be < n")
+    if not 0 <= burn_in < n:
+        raise ValueError("need 0 <= burn_in < n")
     q = np.eye(gen.d)
     logs = np.zeros(gen.d)
     x = omega

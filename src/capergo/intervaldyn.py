@@ -247,6 +247,8 @@ def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
     they equal P(B)|C|.  Other expanding maps may take at most DOUBLING_BUDGET
     preimage steps.
     """
+    if n < 1:
+        return []
     if mp.kind == "doubling":
         return _doubling_correlations(p, b, c_set, n)
     if mp.kind == "rotation_swap" or (mp.kind == "rotation" and mp.c == 1):
@@ -355,6 +357,8 @@ def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
     Rotation-family maps with a float start use a vectorized closed form
     for the orbit (the swap map's square rotates each half by alpha).
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if isinstance(x, float) and isinstance(f, PiecewiseConstant) and \
             mp.kind in ("rotation", "rotation_swap"):
         return _orbit_average_rotation(mp, f, x, n)
@@ -448,6 +452,8 @@ def polynomial_orbit_average(f: PiecewiseConstant, p, x: BitstreamPoint,
     f must have dyadic endpoints: its value at T^m x then depends on
     finitely many bits, read exactly from the stream.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if f.c != 1:
         raise ValueError("polynomial averages run on the unit circle")
     depth = max(_dyadic_depth(f), 1)

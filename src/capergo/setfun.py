@@ -195,31 +195,6 @@ def _candidate_count(n: int) -> int:
     return math.comb((1 << n) - 2 + n, n - 1)
 
 
-def _cross_products(vecs: list, n: int) -> dict:
-    """{T: y} over the sorted (n-2)-subsets T of the rows `vecs`, where
-    det([1; vecs[t] for t in T; v]) == v . y for every vector v.
-
-    Built level by level: the minors of (1, T[0], ..., T[k-1]) on every
-    set of k + 1 columns, each expanded along its last row into minors
-    of the level below.
-    """
-    cols = [list(itertools.combinations(range(n), k + 1)) for k in range(n)]
-    where = [{c: i for i, c in enumerate(level)} for level in cols]
-    minors = {(): [1] * n}  # the ones row on each single column
-    for k in range(1, n - 1):
-        terms = [[((-1) ** (k + p), J[p], where[k - 1][J[:p] + J[p + 1:]])
-                  for p in range(k + 1)] for J in cols[k]]
-        minors = {s + (t,): [sum(sign * vecs[t][j] * m[q]
-                                 for sign, j, q in expansion)
-                             for expansion in terms]
-                  for s, m in minors.items()
-                  for t in range(s[-1] + 1 if s else 0, len(vecs))}
-    drop = [where[n - 2][tuple(c for c in range(n) if c != j)]
-            for j in range(n)]
-    return {s: [(-1) ** (n - 1 + j) * m[drop[j]] for j in range(n)]
-            for s, m in minors.items()}
-
-
 @functools.cache
 def _bases(n: int):
     """Nonsingular candidate bases of the core of a capacity on n points.
@@ -228,41 +203,40 @@ def _bases(n: int):
     ascending order (P(A) <= mu(A)), then the n nonnegativity rows
     (p_i >= 0).  A candidate basis is the normalisation row plus n - 1 of
     these, taken in `itertools.combinations` order; none of this depends
-    on mu, so it is built once per n, on first use, in exact integers.
+    on mu, so it is built once per n, on first use.
     Returns read-only flat int8 views (rows, adj, det) over the
     nonsingular bases, in candidate order: basis k has row indices
     rows[k*(n-1):(k+1)*(n-1)], and its matrix A satisfies
     A @ adj[k*n*n:(k+1)*n*n] (row-major) == det[k] * I with det[k] > 0.
+    Each A is a 0/1 matrix of size n <= 5, so its determinant and
+    cofactors are integers of magnitude at most 5 and LU's rounding error
+    is far below 1/2: rounding recovers them exactly, and the identity
+    A @ adj == det * I is checked in integers for every kept basis.
     """
     from array import array  # only here, so importing capergo stays cheap
 
-    full = (1 << n) - 1
-    vecs = [[a >> j & 1 for j in range(n)] for a in range(1, full)] + \
-        [[int(i == j) for j in range(n)] for i in range(n)]
+    import numpy as np
+
+    masks = list(range(1, (1 << n) - 1)) + [1 << i for i in range(n)]
+    vecs = np.array([[m >> j & 1 for j in range(n)] for m in masks], np.int64)
+    eye = np.eye(n, dtype=np.int64)
     rows, adj, det = array("B"), array("b"), array("b")
-    if n == 1:  # the normalisation row alone
-        adj.append(1)
-        det.append(1)
-    else:
-        cross = _cross_products(vecs, n)
-        for c in itertools.combinations(range(len(vecs)), n - 1):
-            # det(A) by Laplace along its last row
-            d = sum(map(operator.mul, vecs[c[-1]], cross[c[:-1]]))
-            if not d:
-                continue
-            # cofactors of basis row i >= 1 come from the other rows;
-            # moving row i to the end takes n - 1 - i swaps
-            cof = [None] + [[(-1) ** (n - 1 - i) * y
-                             for y in cross[c[:i - 1] + c[i:]]]
-                            for i in range(1, n)]
-            # the ones row's, from column 0 of adj @ A == det * I
-            cof[0] = [-sum(cof[i][j] * vecs[c[i - 1]][0] for i in range(1, n))
-                      for j in range(n)]
-            cof[0][0] += d
-            s = 1 if d > 0 else -1
-            rows.extend(c)
-            det.append(s * d)  # array("b") rejects anything outside int8
-            adj.extend([s * cof[i][j] for j in range(n) for i in range(n)])
+    combos = itertools.combinations(range(len(vecs)), n - 1)
+    while batch := list(itertools.islice(combos, 512)):
+        c = np.array(batch, dtype=np.intp).reshape(len(batch), n - 1)
+        a = np.concatenate([np.ones((len(c), 1, n), np.int64), vecs[c]], 1)
+        d = np.abs(np.rint(np.linalg.det(a)).astype(np.int64))
+        keep = d != 0
+        a, c, d = a[keep], c[keep], d[keep, None, None]
+        # inv(A) * |det| is the adjugate scaled by the sign of det, so
+        # A @ adj == |det| * I with a positive determinant
+        b = np.rint(np.linalg.inv(a) * d).astype(np.int64)
+        if not (a @ b == d * eye).all():
+            raise ArithmeticError("rounded adjugate fails A @ adj == det * I")
+        rows.extend(c.ravel().tolist())
+        # array("b") rejects anything outside int8
+        det.extend(d.ravel().tolist())
+        adj.extend(b.ravel().tolist())
     return tuple(memoryview(a).toreadonly() for a in (rows, adj, det))
 
 
@@ -368,6 +342,8 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
 
 
 def in_core(mu: Capacity, p: Sequence) -> bool:
+    if len(p) != mu.n:
+        raise ValueError("p must be defined on the ground set")
     if not close(sum(p, Fraction(0)), 1):
         return False
     return all(map(le, subset_sums(p, 0)[1:], mu.table[1:]))

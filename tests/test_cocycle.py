@@ -207,6 +207,12 @@ def test_lyapunov_qr_diagonal():
     assert abs(spec.exponents[1] + LOG2) <= 1e-12
 
 
+@pytest.mark.parametrize("burn_in", [-1, -10, 10, 11])
+def test_lyapunov_qr_rejects_burn_in_outside_the_run(burn_in):
+    with pytest.raises(ValueError, match="burn_in"):
+        lyapunov_qr(diag_gen(2.0, 0.5), 0, 10, burn_in=burn_in)
+
+
 def test_lyapunov_qr_two_cycle_averages():
     spec = lyapunov_qr(two_cycle_gen(), 0, 400, burn_in=0)
     assert abs(spec.exponents[0] - LOG2 / 2) <= 1e-12

@@ -146,6 +146,19 @@ def test_doubling_halves_mix():
     assert terms == [F(1, 2), F(1, 4), F(1, 4), F(1, 4)]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("make", [PiecewiseAffineMap.doubling,
+                                  PiecewiseAffineMap.rotation_swap,
+                                  lambda: PiecewiseAffineMap(
+                                      PiecewiseAffineMap.doubling().branches,
+                                      c=1, kind="custom")])
+def test_correlation_sequence_has_n_terms_on_every_map_kind(make, n):
+    mp = make()
+    b = IntervalSet([(0, F(1, 2))], c=mp.c)
+    p = RestrictedLebesgue(IntervalSet([(0, mp.c)], c=mp.c))
+    assert len(correlation_sequence(p, mp, b, b, n)) == n
+
+
 def test_rotation_swap_fast_path_matches_iterated_preimage():
     rng = random.Random(26)
     mp = PiecewiseAffineMap.rotation_swap(F(3, 10))
@@ -352,6 +365,18 @@ def test_orbit_average_fast_path_matches_direct_loop(kind, alpha, start, n,
         x = mp.apply(x)
     # f takes the values 0 and 1, so both sums are exact counts
     assert fast == total / n
+
+
+@pytest.mark.parametrize("x", [0.2, F(1, 5)])
+@pytest.mark.parametrize("n", [0, -1])
+def test_orbit_averages_reject_empty_horizon(x, n):
+    mp = PiecewiseAffineMap.rotation_swap()
+    f = PiecewiseConstant([0, 2], [F(3)], c=2)
+    with pytest.raises(ValueError, match="n >= 1"):
+        orbit_average(mp, f, x, n)
+    half = PiecewiseConstant.indicator(IntervalSet([(0, F(1, 2))], c=1))
+    with pytest.raises(ValueError, match="n >= 1"):
+        polynomial_orbit_average(half, lambda i: i, BitstreamPoint(4, 64), n)
 
 
 def test_orbit_average_equidistributes_on_rotation_swap():

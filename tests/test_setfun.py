@@ -1,6 +1,10 @@
+import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -187,6 +191,12 @@ def test_sqrt_distortion_core_vertices():
     assert len(verts) == 2
     assert abs(verts[0][0] - (1 - s)) <= 1e-12
     assert abs(verts[0][1] - s) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [[F(1, 2), F(1, 2), F(0)], [F(1)]])
+def test_in_core_rejects_vector_off_the_ground_set(p):
+    with pytest.raises(ValueError, match="ground set"):
+        in_core(UpperProbability([[F(1, 2), F(1, 2)]]), p)
 
 
 def test_family_members_lie_in_core_and_envelope_is_tight():
@@ -429,6 +439,36 @@ def test_cached_bases_are_exact_adjugates():
                 [[det[k] * (i == j) for j in range(n)] for i in range(n)]
     assert [len(setfun._bases(n)[2]) for n in range(1, 6)] == \
         [1, 4, 27, 476, 26405]
+
+
+# sha256 of b"|".join(rows, adj, det) as built by the exact cofactor
+# expansion that the batched LU build replaced
+BASES_SHA256 = {
+    1: "5d13af8df9c18076eac00e16187f10bdde8bc6be1bd80eed7049c02afe0abedb",
+    2: "2927e6f69478e1b231866b6b086357e02254c10e456a91e6fa7131d4a44d4be2",
+    3: "9a89d566373891665f2ec5d88b2ab563ebe17132b15404e544e09d7c1deb9eb6",
+    4: "6f38ec193654e95ea4d5b787163125a8776f6dc05b53f9da261bfcd9cde9e048",
+    5: "2db3020ce8165d636645c5b9554fe70cdead7812763c74acb01d17da68a759e5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BASES_SHA256))
+def test_cached_bases_bytes_are_pinned(n):
+    bases = setfun._bases(n)
+    assert [x.format for x in bases] == ["B", "b", "b"]
+    assert all(x.readonly for x in bases)
+    assert hashlib.sha256(b"|".join(bytes(x) for x in bases)).hexdigest() \
+        == BASES_SHA256[n]
+
+
+def test_importing_the_finite_layers_loads_no_numpy():
+    # setfun imports numpy inside _bases only, so the finite layers start
+    # without it
+    code = ("import sys, capergo.setfun, capergo.finitedyn; "
+            "sys.exit('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
+        == 0
 
 
 def test_core_vertices_limit_names_the_basis_count():
