@@ -44,6 +44,14 @@ def subset_sums(p: Sequence, zero) -> list:
     return sums
 
 
+def _over_common_denominator(rows: Sequence[Sequence]) -> tuple:
+    """([[x * L for x in row] for row in rows] as ints, L) for exact rows,
+    with L the lcm of every entry's denominator."""
+    lcm = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (lcm // x.denominator) for x in row]
+            for row in rows], lcm
+
+
 def indices_of(mask: int) -> list[int]:
     out = []
     i = 0
@@ -104,23 +112,29 @@ class UpperProbability(Capacity):
         if not family:
             raise ValueError("family must be nonempty")
         n = len(family[0])
-        for p in family:
+        # an all-exact family is validated and summed in integers over its
+        # common denominator, which skips a gcd on every Fraction operation
+        exact = all(is_exact(x) for p in family for x in p)
+        rows, one = _over_common_denominator(family) if exact else (family, 1)
+        for p in rows:
             if len(p) != n:
                 raise ValueError("family members must share a ground set")
-            if not close(sum(p, Fraction(0)), 1):
+            if not close(sum(p), one):
                 raise ValueError("family members must be probability vectors")
             if any(not le(0, x) for x in p):
                 raise ValueError("family members must be nonnegative")
         self.family = [list(p) for p in family]
         table = None
-        for p in self.family:
-            sums = subset_sums(p, Fraction(0))
+        for p in rows:
+            sums = subset_sums(p, 0 if exact else Fraction(0))
             table = sums if table is None else list(map(max, table, sums))
+        if exact:
+            table = [Fraction(v, one) for v in table]
         # adding a term >= 0 never lowers a rounded partial sum, so with no
         # negative entry the table is monotone and normalised as built; an
         # entry in [-numeric.FLOAT_TOL, 0) still gets the full check
         super().__init__(n, table,
-                         validate=any(x < 0 for p in self.family for x in p))
+                         validate=any(x < 0 for p in rows for x in p))
 
 
 def classify_capacity(mu: Capacity) -> dict:
@@ -266,8 +280,7 @@ def core_vertices(mu: Capacity) -> list[list]:
     exact = mu.is_exact()
     if exact:
         # an exact solution is held as x * d * scale, in integers
-        scale = math.lcm(*(Fraction(x).denominator for x in table))
-        vals = [int(x * scale) for x in table]
+        (vals,), scale = _over_common_denominator([table])
         tol = 0
         caps = {d: [d * u for u in vals[1:full]] for d in set(det)}
     else:

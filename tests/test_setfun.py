@@ -359,9 +359,12 @@ def _exact_prob(weights):
 
 # 1-4 nonnegative integer weights with a positive sum; the wide range
 # makes some tables' common denominator too large for int64 arithmetic
-_weights = st.integers(1, 4).flatmap(lambda n: st.lists(
-    st.one_of(st.integers(0, 12), st.integers(0, 10 ** 15)),
-    min_size=n, max_size=n).filter(lambda w: sum(w) > 0))
+def _weight_lists(n):
+    return st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10 ** 15)),
+                    min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+
+
+_weights = st.integers(1, 4).flatmap(_weight_lists)
 
 
 @st.composite
@@ -536,3 +539,79 @@ def test_envelope_validates_only_with_negative_entries(monkeypatch):
     assert checked == []
     UpperProbability([[1.0 + 1e-13, -1e-13]])  # within FLOAT_TOL of >= 0
     assert len(checked) == 1
+    v = UpperProbability([[-1e-13, 1 + 1e-13]])
+    assert checked[1:] == [v.table]
+
+
+# --- differential oracle: the Fraction envelope DP --------------------------
+
+
+def _parent_envelope(family):
+    """The envelope table as built before the integer DP: a subset-sum DP
+    per member, started from Fraction(0), then a running max."""
+    table = None
+    for p in family:
+        sums = [F(0)]
+        for x in p:
+            sums += [s + x for s in sums]
+        table = sums if table is None else list(map(max, table, sums))
+    return table
+
+
+@st.composite
+def _families(draw, floats):
+    """1-4 members on 1-5 points, drawn from a pool so that members
+    repeat.  Exact members come from `_weights`' entry range, so a
+    family's common denominator can pass 2**63, or are Diracs with int
+    entries 0 and 1; with floats, some entries of a member are
+    float(x)."""
+    n = draw(st.integers(1, 5))
+    dirac = st.integers(0, n - 1).map(lambda i: [int(j == i)
+                                                 for j in range(n)])
+    member = st.one_of(_weight_lists(n).map(_exact_prob), dirac)
+    if floats:
+        member = st.tuples(member, st.lists(st.booleans(), min_size=n,
+                                            max_size=n)).map(
+            lambda pf: [float(x) if f else x for x, f in zip(*pf)])
+    pool = draw(st.lists(member, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families(floats=False))
+@example([_exact_prob([10 ** 15 + 1, 3, 7, 10 ** 14]),
+          _exact_prob([1, 2, 3, 4]), [0, 1, 0, 0]])
+@example([[1, 0], [F(1, 3), F(2, 3)], [1, 0]])
+def test_exact_envelope_matches_fraction_dp(family):
+    v = UpperProbability(family)
+    assert v.table == _parent_envelope(family)
+    assert all(type(x) is F for x in v.table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families(floats=True).filter(
+    lambda fam: any(type(x) is float for p in fam for x in p)))
+@example([[0.25, 0.75], [F(1, 3), F(2, 3)]])
+@example([[0.5, F(1, 2)], [1, 0]])
+def test_float_and_mixed_envelopes_match_fraction_dp(family):
+    v = UpperProbability(family)
+    want = _parent_envelope(family)
+    assert v.table == want
+    assert [type(x) for x in v.table] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("family,message", [
+    ([], "nonempty"),
+    ([[]], "probability vectors"),
+    # a member's sum is checked before the next member's length
+    ([[F(1, 3), F(1, 3)], [F(1)]], "probability vectors"),
+    ([[1 / 3, 1 / 3], [1.0]], "probability vectors"),
+    ([[F(1, 2), F(1, 2)], [F(1)]], "share a ground set"),
+    ([[0.5, 0.5], [1]], "share a ground set"),
+    ([[F(3, 2), F(-1, 2)]], "nonnegative"),
+    ([[1.5, -0.5]], "nonnegative"),
+])
+def test_envelope_rejects_family_with_pinned_message(family, message):
+    with pytest.raises(ValueError, match=message):
+        UpperProbability(family)
+
