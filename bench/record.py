@@ -104,9 +104,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     unknown = set(workloads) - set(WORKLOADS)
-    if unknown or args.pairs < 1:
-        parser.error("unknown workloads %s" % sorted(unknown) if unknown
-                     else "--pairs must be at least 1")
+    if unknown:
+        parser.error("unknown workloads %s" % sorted(unknown))
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     parent = git("rev-parse", "--verify", args.parent + "^{commit}").strip()
     change = git("rev-parse", "HEAD").strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no",

@@ -357,9 +357,9 @@ def _exact_prob(weights):
     return [F(w, total) for w in weights]
 
 
-# 1-4 nonnegative integer weights with a positive sum; the wide range
-# makes some tables' common denominator too large for int64 arithmetic
 def _weight_lists(n):
+    """n nonnegative integer weights with a positive sum; the wide range
+    makes some tables' common denominator too large for int64."""
     return st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10 ** 15)),
                     min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
 
