@@ -1,21 +1,24 @@
 """Record a paired parent/change benchmark run as a BENCH_*.json file.
 
-    python3 bench/record.py <parent-rev> <out.json> \
-        [--workloads finite-sweep,finite-large] [--pairs 3] [--seed 1] \
-        [--seconds 24]
+    python3 bench/record.py <parent-rev> <out.json>
 
 The change is the checkout this script sits in.  The parent revision is
 extracted with ``git archive`` into a temporary directory (under
 ``$TMPDIR``), so both sides run the benchmark code of their own tree.
-For each workload it runs ``capbench/run.py --workload <w> --seed <s>
---seconds <seconds> --trace 0`` on both sides, ``--pairs`` times; pair k
-uses seed ``--seed + k``, and the side that runs first alternates from
-pair to pair, parent first on pair 0.
+The command, the workloads and the run length are read from the
+checkout's ``BENCHMARK.json``, so both sides run every declared workload
+for the same ``run_seconds``.  For each workload it runs ``<command>
+--workload <w> --seed <s> --seconds <run_seconds> --trace 0`` on both
+sides in PAIRS pairs; pair k uses seed k + 1, and the side that runs
+first alternates from pair to pair, parent first on pair 0.  Ten pairs
+is the fewest on which a gain may be claimed (the change must read
+lower in at least nine of them).
 
 The output holds both commits, every run's result line and provenance
 record, and per workload the median of each metric on each side, the
-change/parent ratio of the medians, and the number of pairs in which
-the change read lower than the parent.  Only the standard library is
+change/parent ratio of the medians, the distance between the quartiles
+of the parent's runs, and the number of pairs in which the change read
+lower than the parent.  Only the standard library is
 used.
 """
 
@@ -31,8 +34,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ["finite-sweep", "finite-large", "scenario-registry",
-             "cocycle-spectra"]
+PAIRS = 10
 RUN_TIMEOUT_S = 1800
 
 
@@ -48,17 +50,16 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, command, workload, seed, seconds):
     """(result, provenance) of one untraced capbench run in tree."""
-    argv = [sys.executable, os.path.join(tree, "capbench", "run.py"),
-            "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    argv = command + ["--workload", workload, "--seed", str(seed),
+                      "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit("%s failed in %s (exit %d):\n%s"
-                         % (" ".join(argv[1:]), tree, proc.returncode,
+                         % (" ".join(argv), tree, proc.returncode,
                             proc.stderr[-2000:]))
     provenance = None
     for line in lines:
@@ -77,6 +78,9 @@ def summarise(runs):
               for side, vals in values.items()}
     ratio = {k: median["change"][k] / v
              for k, v in median["parent"].items() if v}
+    quartiles = {k: statistics.quantiles(v, n=4)
+                 for k, v in values["parent"].items()}
+    spread = {k: q[2] - q[0] for k, q in quartiles.items()}
     pairs = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -89,6 +93,7 @@ def summarise(runs):
     attempted = {side: sum(r["result"]["attempted"] for r in runs
                            if r["side"] == side) for side in values}
     return {"median": median, "ratio_change_over_parent": ratio,
+            "parent_quartile_spread": spread,
             "change_lower_in_pairs": wins, "failed": failed,
             "attempted": attempted}
 
@@ -97,17 +102,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="git revision of the parent")
     parser.add_argument("out", help="path of the JSON file to write")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=24.0)
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    unknown = set(workloads) - set(WORKLOADS)
-    if unknown:
-        parser.error("unknown workloads %s" % sorted(unknown))
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    command = bench["command"]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seeds = list(range(1, PAIRS + 1))
     parent = git("rev-parse", "--verify", args.parent + "^{commit}").strip()
     change = git("rev-parse", "HEAD").strip()
     dirty = bool(git("status", "--porcelain", "--untracked-files=no",
@@ -119,19 +120,18 @@ def main(argv=None):
         report = {"parent": {"rev": args.parent, "commit": parent},
                   "change": {"commit": change,
                              "src_or_capbench_uncommitted": dirty},
-                  "seconds": args.seconds, "pairs": args.pairs,
-                  "seeds": [args.seed + k for k in range(args.pairs)],
+                  "seconds": seconds, "pairs": PAIRS, "seeds": seeds,
                   "workloads": {}}
         for workload in workloads:
             runs = []
-            for k in range(args.pairs):
+            for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 \
                     else ("change", "parent")
                 for side in order:
-                    result, prov = run_once(trees[side], workload,
-                                            args.seed + k, args.seconds)
+                    result, prov = run_once(trees[side], command, workload,
+                                            seed, seconds)
                     runs.append({"side": side, "pair": k,
-                                 "seed": args.seed + k, "result": result,
+                                 "seed": seed, "result": result,
                                  "provenance": prov})
                     print("%s pair %d %s: %s" % (
                         workload, k, side, ", ".join(
