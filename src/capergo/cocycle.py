@@ -8,12 +8,22 @@ slow singular subspaces from a backward pass with the transposed
 generator (a dense product over 10^4 steps is not representable in
 float64, so quantities are extracted from propagated factorizations
 instead).
+
+Generators are evaluated as (k, d, d) stacks: `MatrixGen.matrices` takes
+a list of base points, vectorized for the periodic and rotation-angle
+generators and point by point for a custom `l_of`, and checks the
+declared bound once per stack.  The long loops step the base orbit and
+read its generator stacks in chunks of CHUNK points, so generator
+evaluation leaves the per-step loop while memory stays flat in the orbit
+length.  Every result is bit for bit that of a loop evaluating one
+matrix per step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,6 +35,7 @@ from . import finitedyn
 from .numeric import parse
 
 GAP_TOL = 1e-3
+CHUNK = 512  # base points per generator stack in the long loops
 
 
 def _raise_qr_error(err, flag):
@@ -47,12 +58,16 @@ def _qr(a):
                      divide="ignore", under="ignore"):
         tau = _umath_linalg.qr_r_raw(a, signature="d->d")
         q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    return q, np.diagonal(a, axis1=-2, axis2=-1)
+    return q, a.diagonal(0, -2, -1)
 
 
 class MatrixGen:
     """Generator L: base point -> invertible d x d matrix, with a declared
-    bound M on |log ||L||| that is spot-checked at evaluation time."""
+    bound M on |log ||L||| that is checked at evaluation time.
+
+    `l_of` maps one point to one matrix.  The `periodic` and `from_json`
+    generators have no `l_of` (it is None): they evaluate whole stacks.
+    """
 
     def __init__(self, d: int, l_of: Callable, step: Callable,
                  bound_m: float):
@@ -60,29 +75,38 @@ class MatrixGen:
         self.l_of = l_of
         self.step = step  # base map: point -> next point
         self.bound_m = bound_m
-        self._validated = set()
+        self._stack_of = self._pointwise  # points -> (k, d, d) float stack
+
+    def _pointwise(self, points) -> np.ndarray:
+        out = np.empty((len(points), self.d, self.d))
+        for j, x in enumerate(points):
+            a = np.asarray(self.l_of(x), dtype=float)
+            if a.shape != (self.d, self.d):
+                raise ValueError("generator dimension mismatch")
+            out[j] = a
+        return out
+
+    def matrices(self, points) -> np.ndarray:
+        """(k, d, d) stack of L at each of the k points, in order."""
+        mats = self._stack_of(points)
+        # ||a||_F / sqrt(d) <= ||a||_2 <= ||a||_F, so a Frobenius norm
+        # well inside the bound passes without the 2-norm's SVD; the
+        # matrices that fail it get the SVD check, in order
+        with np.errstate(all="ignore"):
+            log_fro = np.log(np.sqrt(np.einsum("kij,kij->k", mats, mats)))
+            inside = (log_fro <= self.bound_m) & \
+                (log_fro >= -self.bound_m + 0.5 * math.log(self.d)) & \
+                np.isfinite(log_fro)
+        for a in mats[~inside]:
+            nrm = np.linalg.norm(a, 2)
+            if nrm == 0 or not np.isfinite(nrm):
+                raise ValueError("generator must be invertible and finite")
+            if abs(math.log(nrm)) > self.bound_m + 1e-9:
+                raise ValueError("declared log-norm bound violated")
+        return mats
 
     def matrix(self, omega) -> np.ndarray:
-        a = np.asarray(self.l_of(omega), dtype=float)
-        if a.shape != (self.d, self.d):
-            raise ValueError("generator dimension mismatch")
-        # spot-check the declared bound once per distinct (hashable) point
-        key = omega if isinstance(omega, (int, str)) else None
-        if key is None or key not in self._validated:
-            # ||a||_F / sqrt(d) <= ||a||_2 <= ||a||_F, so a Frobenius norm
-            # well inside the bound passes without the 2-norm's SVD
-            fro = float(np.linalg.norm(a))
-            if not (0 < fro < math.inf and
-                    -self.bound_m + 0.5 * math.log(self.d) <= math.log(fro)
-                    <= self.bound_m):
-                nrm = np.linalg.norm(a, 2)
-                if nrm == 0 or not np.isfinite(nrm):
-                    raise ValueError("generator must be invertible and finite")
-                if abs(math.log(nrm)) > self.bound_m + 1e-9:
-                    raise ValueError("declared log-norm bound violated")
-            if key is not None:
-                self._validated.add(key)
-        return a
+        return self.matrices([omega])[0]
 
     def orbit(self, omega, n: int) -> list:
         pts = [omega]
@@ -96,11 +120,15 @@ class MatrixGen:
         mats = [np.asarray(m, dtype=float) for m in matrices]
         d = mats[0].shape[0]
         ell = len(mats)
+        if any(m.shape != (d, d) for m in mats):
+            raise ValueError("generator dimension mismatch")
         bound = max(abs(math.log(np.linalg.norm(m, 2))) for m in mats) + \
             max(abs(math.log(np.linalg.norm(np.linalg.inv(m), 2)))
                 for m in mats) + 1
-        return cls(d, lambda i: mats[i % ell], lambda i: (i + 1) % ell,
-                   bound)
+        table = np.array(mats)
+        gen = cls(d, None, lambda i: (i + 1) % ell, bound)
+        gen._stack_of = lambda points: table[np.asarray(points) % ell]
+        return gen
 
     @classmethod
     def from_json(cls, obj):
@@ -111,21 +139,42 @@ class MatrixGen:
             # L(x) = planar rotation by angle_scale * x over the circle
             # rotation base with the default irrational angle
             from .intervaldyn import GOLDEN, PiecewiseAffineMap
-            scale = float(obj.get("angle_scale", 1.0))
+            scale = obj.get("angle_scale", 1.0)
+            if isinstance(scale, bool) or \
+                    not isinstance(scale, numbers.Real) or \
+                    not math.isfinite(scale):
+                raise ValueError("angle_scale must be a finite number, "
+                                 "not %r" % (scale,))
+            scale = float(scale)
             mp = PiecewiseAffineMap.rotation(GOLDEN, c=1)
 
-            def l_of(x):
-                th = scale * float(x)
-                return [[math.cos(th), -math.sin(th)],
-                        [math.sin(th), math.cos(th)]]
+            def stack_of(points):
+                th = scale * np.array(points, dtype=float)
+                cos, sin = np.cos(th), np.sin(th)
+                out = np.empty((len(th), 2, 2))
+                out[:, 0, 0] = out[:, 1, 1] = cos
+                out[:, 0, 1] = -sin
+                out[:, 1, 0] = sin
+                return out
 
-            gen = cls(2, l_of, mp.apply, bound_m=1.0)
+            gen = cls(2, None, mp.apply, bound_m=1.0)
+            gen._stack_of = stack_of
         else:
             raise ValueError("unknown generator kind %r" % kind)
         if obj.get("d") != gen.d:
             raise ValueError("declared d=%r, but the generator is %d x %d"
                              % (obj.get("d"), gen.d, gen.d))
         return gen
+
+
+def _stacks(gen: MatrixGen, omega, n: int):
+    """The generator along the first n orbit points of omega, as stacks of
+    at most CHUNK matrices; the base map is stepped n times in all."""
+    x = omega
+    for start in range(0, n, CHUNK):
+        points = gen.orbit(x, min(CHUNK, n - start) + 1)
+        x = points.pop()
+        yield gen.matrices(points)
 
 
 def cocycle_matrix(gen: MatrixGen, omega, n: int) -> np.ndarray:
@@ -138,13 +187,13 @@ def cocycle_matrix(gen: MatrixGen, omega, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n >= 1 required")
     phi = np.eye(gen.d)
-    x = omega
-    for _ in range(n):
-        phi = gen.matrix(x) @ phi
-        x = gen.step(x)
-        nrm = np.abs(phi).max()
-        if not np.isfinite(nrm) or nrm > 1e300 or (nrm and nrm < 1e-300):
-            raise OverflowError("dense cocycle product left float range")
+    for mats in _stacks(gen, omega, n):
+        for a in mats:
+            phi = a @ phi
+            nrm = np.abs(phi).max()
+            if not np.isfinite(nrm) or nrm > 1e300 or \
+                    (nrm and nrm < 1e-300):
+                raise OverflowError("dense cocycle product left float range")
     return phi
 
 
@@ -194,17 +243,17 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
         raise ValueError("need 0 <= burn_in < n")
     q = np.eye(gen.d)
     logs = np.zeros(gen.d)
-    x = omega
     block = None
-    for i in range(n):
-        a = gen.matrix(x)
-        block = a if block is None else a @ block
-        x = gen.step(x)
-        if (i + 1) % renorm_period == 0 or i == n - 1:
-            q, r_diag = _qr(block @ q)
-            if i >= burn_in:
-                logs += np.log(np.abs(r_diag))
-            block = None
+    i = 0
+    for mats in _stacks(gen, omega, n):
+        for a in mats:
+            block = a if block is None else a @ block
+            if (i + 1) % renorm_period == 0 or i == n - 1:
+                q, r_diag = _qr(block @ q)
+                if i >= burn_in:
+                    logs += np.log(np.abs(r_diag))
+                block = None
+            i += 1
     exps = sorted((logs / (n - burn_in)).tolist(), reverse=True)
     return LyapunovSpectrum(exps, n)
 
@@ -235,14 +284,14 @@ def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,
     orbit = gen.orbit(omega, n_max + 1)
 
     def f(n, start_idx):
+        mats = gen.matrices(orbit[start_idx:start_idx + n])
         if k == gen.d:
             # top compound is the determinant; evaluating it per step
             # avoids the LU roundoff of an ill-conditioned dense product
-            return sum(np.linalg.slogdet(
-                gen.matrix(orbit[start_idx + i]))[1] for i in range(n))
+            return sum(np.linalg.slogdet(a)[1] for a in mats)
         phi = np.eye(gen.d)
-        for i in range(n):
-            phi = gen.matrix(orbit[start_idx + i]) @ phi
+        for a in mats:
+            phi = a @ phi
         nrm = np.linalg.norm(compound_power(phi, k), 2)
         if nrm == 0 or not np.isfinite(nrm):
             raise OverflowError("dense compound product left float range; "
@@ -276,14 +325,15 @@ def _right_subspace_bases(gen: MatrixGen, orbits: Sequence) -> np.ndarray:
     (the transpose product has the same right singular structure with the
     factor order reversed), QR-normalizing the whole stack each step.
     """
-    d = gen.d
-    q = np.tile(np.eye(d), (len(orbits), 1, 1))
-    mats = np.empty_like(q)
-    for k in range(len(orbits[0]) - 1, -1, -1):
-        for b, orbit in enumerate(orbits):
-            mats[b] = gen.matrix(orbit[k])
-        q, r_diag = _qr(mats.transpose(0, 2, 1) @ q)
-        q *= np.sign(r_diag)[:, None, :]  # fix orientation for determinism
+    d, b = gen.d, len(orbits)
+    q = np.tile(np.eye(d), (b, 1, 1))
+    for hi in range(len(orbits[0]), 0, -CHUNK):
+        steps = range(hi - 1, max(hi - CHUNK, 0) - 1, -1)
+        # step-major: chunk[j] is the (b, d, d) stack of step steps[j]
+        chunk = gen.matrices([orbit[k] for k in steps for orbit in orbits])
+        for mats in chunk.reshape(len(steps), b, d, d):
+            q, r_diag = _qr(mats.transpose(0, 2, 1) @ q)
+            q *= np.sign(r_diag)[:, None, :]  # fix orientation
     return q
 
 
@@ -347,14 +397,17 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
     def directional(x, start_idx, block_start):
         v = np.array(x, dtype=float)
         acc = 0.0
-        for i in range(start_idx, start_idx + dir_horizon):
-            v = gen.matrix(orbit[i]) @ v
-            if period:
-                vi_here = bases_at[(i + 1) % period][:, block_start:]
-                v = vi_here @ (vi_here.T @ v)
-            nrm = np.linalg.norm(v)
-            acc += math.log(nrm)
-            v /= nrm
+        end = start_idx + dir_horizon
+        for lo in range(start_idx, end, CHUNK):
+            mats = gen.matrices(orbit[lo:min(lo + CHUNK, end)])
+            for i, a in enumerate(mats, lo):
+                v = a @ v
+                if period:
+                    vi_here = bases_at[(i + 1) % period][:, block_start:]
+                    v = vi_here @ (vi_here.T @ v)
+                nrm = np.linalg.norm(v)
+                acc += math.log(nrm)
+                v /= nrm
         return acc / dir_horizon
 
     filtration = []

@@ -9,6 +9,7 @@ stay half-open and measure computations never see boundary ambiguity.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
@@ -117,6 +118,12 @@ class RestrictedLebesgue:
         return s.intersect(self.window).measure()
 
 
+def _float_ceil(v) -> float:
+    """The least float at or above v."""
+    f = float(v)
+    return math.nextafter(f, math.inf) if f < v else f
+
+
 class PiecewiseAffineMap:
     """Branch list (lo, hi, slope, intercept): x -> slope*x + intercept.
 
@@ -130,12 +137,28 @@ class PiecewiseAffineMap:
         self.branches = [(parse(lo), parse(hi), parse(s), parse(t))
                          for lo, hi, s, t in branches]
         self.expanding = any(abs(b[2]) > 1 for b in self.branches)
+        # Float branch data for float points.  A float x satisfies lo <= x
+        # exactly when it satisfies _float_ceil(lo) <= x, and Fraction *
+        # float + Fraction evaluates as float(s) * x + float(t), so float
+        # compares and float arithmetic reproduce the exact-compare path
+        # bit for bit.
+        self._snap = [float(lo) for lo, _, _, _ in self.branches if lo != 0]
+        self._float_branches = [
+            (_float_ceil(lo), _float_ceil(hi), float(s), float(t))
+            for lo, hi, s, t in self.branches]
 
     def apply(self, x):
         if isinstance(x, float):
-            for lo, hi, _, _ in self.branches:
-                if lo != 0 and abs(x - float(lo)) < BOUNDARY_SNAP:
+            for lo in self._snap:
+                if abs(x - lo) < BOUNDARY_SNAP:
                     raise BoundaryHitError("orbit hit a branch boundary")
+            # a float subclass such as numpy's float64 takes the exact
+            # compares, whose result type depends on the branch's exactness
+            if type(x) is float:
+                for lo, hi, s, t in self._float_branches:
+                    if lo <= x < hi:
+                        return s * x + t
+                raise ValueError("point outside [0, c)")
         for lo, hi, s, t in self.branches:
             if lo <= x < hi:
                 return s * x + t

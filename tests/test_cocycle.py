@@ -127,6 +127,51 @@ def test_frobenius_shortcut_agrees_with_svd_bound(case):
         assert svd_ok
 
 
+def _rotation_matrix(scale, x):
+    """The rotation-angle generator as evaluated one point at a time."""
+    th = scale * float(x)
+    return np.array([[math.cos(th), -math.sin(th)],
+                     [math.sin(th), math.cos(th)]])
+
+
+def test_stacks_equal_per_point_matrices_bit_for_bit():
+    rng = random.Random(70)
+    mats = [np.array([[rng.uniform(-1, 1) for _ in range(3)]
+                      for _ in range(3)]) + 2 * np.eye(3) for _ in range(4)]
+    gen = MatrixGen.periodic(mats)
+    pts = gen.orbit(2, 11) + [7, -3]
+    want = np.array([mats[i % 4] for i in pts])
+    assert np.array_equal(_bits(gen.matrices(pts)), _bits(want))
+    for scale in (1.0, 1.7, 0.5):
+        gen = _rotation_gen(scale)
+        pts = gen.orbit(0.0, 40) + [0, 0.25, -0.0]  # -sin(0) is -0.0
+        want = np.array([_rotation_matrix(scale, x) for x in pts])
+        assert np.array_equal(_bits(gen.matrices(pts)), _bits(want))
+        assert np.array_equal(_bits(gen.matrix(0.0)), _bits(want[40]))
+    skew = _skew_gen()
+    pts = skew.orbit(0.1234, 30)
+    want = np.array([np.asarray(skew.l_of(x), dtype=float) for x in pts])
+    assert np.array_equal(_bits(skew.matrices(pts)), _bits(want))
+    assert skew.matrices([]).shape == (0, 2, 2)
+
+
+def test_matrices_reject_a_wrongly_shaped_custom_matrix():
+    gen = MatrixGen(2, lambda x: np.eye(3) if x == 4 else np.eye(2),
+                    lambda x: x + 1, bound_m=1.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gen.matrices(gen.orbit(0, 10))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        MatrixGen.periodic([np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, "1.0",
+                                   None, True, [1.0]])
+def test_from_json_rejects_a_non_finite_or_non_numeric_angle_scale(scale):
+    with pytest.raises(ValueError, match="angle_scale"):
+        MatrixGen.from_json({"kind": "rotation_angle", "d": 2,
+                             "angle_scale": scale})
+
+
 # --- exterior powers --------------------------------------------------------
 
 
@@ -308,13 +353,50 @@ def _rotation_gen(scale):
     (_transient_gen, 0),
 ], ids=["periodic-d2", "periodic-d3", "separated-d3", "rotation-x0-zero",
         "rotation-random-x0", "transient"])
-def test_lyapunov_qr_matches_parent_loop(make_gen, omega, renorm_period):
-    n = 601  # a multiple of neither 2 nor 7, so the last block is short
-    for burn_in in (None, 0, 7):
+@pytest.mark.parametrize("n", [cocycle.CHUNK - 1, cocycle.CHUNK,
+                               cocycle.CHUNK + 1, 2 * cocycle.CHUNK + 1])
+def test_lyapunov_qr_matches_parent_loop(make_gen, omega, renorm_period, n):
+    # stacks end mid-block unless renorm_period divides CHUNK, and the
+    # last block is short unless it divides n
+    for burn_in in (None, 0, 7, cocycle.CHUNK + 3):
+        if burn_in is not None and burn_in >= n:
+            continue
         want = _parent_lyapunov_qr(make_gen(), omega, n, renorm_period,
                                    burn_in)
         got = lyapunov_qr(make_gen(), omega, n, renorm_period, burn_in)
         assert got.exponents == want
+
+
+def _bound_breaking_gen(at):
+    """Identity everywhere on the shift x -> x + 1 except at point `at`,
+    where the matrix breaks the declared bound."""
+    return MatrixGen(2, lambda x: np.diag([100.0, 1.0]) if x == at
+                     else np.eye(2), lambda x: x + 1, bound_m=0.5)
+
+
+@pytest.mark.parametrize("at", [cocycle.CHUNK // 2, cocycle.CHUNK + 7])
+def test_bound_violation_mid_chunk_raises_the_per_point_message(at):
+    errors = []
+    for run in (_parent_lyapunov_qr, lyapunov_qr):
+        with pytest.raises(ValueError) as info:
+            run(_bound_breaking_gen(at), 0, 2 * cocycle.CHUNK)
+        errors.append(str(info.value))
+    assert errors == ["declared log-norm bound violated"] * 2
+    zero = MatrixGen(2, lambda x: np.zeros((2, 2)) if x == at
+                     else np.eye(2), lambda x: x + 1, bound_m=0.5)
+    with pytest.raises(ValueError, match="invertible and finite"):
+        zero.matrices(list(range(2 * cocycle.CHUNK)))
+
+
+def test_singular_generator_surfaces_its_log_warning():
+    def run(loop):
+        gen = MatrixGen(2, lambda x: np.diag([1.0, 0.0]), lambda x: x,
+                        bound_m=1.0)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            return loop(gen, 0.5, cocycle.CHUNK + 1)
+    want = run(_parent_lyapunov_qr)
+    got = run(lyapunov_qr).exponents
+    assert got == want and got[-1] == -math.inf
 
 
 def test_lyapunov_qr_overflowing_block_raises_like_parent_loop():
@@ -550,6 +632,17 @@ def test_stacked_backward_pass_matches_single_orbit_passes(d, ell, stack,
     orbits = [gen.orbit(rng.randrange(ell), n) for _ in range(stack)]
     got = cocycle._right_subspace_bases(gen, orbits)
     assert got.shape == (stack, d, d)
+    for basis, orbit in zip(got, orbits):
+        assert np.array_equal(_bits(basis),
+                              _bits(_right_subspace_basis(gen, orbit)))
+
+
+@pytest.mark.parametrize("n", [cocycle.CHUNK - 1, cocycle.CHUNK + 1,
+                               2 * cocycle.CHUNK + 1])
+def test_stacked_backward_pass_matches_single_orbits_across_chunks(n):
+    gen = random_gen(random.Random(71), 3, 3)
+    orbits = [gen.orbit(j, n) for j in range(3)]
+    got = cocycle._right_subspace_bases(gen, orbits)
     for basis, orbit in zip(got, orbits):
         assert np.array_equal(_bits(basis),
                               _bits(_right_subspace_basis(gen, orbit)))

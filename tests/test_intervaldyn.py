@@ -2,15 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from capergo.intervaldyn import (GOLDEN, BitstreamPoint, BoundaryHitError,
-                                 BudgetError, IntervalSet, PiecewiseAffineMap,
-                                 PiecewiseConstant, RestrictedLebesgue,
-                                 correlation_sequence, orbit_average,
-                                 polynomial_orbit_average,
+from capergo.intervaldyn import (BOUNDARY_SNAP, GOLDEN, BitstreamPoint,
+                                 BoundaryHitError, BudgetError, IntervalSet,
+                                 PiecewiseAffineMap, PiecewiseConstant,
+                                 RestrictedLebesgue, correlation_sequence,
+                                 orbit_average, polynomial_orbit_average,
                                  verify_eigenfunction)
 
 F = Fraction
@@ -125,6 +126,75 @@ def test_boundary_hit_raises_in_float_mode():
     mp = PiecewiseAffineMap.rotation_swap()
     with pytest.raises(BoundaryHitError):
         mp.apply(1.0 - GOLDEN)
+
+
+def _exact_compare_apply(mp, x):
+    """`apply` comparing every point against the exact branch endpoints,
+    the definition that the float branch path must reproduce."""
+    if isinstance(x, float):
+        for lo, hi, _, _ in mp.branches:
+            if lo != 0 and abs(x - float(lo)) < BOUNDARY_SNAP:
+                raise BoundaryHitError("orbit hit a branch boundary")
+    for lo, hi, s, t in mp.branches:
+        if lo <= x < hi:
+            return s * x + t
+    raise ValueError("point outside [0, c)")
+
+
+APPLY_MAPS = {
+    "rotation": PiecewiseAffineMap.rotation(GOLDEN),
+    "rotation_swap": PiecewiseAffineMap.rotation_swap(),
+    "doubling": PiecewiseAffineMap.doubling(),
+    "doubling_paste": PiecewiseAffineMap.doubling_paste(),
+    # a 1/3 cut that no float equals; and a top end 4/3 above its
+    # nearest float, where no boundary snap applies
+    "custom-thirds": PiecewiseAffineMap(
+        [(0, F(1, 3), 3, 0), (F(1, 3), 2, F(3, 5), F(-1, 5))], c=2),
+    "custom-top-4/3": PiecewiseAffineMap(
+        [(0, 1, 1, F(1, 3)), (1, F(4, 3), F(1, 2), F(-1, 2))], c=F(4, 3)),
+}
+
+
+def _near_endpoints(mp):
+    """Every endpoint's nearest float and its float neighbours."""
+    out = []
+    for lo, hi, _, _ in mp.branches:
+        for e in (float(lo), float(hi)):
+            out += [math.nextafter(e, -math.inf), e,
+                    math.nextafter(e, math.inf)]
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        y = f(*args)
+    except (ValueError, BoundaryHitError) as exc:
+        return type(exc), str(exc)
+    return type(y), repr(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(APPLY_MAPS)), st.data())
+def test_float_branch_path_matches_exact_compares(name, data):
+    mp = APPLY_MAPS[name]
+    x = data.draw(st.one_of(
+        st.sampled_from(_near_endpoints(mp) +
+                        [math.nan, math.inf, -math.inf, -0.0, -1e-300,
+                         -0.5, float(mp.c), float(mp.c) + 0.5, 1e300]),
+        st.floats(-1.0, float(mp.c) + 1.0),
+        st.floats(allow_nan=True, allow_infinity=True)))
+    assert _outcome(mp.apply, x) == _outcome(_exact_compare_apply, mp, x)
+
+
+@pytest.mark.parametrize("name", sorted(APPLY_MAPS))
+def test_every_endpoint_neighbour_matches_exact_compares(name):
+    mp = APPLY_MAPS[name]
+    for x in _near_endpoints(mp):
+        assert _outcome(mp.apply, x) == _outcome(_exact_compare_apply, mp, x)
+        # a float subclass and an exact point keep the exact-compare path
+        for y in (np.float64(x), F(x)):
+            assert _outcome(mp.apply, y) == \
+                _outcome(_exact_compare_apply, mp, y)
 
 
 # --- correlations -----------------------------------------------------------
