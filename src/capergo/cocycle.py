@@ -133,7 +133,7 @@ class MatrixGen:
     @classmethod
     def from_json(cls, obj):
         kind = obj["kind"]
-        if kind in ("table", "two_point"):
+        if kind == "table":
             gen = cls.periodic(obj["matrices"])
         elif kind == "rotation_angle":
             # L(x) = planar rotation by angle_scale * x over the circle

@@ -7,6 +7,11 @@ against a tolerance).  Each system supplies prob(p, event),
 q_measure(event) (the shared skeleton Q, or None when there is none) and
 the correlation terms P(B & T^{-i}C); one Cesaro pipeline turns them
 into every check.
+
+Alongside: the closed-form count of the paper's integer block set with
+no natural density, Koopman-von Neumann extraction of a density-zero
+exception set, the square-root sequence with no Cesaro limit, and the
+stationary-process SLLN check.
 """
 
 from __future__ import annotations
@@ -113,26 +118,25 @@ class FiniteSystem:
 @dataclass
 class IntervalSystem:
     """A piecewise-affine map with a family of restricted Lebesgue
-    measures; the shared skeleton is normalized Lebesgue on [0, c)."""
+    measures; the shared skeleton is normalized Lebesgue on [0, c).
+
+    `family` and every `p` passed to the checks hold `RestrictedLebesgue`
+    measures.
+    """
 
     map: PiecewiseAffineMap
-    family: list
+    family: list[RestrictedLebesgue]
 
-    @staticmethod
-    def _measure(p):
-        return p if isinstance(p, RestrictedLebesgue) else \
-            RestrictedLebesgue(p)
-
-    def prob(self, p, s: IntervalSet):
-        return self._measure(p)(s)
+    def prob(self, p: RestrictedLebesgue, s: IntervalSet):
+        return p(s)
 
     def q_measure(self, s: IntervalSet):
         return s.measure() / self.map.c
 
-    def correlations(self, p, b: IntervalSet, c: IntervalSet, n: int):
+    def correlations(self, p: RestrictedLebesgue, b: IntervalSet,
+                     c: IntervalSet, n: int):
         """The terms P(B & T^{-i}C) for i < n; they have no known period."""
-        return intervaldyn.correlation_sequence(
-            self._measure(p), self.map, b, c, n), None
+        return intervaldyn.correlation_sequence(p, self.map, b, c, n), None
 
 
 System = FiniteSystem | IntervalSystem
@@ -254,69 +258,19 @@ def sqrt_moment_check(sys: System, p, b, c, r, n: int,
 
 
 # ---------------------------------------------------------------------------
-# density machinery
+# density-zero sets
 
 
-class DensitySubset:
-    """A subset of the integers with window-count access.
-
-    Membership is a predicate; count_fn, when given, returns
-    |A intersect [0, n]| in closed form so huge windows stay cheap, for a
-    set of nonnegative integers.  Without it, two-sided windows enumerate
-    up to `bound`.
-    """
-
-    def __init__(self, membership: Callable[[int], bool], bound: int,
-                 count_fn: Optional[Callable[[int], int]] = None):
-        self.membership = membership
-        self.bound = bound
-        self.count_fn = count_fn
-
-    def window_count(self, n: int) -> int:
-        """|A intersect [-n, n]|."""
-        if self.count_fn is not None:
-            return self.count_fn(n)
-        if n > self.bound:
-            raise ValueError("window exceeds enumeration bound")
-        return sum(1 for k in range(-n, n + 1) if self.membership(k))
-
-    def window_density(self, n: int) -> float:
-        return self.window_count(n) / (2 * n + 1)
-
-
-def block_power_set() -> DensitySubset:
-    """The integers in some [2^{2j}, 2^{2j+1}] (endpoints included)."""
-
-    def member(k):
-        if k < 1:
-            return False
-        e = k.bit_length() - 1
-        if e % 2 == 0:
-            return True
-        return k == 1 << e  # the included right endpoint 2^{2j+1}
-
-    def count(n):
-        total = 0
-        j = 0
-        while (1 << (2 * j)) <= n:
-            lo = 1 << (2 * j)
-            hi = min(n, 2 * lo)
-            total += hi - lo + 1
-            j += 1
-        return total
-
-    return DensitySubset(member, bound=1 << 30, count_fn=count)
-
-
-def density(a: DensitySubset, windows: Sequence[int],
-            subsequences: Optional[dict] = None) -> dict:
-    """Two-sided window densities plus, for each subsequence of windows,
-    the density at its last window as the estimate."""
-    out = {"windows": {n: a.window_density(n) for n in windows}}
-    if subsequences:
-        out["subsequences"] = {label: {"estimate": a.window_density(ns[-1])}
-                               for label, ns in subsequences.items()}
-    return out
+def block_power_count(n: int) -> int:
+    """|A intersect [0, n]| for A the integers in some [2^{2j}, 2^{2j+1}]
+    (endpoints included), in closed form so huge windows stay cheap."""
+    total = 0
+    j = 0
+    while (1 << (2 * j)) <= n:
+        lo = 1 << (2 * j)
+        total += min(n, 2 * lo) - lo + 1
+        j += 1
+    return total
 
 
 KVN_LEVELS = 8

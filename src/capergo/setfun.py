@@ -91,11 +91,6 @@ class Capacity:
                             % (indices_of(a), indices_of(a | (1 << i)))
                         )
 
-    def __call__(self, event) -> Number:
-        if isinstance(event, int):
-            return self.table[event]
-        return self.table[mask_of(event)]
-
     def is_exact(self) -> bool:
         return all(is_exact(x) for x in self.table)
 
@@ -264,9 +259,10 @@ def core_vertices(mu: Capacity) -> list[list]:
     (mu(A) < 1, or a nonnegativity row), solves each as
     x = adj @ rhs / det, and keeps the nonnegative solutions that satisfy
     every constraint, deduplicated first-seen in candidate order.  Exact
-    tables stay exact (integers scaled by the lcm of the denominators);
-    a table with any float entry is solved in floats with tolerance
-    1e-9.  n is guarded by CORE_N_LIMIT.
+    tables stay exact (integers scaled by the lcm of the denominators)
+    and equal solutions are merged exactly; a table with any float entry
+    is solved in floats, and solutions merged, with tolerance 1e-9.  n is
+    guarded by CORE_N_LIMIT.
     """
     n = mu.n
     if n > CORE_N_LIMIT:
@@ -308,29 +304,29 @@ def core_vertices(mu: Capacity) -> list[list]:
         else:
             sums = subset_sums(x, 0)
             if all(map(operator.le, sums[1:full], caps[d])):
-                found.append((x, d * scale if exact else 1.0))
-    kept = _first_seen(found, max(tol, 1e-10))
-    if exact:
-        return [[Fraction(v, den) for v in row] for row, den in kept]
-    return [row for row, _ in kept]
+                found.append((x, d))
+    if not exact:
+        return _first_seen([x for x, _ in found], tol)
+    # x is the vertex times d * scale; over the common denominator
+    # lcm(det) * scale, equal vertices have equal integer rows
+    lcm = math.lcm(*caps)
+    rows = dict.fromkeys(tuple(v * (lcm // d) for v in x) for x, d in found)
+    return [[Fraction(v, lcm * scale) for v in row] for row in rows]
 
 
-def _first_seen(points: list, eps: float) -> list:
-    """The (row, den) points whose key row / den is not within eps (max
-    norm) of the key of an earlier kept point, in order.  Kept keys are
-    bucketed by their first coordinate in buckets of width 2 * eps, so
-    only the neighbouring buckets can hold a match."""
+def _first_seen(rows: list, eps: float) -> list:
+    """The float rows not within eps (max norm) of an earlier kept row, in
+    order.  Kept rows are bucketed by their first coordinate in buckets of
+    width 2 * eps, so only the neighbouring buckets can hold a match."""
     kept = []
     near = {}
-    for row, den in points:
-        # int / int rounds correctly, as float(Fraction(v, den)) does
-        key = [v / den for v in row]
-        b = math.floor(key[0] / (2 * eps))
-        if any(max(abs(x - y) for x, y in zip(key, k)) <= eps
+    for row in rows:
+        b = math.floor(row[0] / (2 * eps))
+        if any(max(abs(x - y) for x, y in zip(row, k)) <= eps
                for j in (b - 1, b, b + 1) for k in near.get(j, ())):
             continue
-        near.setdefault(b, []).append(key)
-        kept.append((row, den))
+        near.setdefault(b, []).append(row)
+        kept.append(row)
     return kept
 
 

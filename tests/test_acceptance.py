@@ -196,13 +196,11 @@ def test_criterion_05_sqrt_sequence_limits(acceptance_log):
 
 
 def test_criterion_06_no_natural_density(acceptance_log):
-    a = ergocheck.block_power_set()
     lows = [1 << (2 * k) for k in range(6, 13)]
     highs = [1 << (2 * k + 1) for k in range(6, 13)]
-    d = ergocheck.density(a, lows + highs,
-                          subsequences={"low": lows, "high": highs})
-    lo = d["subsequences"]["low"]["estimate"]
-    hi = d["subsequences"]["high"]["estimate"]
+    # two-sided window density |A & [-n, n]| / (2n + 1) at the last window
+    lo = ergocheck.block_power_count(lows[-1]) / (2 * lows[-1] + 1)
+    hi = ergocheck.block_power_count(highs[-1]) / (2 * highs[-1] + 1)
     ok = abs(lo - 1 / 6) <= 2e-2 and abs(hi - 1 / 3) <= 2e-2 \
         and hi - lo >= 0.1
     acceptance_log(6, "block set has no natural density", ok,

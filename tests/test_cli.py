@@ -153,6 +153,19 @@ def test_core_subcommand(tmp_path, capsys):
     assert parsed == [[0, 1], [1, 0]]
 
 
+def test_core_subcommand_prints_near_equal_exact_vertices(tmp_path,
+                                                          capsys):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps(
+        {"n": 2, "kind": "lambda",
+         "lambda": [["500000000001/1000000000000",
+                     "499999999999/1000000000000"], ["1/2", "1/2"]]}))
+    assert run_cli(["core", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        ["500000000001/1000000000000", "499999999999/1000000000000"],
+        ["1/2", "1/2"]]
+
+
 def test_missing_capacity_file(tmp_path):
     assert run_cli(["check-capacity", str(tmp_path / "nope.json")]) == 2
 

@@ -707,6 +707,12 @@ def test_from_json_rejects_missing_or_wrong_d(spec):
         MatrixGen.from_json(spec)
 
 
+def test_from_json_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown generator kind 'two_point'"):
+        MatrixGen.from_json({"kind": "two_point", "d": 2,
+                             "matrices": [[[2.0, 0.0], [0.0, 1.0]]]})
+
+
 def test_from_json_builds_the_declared_d():
     gen = MatrixGen.from_json({"kind": "rotation_angle", "d": 2,
                                "angle_scale": 1.3})

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capergo import ergocheck
-from capergo.ergocheck import (FiniteSystem, IntervalSystem, block_power_set,
-                               checkpoints_of, choquet_independence_check,
-                               density, extract_null_density_set,
+from capergo.ergocheck import (FiniteSystem, IntervalSystem,
+                               block_power_count, checkpoints_of,
+                               choquet_independence_check,
+                               extract_null_density_set,
                                independence_check, paper_sequence_6_remark,
                                process_slln_check, remark_sequence_value,
                                sqrt_moment_check, squared_deviation_check)
@@ -200,35 +201,29 @@ def test_sqrt_moment_bounds_follow_r_on_both_regimes():
     assert set(interval) == set(finite)
 
 
-# --- density machinery ------------------------------------------------------
+# --- the block set with no natural density ----------------------------------
 
 
-def test_density_of_evens_is_half():
-    evens = ergocheck.DensitySubset(lambda k: k % 2 == 0, bound=10 ** 6)
-    d = density(evens, [10, 1000, 10 ** 5])
-    for n, val in d["windows"].items():
-        assert abs(val - 0.5) <= 1 / (2 * n + 1)
+def _in_block_power_set(k):
+    """k lies in some [2^{2j}, 2^{2j+1}] (endpoints included)."""
+    if k < 1:
+        return False
+    e = k.bit_length() - 1
+    return e % 2 == 0 or k == 1 << e  # the included right endpoint 2^{2j+1}
 
 
 def test_block_power_set_count_matches_enumeration():
-    a = block_power_set()
     for n in (1, 2, 3, 7, 64, 100, 1024, 4096):
-        brute = sum(1 for k in range(0, n + 1) if a.membership(k))
-        assert a.count_fn(n) == brute
+        brute = sum(1 for k in range(0, n + 1) if _in_block_power_set(k))
+        assert block_power_count(n) == brute
 
 
 def test_block_power_set_subsequence_densities():
-    a = block_power_set()
-    lo = a.window_density(1 << 24)  # window 2^{2k}
-    hi = a.window_density(1 << 25)  # window 2^{2k+1}
+    lo = block_power_count(1 << 24) / ((1 << 25) + 1)  # window 2^{2k}
+    hi = block_power_count(1 << 25) / ((1 << 26) + 1)  # window 2^{2k+1}
     assert abs(lo - 1 / 6) <= 2e-2
     assert abs(hi - 1 / 3) <= 2e-2
     assert hi - lo >= 0.1  # no density exists
-
-
-def test_finite_set_has_zero_density():
-    fin = ergocheck.DensitySubset(lambda k: k in (1, 5, 9), bound=10 ** 6)
-    assert fin.window_density(10 ** 5) <= 1e-4
 
 
 # --- exception-set extraction -----------------------------------------------

@@ -184,6 +184,15 @@ def test_core_can_be_empty():
     assert core_vertices(mu) == []
 
 
+def test_core_keeps_exact_vertices_closer_than_any_float_tolerance():
+    a = F(500000000001, 10 ** 12)
+    v = UpperProbability([[a, 1 - a], [F(1, 2), F(1, 2)]])
+    verts = core_vertices(v)
+    assert verts == [[a, 1 - a], [F(1, 2), F(1, 2)]]
+    # a plain capacity with the same table reads the range off the vertices
+    assert core_range(Capacity(2, v.table), 0b10) == (1 - a, F(1, 2))
+
+
 def test_sqrt_distortion_core_vertices():
     mu = distort([F(1, 2), F(1, 2)], math.sqrt)
     verts = sorted((float(a), float(b)) for a, b in core_vertices(mu))
@@ -325,7 +334,8 @@ def _solve_linear(rows, rhs):
 def brute_force_core_vertices(mu):
     """One linear solve per (n-1)-subset of the active constraints, in
     itertools.combinations order; feasible solutions deduplicated
-    first-seen on float keys within max(tol, 1e-10)."""
+    first-seen, exactly for an exact table and on float keys within 1e-9
+    otherwise."""
     n = mu.n
     tol = 0 if mu.is_exact() else 1e-9
     full = (1 << n) - 1
@@ -343,8 +353,8 @@ def brute_force_core_vertices(mu):
         if not all(le(sum(sol[i] for i in indices_of(a)), mu.table[a], tol)
                    for a in range(1, full)):
             continue
-        keyed = [float(x) for x in sol]
-        if any(max(abs(x - y) for x, y in zip(keyed, v)) <= max(tol, 1e-10)
+        keyed = sol if tol == 0 else [float(x) for x in sol]
+        if any(max(abs(x - y) for x, y in zip(keyed, v)) <= tol
                for v in seen):
             continue
         seen.append(keyed)
