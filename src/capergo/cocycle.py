@@ -9,14 +9,13 @@ generator (a dense product over 10^4 steps is not representable in
 float64, so quantities are extracted from propagated factorizations
 instead).
 
-Generators are evaluated as (k, d, d) stacks: `MatrixGen.matrices` takes
-a list of base points, vectorized for the periodic and rotation-angle
-generators and point by point for a custom `l_of`, and checks the
-declared bound once per stack.  The long loops step the base orbit and
-read its generator stacks in chunks of CHUNK points, so generator
-evaluation leaves the per-step loop while memory stays flat in the orbit
-length.  Every result is bit for bit that of a loop evaluating one
-matrix per step.
+Generators are evaluated as (k, d, d) stacks: every `MatrixGen` is built
+from a function that maps a list of k base points to their stack, and
+`MatrixGen.matrices` checks the stack's shape and the declared bound once
+per stack.  The long loops step the base orbit and read its generator
+stacks in chunks of CHUNK points, so generator evaluation leaves the
+per-step loop while memory stays flat in the orbit length.  Every result
+is bit for bit that of a loop evaluating one matrix per step.
 """
 
 from __future__ import annotations
@@ -65,30 +64,22 @@ class MatrixGen:
     """Generator L: base point -> invertible d x d matrix, with a declared
     bound M on |log ||L||| that is checked at evaluation time.
 
-    `l_of` maps one point to one matrix.  The `periodic` and `from_json`
-    generators have no `l_of` (it is None): they evaluate whole stacks.
+    `stack_of` maps a list of k base points to the (k, d, d) stack of L at
+    each of them, in order.
     """
 
-    def __init__(self, d: int, l_of: Callable, step: Callable,
+    def __init__(self, d: int, stack_of: Callable, step: Callable,
                  bound_m: float):
         self.d = d
-        self.l_of = l_of
+        self.stack_of = stack_of
         self.step = step  # base map: point -> next point
         self.bound_m = bound_m
-        self._stack_of = self._pointwise  # points -> (k, d, d) float stack
-
-    def _pointwise(self, points) -> np.ndarray:
-        out = np.empty((len(points), self.d, self.d))
-        for j, x in enumerate(points):
-            a = np.asarray(self.l_of(x), dtype=float)
-            if a.shape != (self.d, self.d):
-                raise ValueError("generator dimension mismatch")
-            out[j] = a
-        return out
 
     def matrices(self, points) -> np.ndarray:
         """(k, d, d) stack of L at each of the k points, in order."""
-        mats = self._stack_of(points)
+        mats = np.asarray(self.stack_of(points), dtype=float)
+        if mats.shape != (len(points), self.d, self.d):
+            raise ValueError("generator dimension mismatch")
         # ||a||_F / sqrt(d) <= ||a||_2 <= ||a||_F, so a Frobenius norm
         # well inside the bound passes without the 2-norm's SVD; the
         # matrices that fail it get the SVD check, in order
@@ -126,9 +117,8 @@ class MatrixGen:
             max(abs(math.log(np.linalg.norm(np.linalg.inv(m), 2)))
                 for m in mats) + 1
         table = np.array(mats)
-        gen = cls(d, None, lambda i: (i + 1) % ell, bound)
-        gen._stack_of = lambda points: table[np.asarray(points) % ell]
-        return gen
+        return cls(d, lambda points: table[[i % ell for i in points]],
+                   lambda i: (i + 1) % ell, bound)
 
     @classmethod
     def from_json(cls, obj):
@@ -157,8 +147,7 @@ class MatrixGen:
                 out[:, 1, 0] = sin
                 return out
 
-            gen = cls(2, None, mp.apply, bound_m=1.0)
-            gen._stack_of = stack_of
+            gen = cls(2, stack_of, mp.apply, bound_m=1.0)
         else:
             raise ValueError("unknown generator kind %r" % kind)
         if obj.get("d") != gen.d:
@@ -216,18 +205,18 @@ class LyapunovSpectrum:
     exponents: list
     n: int = 0
 
-    def grouped(self, gap_tol=GAP_TOL):
-        """Distinct exponents with multiplicities, split at gaps > gap_tol."""
+    def grouped(self):
+        """Distinct exponents with multiplicities, split at gaps > GAP_TOL."""
         groups = []
         for lam in self.exponents:
-            if groups and abs(groups[-1][0][-1] - lam) <= gap_tol:
+            if groups and abs(groups[-1][0][-1] - lam) <= GAP_TOL:
                 groups[-1][0].append(lam)
             else:
                 groups.append(([lam],))
         return [(sum(g) / len(g), len(g)) for (g,) in groups]
 
 
-def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
+def lyapunov_qr(gen: MatrixGen, omega, n: int,
                 burn_in: int = None) -> LyapunovSpectrum:
     """QR-propagated exponent estimates: accumulated log-diagonals.
 
@@ -235,25 +224,17 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int, renorm_period: int = 1,
     flag; logs accumulated during the first burn_in steps (default n/5)
     are discarded and the average runs over the remaining steps.
     """
-    if n < renorm_period or renorm_period < 1:
-        raise ValueError("need n >= renorm_period >= 1")
     if burn_in is None:
         burn_in = n // 5
     if not 0 <= burn_in < n:
         raise ValueError("need 0 <= burn_in < n")
     q = np.eye(gen.d)
     logs = np.zeros(gen.d)
-    block = None
-    i = 0
-    for mats in _stacks(gen, omega, n):
-        for a in mats:
-            block = a if block is None else a @ block
-            if (i + 1) % renorm_period == 0 or i == n - 1:
-                q, r_diag = _qr(block @ q)
-                if i >= burn_in:
-                    logs += np.log(np.abs(r_diag))
-                block = None
-            i += 1
+    mats = itertools.chain.from_iterable(_stacks(gen, omega, n))
+    for i, a in enumerate(mats):
+        q, r_diag = _qr(a @ q)
+        if i >= burn_in:
+            logs += np.log(np.abs(r_diag))
     exps = sorted((logs / (n - burn_in)).tolist(), reverse=True)
     return LyapunovSpectrum(exps, n)
 

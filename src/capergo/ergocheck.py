@@ -329,18 +329,10 @@ def extract_null_density_set(seq: Sequence[float], limit: float) -> dict:
 # the no-Cesaro-limit sequence of square roots
 
 
-def remark_sequence_value(i: int) -> Fraction:
-    """Term a_i: 1/4 on blocks (2^{2k-1}, 2^{2k}], else 1/2 / 0 alternating."""
-    if i < 1:
-        raise ValueError("sequence starts at i = 1")
-    e = (i - 1).bit_length()  # smallest e with i <= 2^e
-    if e % 2 == 0:
-        return Fraction(1, 4)
-    return Fraction(1, 2) if i % 2 == 0 else Fraction(0)
-
-
 def _remark_block_sum(n: int, w) -> float:
-    """Sum of w(a_i) for i = 1..n via per-block counts."""
+    """Sum of w(a_i) for i = 1..n via per-block counts, where a_i is 1/4
+    on the blocks (2^{2k-1}, 2^{2k}] and elsewhere 1/2 at even i, 0 at
+    odd i."""
     total = 0.0
     k = 0
     while True:

@@ -138,15 +138,6 @@ def common_cond_exp(f: Sequence, t: Endomap) -> list:
     return [avg[dec["cycle_of"][i]] for i in range(t.n)]
 
 
-def birkhoff_average(f: Sequence, t: Endomap, x: int, n: int):
-    """(1/n) sum_{i<n} f(T^i x)."""
-    total = Fraction(0)
-    for _ in range(n):
-        total = total + f[x]
-        x = t(x)
-    return total / n
-
-
 def is_invariant_capacity(mu: Capacity, t: Endomap) -> bool:
     if mu.n != t.n:
         raise ValueError("capacity on %d points, endomap on %d" % (mu.n, t.n))

@@ -91,12 +91,6 @@ class IntervalSet:
             out.append((prev, self.c))
         return IntervalSet(out, self.c)
 
-    def contains(self, x) -> bool:
-        for a, b in self.intervals:
-            if a <= x < b:
-                return True
-        return False
-
     def _check(self, other):
         if self.c != other.c:
             raise ValueError("mismatched circumference")
@@ -128,12 +122,14 @@ class PiecewiseAffineMap:
     """Branch list (lo, hi, slope, intercept): x -> slope*x + intercept.
 
     Branch domains partition [0, c) and each branch image already lies in
-    [0, c), so applying the map never needs an explicit mod.
+    [0, c), so applying the map never needs an explicit mod.  `kind` names
+    the closed forms that the correlations and orbit averages may use; only
+    the named constructors set it, so it always matches the branches.
     """
 
-    def __init__(self, branches, c=2, kind="custom"):
+    def __init__(self, branches, c=2):
         self.c = parse(c)
-        self.kind = kind
+        self.kind = "custom"
         self.branches = [(parse(lo), parse(hi), parse(s), parse(t))
                          for lo, hi, s, t in branches]
         self.expanding = any(abs(b[2]) > 1 for b in self.branches)
@@ -182,18 +178,24 @@ class PiecewiseAffineMap:
         return IntervalSet(out, self.c)
 
     @classmethod
+    def _named(cls, kind, branches, c):
+        mp = cls(branches, c)
+        mp.kind = kind
+        return mp
+
+    @classmethod
     def rotation(cls, alpha, c=1):
-        alpha = parse(alpha) % parse(c)
+        c = parse(c)
+        alpha = parse(alpha) % c
         if alpha == 0:
-            return cls([(0, c, 1, 0)], c, kind="rotation")
-        return cls([(0, parse(c) - alpha, 1, alpha),
-                    (parse(c) - alpha, c, 1, alpha - parse(c))],
-                   c, kind="rotation")
+            return cls._named("rotation", [(0, c, 1, 0)], c)
+        return cls._named("rotation", [(0, c - alpha, 1, alpha),
+                                       (c - alpha, c, 1, alpha - c)], c)
 
     @classmethod
     def doubling(cls):
-        return cls([(0, Fraction(1, 2), 2, 0), (Fraction(1, 2), 1, 2, -1)],
-                   c=1, kind="doubling")
+        return cls._named("doubling", [(0, Fraction(1, 2), 2, 0),
+                                       (Fraction(1, 2), 1, 2, -1)], c=1)
 
     @classmethod
     def rotation_swap(cls, alpha=GOLDEN):
@@ -201,16 +203,16 @@ class PiecewiseAffineMap:
         if not 0 < alpha < 1:
             raise ValueError("alpha must lie in (0,1)")
         # [0,1) rotates by alpha then moves up to [1,2); [1,2) drops down
-        return cls([(0, 1 - alpha, 1, alpha + 1),
-                    (1 - alpha, 1, 1, alpha),
-                    (1, 2, 1, -1)], c=2, kind="rotation_swap")
+        return cls._named("rotation_swap", [(0, 1 - alpha, 1, alpha + 1),
+                                            (1 - alpha, 1, 1, alpha),
+                                            (1, 2, 1, -1)], c=2)
 
     @classmethod
     def doubling_paste(cls):
         # [0,1) doubles mod 1 then moves up to [1,2); [1,2) drops down
-        return cls([(0, Fraction(1, 2), 2, 1),
-                    (Fraction(1, 2), 1, 2, 0),
-                    (1, 2, 1, -1)], c=2, kind="doubling_paste")
+        return cls._named("doubling_paste", [(0, Fraction(1, 2), 2, 1),
+                                             (Fraction(1, 2), 1, 2, 0),
+                                             (1, 2, 1, -1)], c=2)
 
 
 class PiecewiseConstant:

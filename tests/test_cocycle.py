@@ -25,6 +25,14 @@ def two_cycle_gen():
     return MatrixGen.periodic([np.diag([2.0, 1.0]), np.diag([1.0, 0.5])])
 
 
+def pointwise_gen(d, l_of, step, bound_m):
+    """A generator given one matrix per base point, as a stack function."""
+    def stack_of(points):
+        return np.array([l_of(x) for x in points] or np.empty((0, d, d)),
+                        dtype=float)
+    return MatrixGen(d, stack_of, step, bound_m)
+
+
 def random_gen(rng, d, ell):
     mats = []
     while len(mats) < ell:
@@ -33,6 +41,18 @@ def random_gen(rng, d, ell):
         if abs(np.linalg.det(m)) > 0.05:
             mats.append(m)
     return MatrixGen.periodic(mats)
+
+
+def _skew_matrix(x):
+    return [[2.0, math.cos(2 * math.pi * x)], [0.0, 0.5]]
+
+
+def _skew_gen():
+    """Upper-triangular generator over the golden rotation: exponents
+    +-log 2, with a slow direction that moves with the base point."""
+    from capergo.intervaldyn import GOLDEN, PiecewiseAffineMap
+    base = PiecewiseAffineMap.rotation(GOLDEN, c=1)
+    return pointwise_gen(2, _skew_matrix, base.apply, bound_m=2.0)
 
 
 # --- dense products ---------------------------------------------------------
@@ -76,8 +96,8 @@ def test_dense_product_overflow_raises():
 
 
 def test_generator_bound_is_enforced():
-    gen = MatrixGen(2, lambda i: np.diag([100.0, 1.0]),
-                    lambda i: i, bound_m=0.5)
+    gen = pointwise_gen(2, lambda i: np.diag([100.0, 1.0]),
+                        lambda i: i, bound_m=0.5)
     with pytest.raises(ValueError):
         gen.matrix(0)
 
@@ -114,7 +134,8 @@ def test_frobenius_shortcut_agrees_with_svd_bound(case):
             svd_calls.append(1)
         return real_norm(x, ord, *args, **kwargs)
 
-    gen = MatrixGen(a.shape[0], lambda x: a, lambda x: x, bound_m=bound_m)
+    gen = pointwise_gen(a.shape[0], lambda x: a, lambda x: x,
+                        bound_m=bound_m)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(np.linalg, "norm", norm)
         try:
@@ -152,16 +173,28 @@ def test_stacks_equal_per_point_matrices_bit_for_bit():
         assert np.array_equal(_bits(gen.matrix(0.0)), _bits(want[0]))
     skew = _skew_gen()
     pts = skew.orbit(0.1234, 30)
-    want = np.array([np.asarray(skew.l_of(x), dtype=float) for x in pts])
+    want = np.array([_skew_matrix(x) for x in pts])
     assert np.array_equal(_bits(skew.matrices(pts)), _bits(want))
-    assert skew.matrices([]).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("make_gen", [
+    two_cycle_gen,
+    lambda: _rotation_gen(1.0),
+    _skew_gen,
+], ids=["periodic", "rotation_angle", "pointwise"])
+def test_matrices_of_no_points_is_an_empty_stack(make_gen):
+    gen = make_gen()
+    assert gen.matrices([]).shape == (0, gen.d, gen.d)
 
 
 def test_matrices_reject_a_wrongly_shaped_custom_matrix():
-    gen = MatrixGen(2, lambda x: np.eye(3) if x == 4 else np.eye(2),
-                    lambda x: x + 1, bound_m=1.0)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        gen.matrices(gen.orbit(0, 10))
+    wrong_d = MatrixGen(2, lambda pts: np.tile(np.eye(3), (len(pts), 1, 1)),
+                        lambda x: x + 1, bound_m=1.0)
+    extra = MatrixGen(2, lambda pts: np.tile(np.eye(2), (len(pts) + 1, 1, 1)),
+                      lambda x: x + 1, bound_m=1.0)
+    for gen in (wrong_d, extra):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gen.matrices(gen.orbit(0, 10))
     with pytest.raises(ValueError, match="dimension mismatch"):
         MatrixGen.periodic([np.eye(2), np.eye(3)])
 
@@ -313,23 +346,17 @@ def test_lean_qr_matches_numpy_bit_for_bit(a):
     assert np.array_equal(_bits(a), _bits(before))  # input left unmodified
 
 
-def _parent_lyapunov_qr(gen, omega, n, renorm_period=1, burn_in=None):
-    """The QR loop with identity-started renormalization blocks and
+def _parent_lyapunov_qr(gen, omega, n, burn_in=None):
+    """The QR loop evaluating one matrix per step and factoring it with
     `np.linalg.qr`, as the lean loop must reproduce bit for bit."""
     if burn_in is None:
         burn_in = n // 5
-    d = gen.d
-    q, logs, x = np.eye(d), np.zeros(d), omega
-    block, steps = np.eye(d), 0
+    q, logs, x = np.eye(gen.d), np.zeros(gen.d), omega
     for i in range(n):
-        block = gen.matrix(x) @ block
+        q, r = np.linalg.qr(gen.matrix(x) @ q)
         x = gen.step(x)
-        steps += 1
-        if steps == renorm_period or i == n - 1:
-            q, r = np.linalg.qr(block @ q)
-            if i >= burn_in:
-                logs += np.log(np.abs(np.diag(r)))
-            block, steps = np.eye(d), 0
+        if i >= burn_in:
+            logs += np.log(np.abs(np.diag(r)))
     return sorted((logs / (n - burn_in)).tolist(), reverse=True)
 
 
@@ -337,7 +364,7 @@ def _transient_gen():
     """A tail point 0 feeding the 2-cycle {1, 2}."""
     t = Endomap([1, 2, 1])
     mats = [np.diag([3.0, 1.0]), np.diag([2.0, 1.0]), np.diag([1.0, 0.5])]
-    return MatrixGen(2, lambda i: mats[i], lambda i: t(i), bound_m=3.0)
+    return pointwise_gen(2, lambda i: mats[i], lambda i: t(i), bound_m=3.0)
 
 
 def _rotation_gen(scale):
@@ -345,7 +372,7 @@ def _rotation_gen(scale):
                                 "angle_scale": scale})
 
 
-@pytest.mark.parametrize("renorm_period", [1, 2, 7])
+@pytest.mark.parametrize("chunk", [1, 2, 7, cocycle.CHUNK])
 @pytest.mark.parametrize("make_gen, omega", [
     (lambda: random_gen(random.Random(60), 2, 3), 0),
     (lambda: random_gen(random.Random(61), 3, 4), 1),
@@ -355,27 +382,26 @@ def _rotation_gen(scale):
     (_transient_gen, 0),
 ], ids=["periodic-d2", "periodic-d3", "separated-d3", "rotation-x0-zero",
         "rotation-random-x0", "transient"])
-def test_lyapunov_qr_matches_parent_loop(make_gen, omega, renorm_period):
-    # 601 is a multiple of neither 2 nor 7, so the last block is short;
-    # around CHUNK and past 2 CHUNK, stacks end mid-block unless
-    # renorm_period divides CHUNK, and burn_in = CHUNK + 3 ends in a
-    # later stack
-    chunk = cocycle.CHUNK
+def test_lyapunov_qr_matches_parent_loop(monkeypatch, make_gen, omega,
+                                        chunk):
+    # the result must not depend on how the orbit is cut into stacks: n
+    # runs round the chunk boundaries, 601 leaves a short last stack for
+    # every chunk size here, and burn_in = chunk + 3 ends in a later stack
+    monkeypatch.setattr(cocycle, "CHUNK", chunk)
     for n in (601, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         for burn_in in (None, 0, 7, chunk + 3):
-            if burn_in is not None and burn_in >= n:
+            if n < 1 or burn_in is not None and burn_in >= n:
                 continue
-            want = _parent_lyapunov_qr(make_gen(), omega, n, renorm_period,
-                                       burn_in)
-            got = lyapunov_qr(make_gen(), omega, n, renorm_period, burn_in)
+            want = _parent_lyapunov_qr(make_gen(), omega, n, burn_in)
+            got = lyapunov_qr(make_gen(), omega, n, burn_in)
             assert got.exponents == want
 
 
 def _bound_breaking_gen(at):
     """Identity everywhere on the shift x -> x + 1 except at point `at`,
     where the matrix breaks the declared bound."""
-    return MatrixGen(2, lambda x: np.diag([100.0, 1.0]) if x == at
-                     else np.eye(2), lambda x: x + 1, bound_m=0.5)
+    return pointwise_gen(2, lambda x: np.diag([100.0, 1.0]) if x == at
+                         else np.eye(2), lambda x: x + 1, bound_m=0.5)
 
 
 @pytest.mark.parametrize("at", [cocycle.CHUNK // 2, cocycle.CHUNK + 7])
@@ -386,32 +412,21 @@ def test_bound_violation_mid_chunk_raises_the_per_point_message(at):
             run(_bound_breaking_gen(at), 0, 2 * cocycle.CHUNK)
         errors.append(str(info.value))
     assert errors == ["declared log-norm bound violated"] * 2
-    zero = MatrixGen(2, lambda x: np.zeros((2, 2)) if x == at
-                     else np.eye(2), lambda x: x + 1, bound_m=0.5)
+    zero = pointwise_gen(2, lambda x: np.zeros((2, 2)) if x == at
+                         else np.eye(2), lambda x: x + 1, bound_m=0.5)
     with pytest.raises(ValueError, match="invertible and finite"):
         zero.matrices(list(range(2 * cocycle.CHUNK)))
 
 
 def test_singular_generator_surfaces_its_log_warning():
     def run(loop):
-        gen = MatrixGen(2, lambda x: np.diag([1.0, 0.0]), lambda x: x,
-                        bound_m=1.0)
+        gen = pointwise_gen(2, lambda x: np.diag([1.0, 0.0]), lambda x: x,
+                            bound_m=1.0)
         with pytest.warns(RuntimeWarning, match="divide by zero"):
             return loop(gen, 0.5, cocycle.CHUNK + 1)
     want = run(_parent_lyapunov_qr)
     got = run(lyapunov_qr).exponents
     assert got == want and got[-1] == -math.inf
-
-
-def test_lyapunov_qr_overflowing_block_raises_like_parent_loop():
-    gen = diag_gen(1e10, 1.0)  # a 40-step block overflows float range
-    errors = []
-    for run in (_parent_lyapunov_qr, lyapunov_qr):
-        with np.errstate(over="raise"), \
-                pytest.raises(FloatingPointError) as info:
-            run(gen, 0, 200, renorm_period=40)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
 
 
 def test_monodromy_fixed_point_diag():
@@ -533,22 +548,12 @@ def _right_subspace_basis(gen, orbit):
     return q
 
 
-def _skew_gen():
-    """Upper-triangular generator over the golden rotation: exponents
-    +-log 2, with a slow direction that moves with the base point."""
-    from capergo.intervaldyn import GOLDEN, PiecewiseAffineMap
-    base = PiecewiseAffineMap.rotation(GOLDEN, c=1)
-    return MatrixGen(2, lambda x: [[2.0, math.cos(2 * math.pi * x)],
-                                   [0.0, 0.5]], base.apply, bound_m=2.0)
-
-
-def _parent_oseledets_filtration(gen, omega, n, gap_tol=cocycle.GAP_TOL,
-                                 seed=0):
+def _parent_oseledets_filtration(gen, omega, n, seed=0):
     """The filtration as computed with period + 2 separate backward passes
     on a periodic base: omega, T omega, then every cycle point again."""
     rsb = _right_subspace_basis
     rng = random.Random(seed)
-    groups = lyapunov_qr(gen, omega, n).grouped(gap_tol)
+    groups = lyapunov_qr(gen, omega, n).grouped()
     basis = rsb(gen, gen.orbit(omega, n))
     basis_next = rsb(gen, gen.orbit(gen.step(omega), n))
     filtration, s = [], 0

@@ -12,7 +12,7 @@ from capergo.ergocheck import (FiniteSystem, IntervalSystem,
                                choquet_independence_check,
                                extract_null_density_set,
                                independence_check, paper_sequence_6_remark,
-                               process_slln_check, remark_sequence_value,
+                               process_slln_check,
                                sqrt_moment_check, squared_deviation_check)
 from capergo.finitedyn import Endomap, is_invariant_capacity, skeleton
 from capergo.intervaldyn import (IntervalSet, PiecewiseAffineMap,
@@ -346,6 +346,14 @@ def test_extraction_matches_parent_extraction(case):
 
 
 # --- the no-limit sqrt sequence ---------------------------------------------
+
+
+def remark_sequence_value(i: int) -> Fraction:
+    """Term a_i: 1/4 on blocks (2^{2k-1}, 2^{2k}], else 1/2 / 0 alternating."""
+    e = (i - 1).bit_length()  # smallest e with i <= 2^e
+    if e % 2 == 0:
+        return Fraction(1, 4)
+    return Fraction(1, 2) if i % 2 == 0 else Fraction(0)
 
 
 def test_remark_sequence_block_sums_match_brute_force():

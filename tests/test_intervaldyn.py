@@ -59,12 +59,6 @@ def test_set_algebra_laws_random():
         assert a.union(b).complement() == a.complement().intersect(b.complement())
 
 
-def test_contains_respects_half_open_ends():
-    s = IntervalSet([(F(1, 4), F(1, 2))], c=2)
-    assert s.contains(F(1, 4))
-    assert not s.contains(F(1, 2))
-
-
 # --- piecewise affine maps --------------------------------------------------
 
 
@@ -88,6 +82,11 @@ def test_doubling_preimage_of_lower_half():
     assert mp.preimage(s) == expect
 
 
+def contains(s, x):
+    """Membership of x in the half-open pieces of s."""
+    return any(a <= x < b for a, b in s.intervals)
+
+
 def test_preimage_membership_oracle():
     rng = random.Random(22)
     maps = [PiecewiseAffineMap.rotation_swap(F(3, 10)),
@@ -99,7 +98,7 @@ def test_preimage_membership_oracle():
             pre = mp.preimage(s)
             for k in range(0, 200):
                 x = F(k * mp.c, 200) + F(1, 1000)
-                assert pre.contains(x) == s.contains(mp.apply(x))
+                assert contains(pre, x) == contains(s, mp.apply(x))
 
 
 def test_preimage_preserves_measure():
@@ -221,12 +220,25 @@ def test_doubling_halves_mix():
                                   PiecewiseAffineMap.rotation_swap,
                                   lambda: PiecewiseAffineMap(
                                       PiecewiseAffineMap.doubling().branches,
-                                      c=1, kind="custom")])
+                                      c=1)])
 def test_correlation_sequence_has_n_terms_on_every_map_kind(make, n):
     mp = make()
     b = IntervalSet([(0, F(1, 2))], c=mp.c)
     p = RestrictedLebesgue(IntervalSet([(0, mp.c)], c=mp.c))
     assert len(correlation_sequence(p, mp, b, b, n)) == n
+
+
+def test_constructor_rejects_a_kind_the_branches_may_not_have():
+    # a kind selects a closed form: the identity declared as the doubling
+    # map got the doubling correlations [1/2, 1/4, 1/4, 1/4]
+    identity = [(0, 1, 1, 0)]
+    with pytest.raises(TypeError):
+        PiecewiseAffineMap(identity, c=1, kind="doubling")
+    mp = PiecewiseAffineMap(identity, c=1)
+    assert mp.kind == "custom"
+    b = IntervalSet([(0, F(1, 2))], c=1)
+    p = RestrictedLebesgue(IntervalSet([(0, 1)], c=1))
+    assert correlation_sequence(p, mp, b, b, 4) == [F(1, 2)] * 4
 
 
 def test_rotation_swap_fast_path_matches_iterated_preimage():
@@ -271,7 +283,7 @@ def test_rotation_fast_path_stays_exact_for_rational_alpha(kind, alpha, data,
     else:
         b, c_set, window = (data.draw(exact_sets(c)) for _ in range(3))
     p = RestrictedLebesgue(window)
-    generic = PiecewiseAffineMap(mp.branches, c=mp.c, kind="custom")
+    generic = PiecewiseAffineMap(mp.branches, c=mp.c)
     fast = correlation_sequence(p, mp, b, c_set, n)
     assert fast == correlation_sequence(p, generic, b, c_set, n)
     assert all(type(x) is F for x in fast)
@@ -288,7 +300,7 @@ def test_rotation_fast_path_matches_preimage_path_for_float_alpha(kind, alpha,
         mp, c = PiecewiseAffineMap.rotation_swap(alpha), 2
     b, c_set, window = (data.draw(exact_sets(c)) for _ in range(3))
     p = RestrictedLebesgue(window)
-    generic = PiecewiseAffineMap(mp.branches, c=mp.c, kind="custom")
+    generic = PiecewiseAffineMap(mp.branches, c=mp.c)
     fast = correlation_sequence(p, mp, b, c_set, n)
     slow = correlation_sequence(p, generic, b, c_set, n)
     assert len(fast) == len(slow) == n
@@ -318,7 +330,7 @@ def test_doubling_fast_path_matches_iterated_preimage(sets, n):
     generic path's exact term on the floats' exact values."""
     b, c_set, window = sets
     mp = PiecewiseAffineMap.doubling()
-    generic = PiecewiseAffineMap(mp.branches, c=1, kind="custom")
+    generic = PiecewiseAffineMap(mp.branches, c=1)
     fast = correlation_sequence(RestrictedLebesgue(window), mp, b, c_set, n)
     slow = correlation_sequence(RestrictedLebesgue(window), generic, b,
                                 c_set, n)
