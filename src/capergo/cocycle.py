@@ -35,6 +35,7 @@ from .numeric import parse
 
 GAP_TOL = 1e-3
 CHUNK = 512  # base points per generator stack in the long loops
+PERIOD_LIMIT = 64  # longest base cycle that oseledets_filtration detects
 
 
 def _raise_qr_error(err, flag):
@@ -136,7 +137,7 @@ class MatrixGen:
                 raise ValueError("angle_scale must be a finite number, "
                                  "not %r" % (scale,))
             scale = float(scale)
-            mp = PiecewiseAffineMap.rotation(GOLDEN, c=1)
+            mp = PiecewiseAffineMap.rotation(GOLDEN)
 
             def stack_of(points):
                 th = scale * np.array(points, dtype=float)
@@ -319,8 +320,8 @@ def _right_subspace_bases(gen: MatrixGen, orbits: Sequence) -> np.ndarray:
 
 
 def principal_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    qu, _ = np.linalg.qr(u)
-    qv, _ = np.linalg.qr(v)
+    qu, _ = _qr(u)
+    qv, _ = _qr(v)
     sv = np.linalg.svd(qu.T @ qv, compute_uv=False)
     sv = np.clip(sv, -1.0, 1.0)
     return np.arccos(sv)
@@ -417,13 +418,13 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
                            checks)
 
 
-def _detect_period(gen, omega, limit: int = 64):
+def _detect_period(gen, omega):
     try:
         hash(omega)
     except TypeError:
         return 0
     x = gen.step(omega)
-    for ell in range(1, limit + 1):
+    for ell in range(1, PERIOD_LIMIT + 1):
         if x == omega:
             return ell
         x = gen.step(x)

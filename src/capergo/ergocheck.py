@@ -1,7 +1,7 @@
 """Cesaro-characterization checks of ergodicity and weak mixing.
 
 The checks run on a system of either regime: a `FiniteSystem` (exact
-rational limits via cycle periodicity, tolerance zero) or an
+limits via cycle periodicity, compared under `numeric.close`) or an
 `IntervalSystem` (partial Cesaro means at checkpoints N/8, N/4, N/2, N
 against a tolerance).  Each system supplies prob(p, event),
 q_measure(event) (the shared skeleton Q, or None when there is none) and
@@ -31,8 +31,10 @@ from .setfun import UpperProbability, choquet_integral, indices_of
 
 
 def checkpoints_of(n: int) -> list[int]:
-    pts = sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
-    return pts
+    """N/8, N/4, N/2 and N, for a horizon N >= 1."""
+    if n < 1:
+        raise ValueError("horizon must be >= 1, not %r" % (n,))
+    return sorted({max(1, n // 8), max(1, n // 4), max(1, n // 2), n})
 
 
 @dataclass
@@ -57,7 +59,9 @@ class ConvergenceReport:
     @property
     def verdict(self) -> bool:
         dev = self.final_deviation
-        return dev is not None and dev <= self.tolerance
+        if dev is None or self.exact_limit is None or self.tolerance:
+            return dev is not None and dev <= self.tolerance
+        return close(self.exact_limit, self.target)
 
     def csv_rows(self):
         rows = [("checkpoint", "partial_mean", "target", "deviation")]
@@ -142,12 +146,11 @@ class IntervalSystem:
 System = FiniteSystem | IntervalSystem
 
 
-def _cesaro(sys: System, p, b, c, n: int, transform: Callable):
-    """Checkpoints, partial Cesaro means of transform(P(B & T^{-i}C)) at
-    them, and the exact limit (the mean over one period) when the terms
-    are eventually periodic, else None."""
-    pts = checkpoints_of(n)
-    terms, cycle = sys.correlations(p, b, c, n)
+def _cesaro(sys: System, p, b, c, pts: list, transform: Callable):
+    """Partial Cesaro means of transform(P(B & T^{-i}C)) at the
+    checkpoints pts, and the exact limit (the mean over one period) when
+    the terms are eventually periodic, else None."""
+    terms, cycle = sys.correlations(p, b, c, pts[-1])
     partials = []
     total = Fraction(0)
     k = 0
@@ -159,7 +162,7 @@ def _cesaro(sys: System, p, b, c, n: int, transform: Callable):
     limit = None
     if cycle is not None:
         limit = sum(map(transform, cycle), Fraction(0)) / len(cycle)
-    return pts, partials, limit
+    return partials, limit
 
 
 def _skeleton_check(name, sys, p, b, c, n, tol, float_tol, transform,
@@ -167,16 +170,16 @@ def _skeleton_check(name, sys, p, b, c, n, tol, float_tol, transform,
     """Cesaro report for transform(term, center) against target(center),
     where center = P(B) Q(C) for the shared skeleton Q.
 
-    The tolerance defaults to 0 against an exact limit and to float_tol
-    against partial means.
+    The tolerance defaults to 0 against an exact limit (equality under
+    `numeric.close`) and to float_tol against partial means.
     """
+    pts = checkpoints_of(n)
     q = sys.q_measure(c)
     if q is None:
-        return ConvergenceReport(name, checkpoints_of(n), [], 0, 0,
-                                 status="no-skeleton")
+        return ConvergenceReport(name, pts, [], 0, 0, status="no-skeleton")
     center = sys.prob(p, b) * q
-    pts, partials, limit = _cesaro(sys, p, b, c, n,
-                                   lambda x: transform(x, center))
+    partials, limit = _cesaro(sys, p, b, c, pts,
+                              lambda x: transform(x, center))
     if tol is None:
         tol = float_tol if limit is None else 0
     return ConvergenceReport(name, pts, partials, target(center), tol,
@@ -244,7 +247,8 @@ def sqrt_moment_check(sys: System, p, b, c, r, n: int,
     exact limit is checked against them when the terms are eventually
     periodic, else the partial means from N/2 on.
     """
-    pts, partials, limit = _cesaro(sys, p, b, c, n, lambda x: float(x) ** r)
+    pts = checkpoints_of(n)
+    partials, limit = _cesaro(sys, p, b, c, pts, lambda x: float(x) ** r)
     pb, pc = float(sys.prob(p, b)), float(sys.prob(p, c))
     lower, upper = pb ** r * pc, pb ** r * pc ** r
     if limit is None:
@@ -287,6 +291,7 @@ def extract_null_density_set(seq: Sequence[float], limit: float) -> dict:
     over the horizon.  Blocks run up to m = KVN_LEVELS.
     """
     horizon = len(seq)
+    pts = checkpoints_of(horizon)
     devs = [abs(x - limit) for x in seq]
     cesaro_tail = sum(devs) / horizon
     if cesaro_tail > 1.0 / (KVN_LEVELS + 1):
@@ -317,7 +322,6 @@ def extract_null_density_set(seq: Sequence[float], limit: float) -> dict:
         off = [d for d in devs[lo:hi] if not d > 1.0 / m]
         off_dev.append({"block_threshold": 1.0 / m,
                         "max_off_deviation": max(off, default=0.0)})
-    pts = checkpoints_of(horizon)
     return {"refused": False, "indices": j,
             "certificate": {"checkpoints": pts,
                             "window_density": [bisect.bisect_left(j, n) / n

@@ -124,7 +124,7 @@ class PiecewiseAffineMap:
     Branch domains partition [0, c) and each branch image already lies in
     [0, c), so applying the map never needs an explicit mod.  `kind` names
     the closed forms that the correlations and orbit averages may use; only
-    the named constructors set it, so it always matches the branches.
+    `doubling` and `rotation_swap` set it, so it always matches the branches.
     """
 
     def __init__(self, branches, c=2):
@@ -184,13 +184,13 @@ class PiecewiseAffineMap:
         return mp
 
     @classmethod
-    def rotation(cls, alpha, c=1):
-        c = parse(c)
-        alpha = parse(alpha) % c
+    def rotation(cls, alpha):
+        """x -> x + alpha mod 1 on the unit circle."""
+        alpha = parse(alpha) % 1
         if alpha == 0:
-            return cls._named("rotation", [(0, c, 1, 0)], c)
-        return cls._named("rotation", [(0, c - alpha, 1, alpha),
-                                       (c - alpha, c, 1, alpha - c)], c)
+            return cls([(0, 1, 1, 0)], c=1)
+        return cls([(0, 1 - alpha, 1, alpha), (1 - alpha, 1, 1, alpha - 1)],
+                   c=1)
 
     @classmethod
     def doubling(cls):
@@ -210,9 +210,8 @@ class PiecewiseAffineMap:
     @classmethod
     def doubling_paste(cls):
         # [0,1) doubles mod 1 then moves up to [1,2); [1,2) drops down
-        return cls._named("doubling_paste", [(0, Fraction(1, 2), 2, 1),
-                                             (Fraction(1, 2), 1, 2, 0),
-                                             (1, 2, 1, -1)], c=2)
+        return cls([(0, Fraction(1, 2), 2, 1), (Fraction(1, 2), 1, 2, 0),
+                    (1, 2, 1, -1)], c=2)
 
 
 class PiecewiseConstant:
@@ -260,24 +259,33 @@ class PiecewiseConstant:
 
 def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
                          b: IntervalSet, c_set: IntervalSet, n: int) -> list:
-    """Terms P(B intersect T^{-i} C) for i = 0 .. n-1.
+    """Terms P(B intersect T^{-i} C) for i = 0 .. n-1, from the preimages
+    of C; expanding maps may take at most DOUBLING_BUDGET preimage steps.
+    B, C and the window must lie on the map's circle.
 
-    For the plain doubling map each term i >= 1 comes from the identity
+    Closed forms: for the doubling map each term i >= 1 comes from
     Leb([a,b) & T^{-i}C) = (b-a)|C| + (H(2^i b mod 1) - H(2^i a mod 1))/2^i
     with H(u) = |C & [0,u)| - u|C|, summed over the pieces [a, b) of B
     within the window.  Endpoints are carried as u -> 2u mod 1 and keep
     their input denominators, so the exponential interval blowup (and with
     it the iterate budget) disappears; the terms are Fractions, exact on
     float endpoints too, and past the dyadic level of every such endpoint
-    they equal P(B)|C|.  Other expanding maps may take at most DOUBLING_BUDGET
-    preimage steps.
+    they equal P(B)|C|.  For the rotation-swap map with a float among
+    alpha and the endpoints of C and of B within the window, the terms are
+    float overlaps of B with rotates of C's two unit halves; all-exact
+    inputs take the preimage path and give Fractions.
     """
+    if any(s.c != mp.c for s in (b, c_set, p.window)):
+        raise ValueError("mismatched circumference")
     if n < 1:
         return []
     if mp.kind == "doubling":
         return _doubling_correlations(p, b, c_set, n)
-    if mp.kind == "rotation_swap" or (mp.kind == "rotation" and mp.c == 1):
-        return _rotation_correlations(p, mp, b, c_set, n)
+    if mp.kind == "rotation_swap":
+        bw = b.intersect(p.window)
+        ends = [v for s in (bw, c_set) for piece in s.intervals for v in piece]
+        if not all(map(is_exact, [mp.branches[0][3]] + ends)):
+            return _swap_correlations(mp, bw, c_set, n)
     if mp.expanding and n - 1 > DOUBLING_BUDGET:
         raise BudgetError("preimage budget exceeded at iterate %d"
                           % (DOUBLING_BUDGET + 1))
@@ -291,12 +299,9 @@ def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
 
 
 def _rot_overlap(x_pieces, y_pieces, t):
-    """Measure of X intersected with the unit-circle rotate of Y by -t.
-
-    Exact when t and every endpoint are Fractions, float when t is.
-    """
+    """Measure of X intersected with the unit-circle rotate of Y by -t."""
     t = t % 1
-    total = 0.0 if isinstance(t, float) else Fraction(0)
+    total = 0.0
     for a, b in y_pieces:
         a2 = (a - t) % 1
         b2 = a2 + (b - a)
@@ -310,9 +315,11 @@ def _rot_overlap(x_pieces, y_pieces, t):
 
 
 def _split_halves(pieces):
-    """Split [0,2) pieces into lower and (down-shifted) upper unit parts."""
+    """Split [0,2) pieces into float lower and (down-shifted) upper unit
+    parts."""
     low, up = [], []
     for a, b in pieces:
+        a, b = float(a), float(b)
         if a < 1:
             low.append((a, min(b, 1)))
         if b > 1:
@@ -320,38 +327,21 @@ def _split_halves(pieces):
     return low, up
 
 
-def _rotation_correlations(p, mp, b, c_set, n):
-    """Closed-form terms for the circle rotation and the rotation-swap map.
+def _swap_correlations(mp, bw, c_set, n):
+    """Float terms for the rotation-swap map, B already cut to the window.
 
-    The i-th preimage is a rotate of C (rotation) or, for the swap map, a
-    parity-alternating pair of rotates of C's two unit halves: the square
-    of the swap map rotates each half by alpha.  The terms are Fractions
-    when alpha and every endpoint of C and of B within the window are,
-    and floats otherwise.
+    The i-th preimage of C is a parity-alternating pair of rotates of C's
+    two unit halves: the square of the swap map rotates each half by alpha.
     """
-    bw = b.intersect(p.window)
-    ends = [v for s in (bw, c_set) for piece in s.intervals for v in piece]
-    exact = is_exact(mp.branches[0][3]) and all(map(is_exact, ends))
-    num = Fraction if exact else float
-    bw_f = [(num(a), num(hi)) for a, hi in bw.intervals]
-    if mp.kind == "rotation":
-        alpha = num(mp.branches[0][3]) % 1
-        cf = [(num(a), num(hi)) for a, hi in c_set.intervals]
-        return [_rot_overlap(bw_f, cf, (i * alpha) % 1) for i in range(n)]
-    alpha = num(mp.branches[0][3]) - 1  # lower branch sends x to x+a+1
-    x_low, x_up = _split_halves(bw_f)
-    y0, y1 = _split_halves([(num(a), num(hi))
-                            for a, hi in c_set.intervals])
+    alpha = float(mp.branches[0][3]) - 1  # lower branch sends x to x+a+1
+    x_low, x_up = _split_halves(bw.intervals)
+    y0, y1 = _split_halves(c_set.intervals)
     out = []
     for i in range(n):
-        k = i // 2
-        if i % 2 == 0:
-            val = _rot_overlap(x_low, y0, (k * alpha) % 1) + \
-                _rot_overlap(x_up, y1, (k * alpha) % 1)
-        else:
-            val = _rot_overlap(x_low, y1, ((k + 1) * alpha) % 1) + \
-                _rot_overlap(x_up, y0, (k * alpha) % 1)
-        out.append(val)
+        k, odd = divmod(i, 2)
+        y_low, y_up = (y1, y0) if odd else (y0, y1)
+        out.append(_rot_overlap(x_low, y_low, (k + odd) * alpha) +
+                   _rot_overlap(x_up, y_up, k * alpha))
     return out
 
 
@@ -379,14 +369,19 @@ def _doubling_correlations(p, b, c_set, n):
 def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
     """(1/n) * sum of f(T^i x) over i = 0 .. n-1 by forward iteration.
 
-    Rotation-family maps with a float start use a vectorized closed form
-    for the orbit (the swap map's square rotates each half by alpha).
+    x and a piecewise-constant f lie on the map's circle.  The rotation-swap
+    map vectorizes such an f along a float start's orbit (its square
+    rotates each half by alpha).
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if isinstance(f, PiecewiseConstant) and f.c != mp.c:
+        raise ValueError("mismatched circumference")
+    if not 0 <= x < mp.c:
+        raise ValueError("point outside [0, c)")
     if isinstance(x, float) and isinstance(f, PiecewiseConstant) and \
-            mp.kind in ("rotation", "rotation_swap"):
-        return _orbit_average_rotation(mp, f, x, n)
+            mp.kind == "rotation_swap":
+        return _orbit_average_swap(mp, f, x, n)
     total = Fraction(0) if is_exact(x) else 0.0
     for _ in range(n):
         total += f(x)
@@ -394,25 +389,21 @@ def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
     return total / n
 
 
-def _orbit_average_rotation(mp, f, x, n):
+def _orbit_average_swap(mp, f, x, n):
     import numpy as np
     cuts = np.array([float(v) for v in f.cuts])
     vals = np.array([float(v) for v in f.values])
-    if mp.kind == "rotation":
-        alpha = float(mp.branches[0][3]) % float(mp.c)
-        pos = (x + alpha * np.arange(n)) % float(mp.c)
+    alpha = float(mp.branches[0][3]) - 1
+    pos = np.empty(n)
+    if x >= 1:
+        pos[0] = x
+        start_low, off = x - 1, 1
     else:
-        alpha = float(mp.branches[0][3]) - 1
-        pos = np.empty(n)
-        if x >= 1:
-            pos[0] = x
-            start_low, off = x - 1, 1
-        else:
-            start_low, off = x, 0
-        k = np.arange(n - off)
-        low = (start_low + alpha * ((k + 1) // 2)) % 1.0
-        low[1::2] += 1.0  # odd steps from the lower half land in [1, 2)
-        pos[off:] = low
+        start_low, off = x, 0
+    k = np.arange(n - off)
+    low = (start_low + alpha * ((k + 1) // 2)) % 1.0
+    low[1::2] += 1.0  # odd steps from the lower half land in [1, 2)
+    pos[off:] = low
     # boundary-hit detection against branch cuts and f's cuts
     edges = sorted({float(br[0]) for br in mp.branches} |
                    {float(v) for v in f.cuts})

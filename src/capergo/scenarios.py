@@ -326,13 +326,14 @@ def z_density_counterexample(config):
 
 # ---------------------------------------------------------------------------
 # cocycle scenarios
+GENERATOR_TRIES = 200  # draws before random_periodic_generator gives up
 
 
-def random_periodic_generator(rng, d, ell, min_gap=0.05, tries=200):
+def random_periodic_generator(rng, d, ell, min_gap=0.05):
     """Random invertible periodic generator whose monodromy exponents are
     either equal (complex pairs) or separated by more than min_gap, so
     block identification is unambiguous."""
-    for _ in range(tries):
+    for _ in range(GENERATOR_TRIES):
         mats = []
         for _ in range(ell):
             while True:

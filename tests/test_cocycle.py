@@ -51,7 +51,7 @@ def _skew_gen():
     """Upper-triangular generator over the golden rotation: exponents
     +-log 2, with a slow direction that moves with the base point."""
     from capergo.intervaldyn import GOLDEN, PiecewiseAffineMap
-    base = PiecewiseAffineMap.rotation(GOLDEN, c=1)
+    base = PiecewiseAffineMap.rotation(GOLDEN)
     return pointwise_gen(2, _skew_matrix, base.apply, bound_m=2.0)
 
 
@@ -308,15 +308,18 @@ def _bits(x):
 
 @st.composite
 def qr_inputs(draw):
-    """A d x d matrix (stack == 0) or a (stack, d, d) array, d <= 4, with
-    signed zeros, NaN and infinities mixed into finite entries."""
-    d = draw(st.integers(1, 4))
+    """A d x k matrix (stack == 0) or a (stack, d, k) array, d <= 5, with
+    signed zeros, NaN and infinities mixed into finite entries.  Half the
+    draws are square, as in the QR loops; principal_angles factors tall
+    d x k bases."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.one_of(st.just(d), st.integers(1, 5)))
     stack = draw(st.integers(0, 6))
-    shape = (d, d) if stack == 0 else (stack, d, d)
+    shape = (d, k) if stack == 0 else (stack, d, k)
     entry = st.one_of(st.floats(-1e3, 1e3),
                       st.sampled_from([0.0, -0.0, math.nan, math.inf,
                                        -math.inf]))
-    size = d * d * max(stack, 1)
+    size = d * k * max(stack, 1)
     return np.array(draw(st.lists(entry, min_size=size, max_size=size)),
                     dtype=float).reshape(shape)
 
@@ -327,6 +330,8 @@ def qr_inputs(draw):
 @example(np.zeros((2, 3, 3)))
 @example(np.array([[[math.nan, 1.0], [2.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]]]))
 @example(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+@example(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, -6.0]]))
+@example(np.array([[1.0, 2.0, 3.0], [-4.0, 5.0, 6.0]]))
 def test_lean_qr_matches_numpy_bit_for_bit(a):
     # _qr calls numpy's private LAPACK gufuncs; this test is the canary
     # for a numpy release that changes them

@@ -84,6 +84,40 @@ def test_non_ergodic_system_has_partition_witness():
     assert terms_limit != p[0] * q[1]
 
 
+def test_float_family_exact_limit_meets_its_target_up_to_rounding():
+    # the float family's limits were 2.8e-17, 1.1e-16 and 2.2e-16 off
+    # their targets and failed a zero tolerance; the same family in
+    # Fractions passed
+    t = Endomap([1, 2, 0])
+    for p in ([0.1, 0.2, 0.7], [F(1, 10), F(1, 5), F(7, 10)]):
+        sys = FiniteSystem(UpperProbability(_rotations(p)), t)
+        rep = choquet_independence_check(sys, [0, 0, 1], [1, 1, 3], 30)
+        assert rep.tolerance == 0 and rep.verdict
+        for b, c in ((0b011, 0b110), (0b101, 0b101)):
+            rep = independence_check(sys, p, b, c, 30)
+            assert rep.tolerance == 0 and rep.verdict
+            # a three-cycle is ergodic but not weakly mixing
+            assert not squared_deviation_check(sys, p, b, c, 30).verdict
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_horizon_below_one_is_rejected(n):
+    leb = RestrictedLebesgue(IntervalSet([(0, 1)], c=1))
+    sys = IntervalSystem(PiecewiseAffineMap.doubling(), [leb])
+    half = IntervalSet([(0, F(1, 2))], c=1)
+    checks = [lambda: checkpoints_of(n),
+              lambda: sqrt_moment_check(sys, leb, half, half, 0.5, n),
+              lambda: independence_check(sys, leb, half, half, n),
+              lambda: squared_deviation_check(sys, leb, half, half, n),
+              lambda: choquet_independence_check(swap_system(), [1, 0],
+                                                 [1, 0], n)]
+    for check in checks:
+        with pytest.raises(ValueError, match="horizon"):
+            check()
+    with pytest.raises(ValueError, match="horizon"):
+        extract_null_density_set([], 0.25)
+
+
 def test_interval_independence_rotation_swap():
     mp = PiecewiseAffineMap.rotation_swap()
     whole = IntervalSet([(0, 2)], c=2)

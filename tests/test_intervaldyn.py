@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from capergo import intervaldyn
 from capergo.intervaldyn import (BOUNDARY_SNAP, GOLDEN, BitstreamPoint,
                                  BoundaryHitError, BudgetError, IntervalSet,
                                  PiecewiseAffineMap, PiecewiseConstant,
@@ -91,7 +92,7 @@ def test_preimage_membership_oracle():
     rng = random.Random(22)
     maps = [PiecewiseAffineMap.rotation_swap(F(3, 10)),
             PiecewiseAffineMap.doubling_paste(),
-            PiecewiseAffineMap.rotation(F(2, 7), c=1)]
+            PiecewiseAffineMap.rotation(F(2, 7))]
     for mp in maps:
         for _ in range(5):
             s = random_set(rng, c=mp.c)
@@ -265,23 +266,20 @@ def exact_sets(draw, c):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["rotation", "rotation_swap"]),
-       st.integers(2, 30).flatmap(
+@given(st.integers(2, 30).flatmap(
            lambda q: st.builds(F, st.integers(1, q - 1), st.just(q))),
        st.data(), st.integers(1, 30))
-@example("rotation", F(1, 3), None, 4)
-def test_rotation_fast_path_stays_exact_for_rational_alpha(kind, alpha, data,
-                                                           n):
-    if kind == "rotation":
-        mp, c = PiecewiseAffineMap.rotation(alpha), 1
-    else:
-        mp, c = PiecewiseAffineMap.rotation_swap(alpha), 2
+@example(F(1, 3), None, 4)
+def test_rotation_fast_path_stays_exact_for_rational_alpha(alpha, data, n):
+    """All-exact input to the rotation-swap map gives the preimage path's
+    exact Fractions."""
+    mp = PiecewiseAffineMap.rotation_swap(alpha)
     if data is None:
-        b, c_set = IntervalSet([(0, F(1, 2))], c=1), \
-            IntervalSet([(F(1, 4), F(3, 4))], c=1)
-        window = IntervalSet([(0, 1)], c=1)
+        b, c_set = IntervalSet([(0, F(1, 2))], c=2), \
+            IntervalSet([(F(1, 4), F(3, 2))], c=2)
+        window = IntervalSet([(0, 1)], c=2)
     else:
-        b, c_set, window = (data.draw(exact_sets(c)) for _ in range(3))
+        b, c_set, window = (data.draw(exact_sets(2)) for _ in range(3))
     p = RestrictedLebesgue(window)
     generic = PiecewiseAffineMap(mp.branches, c=mp.c)
     fast = correlation_sequence(p, mp, b, c_set, n)
@@ -290,21 +288,73 @@ def test_rotation_fast_path_stays_exact_for_rational_alpha(kind, alpha, data,
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["rotation", "rotation_swap"]),
-       st.floats(0.001, 0.999), st.data(), st.integers(1, 40))
-def test_rotation_fast_path_matches_preimage_path_for_float_alpha(kind, alpha,
-                                                                  data, n):
-    if kind == "rotation":
-        mp, c = PiecewiseAffineMap.rotation(alpha), 1
-    else:
-        mp, c = PiecewiseAffineMap.rotation_swap(alpha), 2
-    b, c_set, window = (data.draw(exact_sets(c)) for _ in range(3))
+@given(st.floats(0.001, 0.999), st.data(), st.integers(1, 40))
+def test_rotation_fast_path_matches_preimage_path_for_float_alpha(alpha, data,
+                                                                  n):
+    mp = PiecewiseAffineMap.rotation_swap(alpha)
+    b, c_set, window = (data.draw(exact_sets(2)) for _ in range(3))
     p = RestrictedLebesgue(window)
     generic = PiecewiseAffineMap(mp.branches, c=mp.c)
     fast = correlation_sequence(p, mp, b, c_set, n)
     slow = correlation_sequence(p, generic, b, c_set, n)
     assert len(fast) == len(slow) == n
     assert all(abs(x - y) <= 1e-12 for x, y in zip(fast, slow))
+
+
+def test_rotation_swap_closed_form_runs_only_on_float_inputs(monkeypatch):
+    calls = []
+    closed_form = intervaldyn._swap_correlations
+
+    def spy(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(intervaldyn, "_swap_correlations", spy)
+    whole = IntervalSet([(0, 2)], c=2)
+    lower = IntervalSet([(0, 1)], c=2)
+    b = IntervalSet([(0, F(1, 2))], c=2)
+    c_set = IntervalSet([(F(1, 4), F(3, 2))], c=2)
+    cases = [  # alpha, B, C, window, whether the closed form runs
+        (0.3, b, c_set, whole, True),
+        (F(3, 10), b, IntervalSet([(0.25, 1.5)], c=2), whole, True),
+        (F(3, 10), IntervalSet([(0.5, 1.5)], c=2), c_set, whole, True),
+        # a float end of B outside the window is cut away
+        (F(3, 10), IntervalSet([(0, 1.5)], c=2), c_set, lower, False),
+        (F(3, 10), b, c_set, whole, False),
+    ]
+    for alpha, bb, cc, window, closed in cases:
+        calls.clear()
+        terms = correlation_sequence(RestrictedLebesgue(window),
+                                     PiecewiseAffineMap.rotation_swap(alpha),
+                                     bb, cc, 5)
+        assert len(calls) == closed
+        assert all(type(x) is (float if closed else F) for x in terms)
+
+
+def test_inputs_off_the_maps_circle_are_rejected():
+    # the closed forms read such inputs as if they lay on the map's circle
+    swap = PiecewiseAffineMap.rotation_swap(0.3)
+    f = PiecewiseConstant([0, F(1, 3), 1], [0, 1], c=1)
+    for x in (0.2, F(1, 5)):
+        with pytest.raises(ValueError, match="mismatched circumference"):
+            orbit_average(swap, f, x, 999)
+    g = PiecewiseConstant([0, 1, 2], [0, 1], c=2)
+    for x in (2.5, -0.1, math.nan, F(5, 2)):
+        with pytest.raises(ValueError, match="point outside"):
+            orbit_average(swap, g, x, 10)
+    one = IntervalSet([(0, F(1, 2))], c=1)
+    two = IntervalSet([(0, 1)], c=2)
+    cases = [  # map, B, C, window
+        (swap, two, one, IntervalSet([(0, 2)], c=2)),
+        (swap, one, one, IntervalSet([(0, 1)], c=1)),
+        (PiecewiseAffineMap.doubling(), two, two,
+         IntervalSet([(0, 2)], c=2)),
+    ]
+    for mp, b, c_set, window in cases:
+        for m in (mp, PiecewiseAffineMap(mp.branches, c=mp.c)):
+            with pytest.raises(ValueError, match="mismatched circumference"):
+                correlation_sequence(RestrictedLebesgue(window), m, b,
+                                     c_set, 3)
 
 
 @st.composite
@@ -418,20 +468,15 @@ def test_orbit_average_constant_function():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["rotation", "rotation_swap"]),
-       st.floats(0.001, 0.999), st.floats(0.0, 1.0, exclude_max=True),
+@given(st.floats(0.001, 0.999), st.floats(0.0, 1.0, exclude_max=True),
        st.integers(1, 400), st.data())
-@example("rotation_swap", GOLDEN, 0.1234 / 2, 300, None)
-@example("rotation_swap", GOLDEN, 0.777 / 2, 300, None)
-def test_orbit_average_fast_path_matches_direct_loop(kind, alpha, start, n,
-                                                     data):
-    if kind == "rotation":
-        mp, c = PiecewiseAffineMap.rotation(alpha), 1
-    else:
-        mp, c = PiecewiseAffineMap.rotation_swap(alpha), 2
-    x0 = start * c
+@example(GOLDEN, 0.1234 / 2, 300, None)
+@example(GOLDEN, 0.777 / 2, 300, None)
+def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data):
+    mp = PiecewiseAffineMap.rotation_swap(alpha)
+    x0 = start * 2
     s = IntervalSet([(F(1, 4), F(5, 4))], c=2) if data is None else \
-        data.draw(exact_sets(c).filter(lambda s: s.intervals))
+        data.draw(exact_sets(2).filter(lambda s: s.intervals))
     f = PiecewiseConstant.indicator(s)
     try:
         fast = orbit_average(mp, f, x0, n)
