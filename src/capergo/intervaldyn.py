@@ -315,8 +315,7 @@ def _rot_overlap(x_pieces, y_pieces, t):
 
 
 def _split_halves(pieces):
-    """Split [0,2) pieces into float lower and (down-shifted) upper unit
-    parts."""
+    """Split [0,2) pieces into lower and down-shifted upper unit floats."""
     low, up = [], []
     for a, b in pieces:
         a, b = float(a), float(b)
