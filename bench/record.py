@@ -14,12 +14,22 @@ first alternates from pair to pair, parent first on pair 0.  Ten pairs
 is the fewest on which a gain may be claimed (the change must read
 lower in at least nine of them).
 
+Two more measurements ride along on the same two trees:
+
+- per workload, one ``--trace 1`` run on each side (seed PAIRS + 1),
+  whose per-layer metrics (calls, inclusive and self time and work
+  counts of every traced capergo function, as means per block) are
+  written next to the workload medians;
+- per scenario, PAIRS more alternating pairs in which a small driver
+  times ``capergo.cli.main(["run", <name>, "--seed", "7", "--out",
+  <tmp>])`` in-process for every registry entry of that side's tree,
+  taking the best of SCENARIO_REPEATS runs.
+
 The output holds both commits, every run's result line and provenance
-record, and per workload the median of each metric on each side, the
-change/parent ratio of the medians, the distance between the quartiles
-of the parent's runs, and the number of pairs in which the change read
-lower than the parent.  Only the standard library is
-used.
+record, and per workload and per scenario the median of each metric on
+each side, the change/parent ratio of the medians, the distance between
+the quartiles of the parent's runs, and the number of pairs in which the
+change read lower than the parent.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -36,6 +46,31 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 RUN_TIMEOUT_S = 1800
+SCENARIO_REPEATS = 3
+SIDES = ("parent", "change")
+# BLAS pinned to one thread, as capbench pins it
+ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
+
+# run in a tree's root: prints {scenario: best seconds} as its last line
+SCENARIO_DRIVER = """
+import contextlib, io, json, sys, tempfile, time
+sys.path.insert(0, "src")
+from capergo import cli, scenarios
+best = {}
+with tempfile.TemporaryDirectory() as out:
+    for name, _, _, _ in scenarios.REGISTRY:
+        times = []
+        for _ in range(%d):
+            started = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", name, "--seed", "7", "--out", out])
+            times.append(time.perf_counter() - started)
+            if code != 0:
+                sys.exit("%%s exited with %%d" %% (name, code))
+        best[name] = min(times)
+print(json.dumps(best))
+""" % SCENARIO_REPEATS
 
 
 def git(*args):
@@ -50,17 +85,23 @@ def extract(rev, dest):
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree, command, workload, seed, seconds):
-    """(result, provenance) of one untraced capbench run in tree."""
-    argv = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", "0"]
+def run_lines(argv, tree, env=None):
+    """The standard output lines of argv run in tree; exits on failure."""
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+                          timeout=RUN_TIMEOUT_S, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit("%s failed in %s (exit %d):\n%s"
                          % (" ".join(argv), tree, proc.returncode,
                             proc.stderr[-2000:]))
+    return lines
+
+
+def run_once(tree, command, workload, seed, seconds, trace=0):
+    """(result, provenance) of one capbench run in tree."""
+    argv = command + ["--workload", workload, "--seed", str(seed),
+                      "--seconds", str(seconds), "--trace", str(trace)]
+    lines = run_lines(argv, tree)
     provenance = None
     for line in lines:
         if line.startswith('{"provenance"'):
@@ -68,12 +109,21 @@ def run_once(tree, command, workload, seed, seconds):
     return json.loads(lines[-1]), provenance
 
 
-def summarise(runs):
-    """Medians per side, change/parent ratios and change wins per metric."""
-    values = {"parent": {}, "change": {}}
+def time_scenarios(tree):
+    """{scenario: best in-process `capergo run` seconds} in tree."""
+    env = dict(os.environ, **ONE_THREAD)
+    lines = run_lines([sys.executable, "-c", SCENARIO_DRIVER], tree, env)
+    return json.loads(lines[-1])
+
+
+def paired(runs, values_of):
+    """Medians per side, change/parent ratios, the parent's quartile
+    spread and change wins per metric; values_of(run) gives a run's
+    {metric: value}."""
+    values = {side: {} for side in SIDES}
     for run in runs:
-        for name, m in run["result"]["metrics"].items():
-            values[run["side"]].setdefault(name, []).append(m["value"])
+        for name, v in values_of(run).items():
+            values[run["side"]].setdefault(name, []).append(v)
     median = {side: {k: statistics.median(v) for k, v in vals.items()}
               for side, vals in values.items()}
     ratio = {k: median["change"][k] / v
@@ -83,19 +133,29 @@ def summarise(runs):
     spread = {k: q[2] - q[0] for k, q in quartiles.items()}
     pairs = {}
     for run in runs:
-        pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+        pairs.setdefault(run["pair"], {})[run["side"]] = values_of(run)
     wins = {k: sum(1 for p in pairs.values()
-                   if p["change"]["metrics"][k]["value"]
-                   < p["parent"]["metrics"][k]["value"])
+                   if p["change"][k] < p["parent"][k])
             for k in median["parent"]}
-    failed = {side: sum(r["result"]["failed"] for r in runs
-                        if r["side"] == side) for side in values}
-    attempted = {side: sum(r["result"]["attempted"] for r in runs
-                           if r["side"] == side) for side in values}
     return {"median": median, "ratio_change_over_parent": ratio,
-            "parent_quartile_spread": spread,
-            "change_lower_in_pairs": wins, "failed": failed,
-            "attempted": attempted}
+            "parent_quartile_spread": spread, "change_lower_in_pairs": wins}
+
+
+def summarise(runs):
+    """The paired statistics of the runs' metrics, and failed/attempted
+    op counts per side."""
+    out = paired(runs, lambda run: {k: m["value"] for k, m
+                                    in run["result"]["metrics"].items()})
+    failed = {side: sum(r["result"]["failed"] for r in runs
+                        if r["side"] == side) for side in SIDES}
+    attempted = {side: sum(r["result"]["attempted"] for r in runs
+                           if r["side"] == side) for side in SIDES}
+    return dict(out, failed=failed, attempted=attempted)
+
+
+def order_of(k):
+    """The sides in the order they run in pair k: parent first on even k."""
+    return SIDES if k % 2 == 0 else SIDES[::-1]
 
 
 def main(argv=None):
@@ -125,9 +185,7 @@ def main(argv=None):
         for workload in workloads:
             runs = []
             for k, seed in enumerate(seeds):
-                order = ("parent", "change") if k % 2 == 0 \
-                    else ("change", "parent")
-                for side in order:
+                for side in order_of(k):
                     result, prov = run_once(trees[side], command, workload,
                                             seed, seconds)
                     runs.append({"side": side, "pair": k,
@@ -138,7 +196,27 @@ def main(argv=None):
                             "%s %.4g" % (name, m["value"]) for name, m
                             in sorted(result["metrics"].items()))),
                           file=sys.stderr)
-            report["workloads"][workload] = dict(summarise(runs), runs=runs)
+            per_layer = {"seed": PAIRS + 1, "failed": {}, "attempted": {}}
+            for side in SIDES:
+                result, _ = run_once(trees[side], command, workload,
+                                     PAIRS + 1, seconds, trace=1)
+                per_layer[side] = {name: m["value"] for name, m
+                                   in result["metrics"].items()}
+                per_layer["failed"][side] = result["failed"]
+                per_layer["attempted"][side] = result["attempted"]
+                print("%s traced %s" % (workload, side), file=sys.stderr)
+            report["workloads"][workload] = dict(summarise(runs), runs=runs,
+                                                 per_layer=per_layer)
+        runs = []
+        for k in range(PAIRS):
+            for side in order_of(k):
+                runs.append({"side": side, "pair": k,
+                             "seconds": time_scenarios(trees[side])})
+                print("scenarios pair %d %s: %.3f s in all" % (
+                    k, side, sum(runs[-1]["seconds"].values())),
+                      file=sys.stderr)
+        report["scenarios"] = dict(paired(runs, lambda run: run["seconds"]),
+                                   repeats=SCENARIO_REPEATS, runs=runs)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     with open(args.out, "w") as fh:

@@ -43,6 +43,22 @@ def _raise_qr_error(err, flag):
                                 "QR factorization")
 
 
+def _qr_errstate():
+    """The error state of `np.linalg.qr`: an invalid value raises
+    LinAlgError, and overflow, division and underflow pass silently."""
+    return np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _qr_step(a):
+    """(Q, diag R) of a float64 matrix or (B, d, d) stack, which it
+    overwrites, without entering the error state; the QR loops enter
+    `_qr_errstate` once per stack of steps."""
+    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+    q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
+    return q, a.diagonal(0, -2, -1)
+
+
 def _qr(a):
     """(Q, diag R) of a float matrix or a (B, d, d) stack, bit for bit as
     `np.linalg.qr` gives them.
@@ -54,11 +70,8 @@ def _qr(a):
     are those of numpy >= 2.0.
     """
     a = np.array(a, dtype=np.float64)  # a copy: qr_r_raw overwrites it
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-    return q, a.diagonal(0, -2, -1)
+    with _qr_errstate():
+        return _qr_step(a)
 
 
 class MatrixGen:
@@ -231,11 +244,17 @@ def lyapunov_qr(gen: MatrixGen, omega, n: int,
         raise ValueError("need 0 <= burn_in < n")
     q = np.eye(gen.d)
     logs = np.zeros(gen.d)
-    mats = itertools.chain.from_iterable(_stacks(gen, omega, n))
-    for i, a in enumerate(mats):
-        q, r_diag = _qr(a @ q)
-        if i >= burn_in:
-            logs += np.log(np.abs(r_diag))
+    start = 0  # orbit index of the stack's first step
+    for mats in _stacks(gen, omega, n):
+        r_diags = np.empty((len(mats), gen.d))
+        with _qr_errstate():
+            for j, a in enumerate(mats):
+                q, r_diags[j] = _qr_step(a @ q)
+        # logs outside the QR error state, so a zero diagonal warns; rows
+        # are added one at a time, in step order
+        for row in np.log(np.abs(r_diags[max(burn_in - start, 0):])):
+            logs += row
+        start += len(mats)
     exps = sorted((logs / (n - burn_in)).tolist(), reverse=True)
     return LyapunovSpectrum(exps, n)
 
@@ -313,9 +332,10 @@ def _right_subspace_bases(gen: MatrixGen, orbits: Sequence) -> np.ndarray:
         steps = range(hi - 1, max(hi - CHUNK, 0) - 1, -1)
         # step-major: chunk[j] is the (b, d, d) stack of step steps[j]
         chunk = gen.matrices([orbit[k] for k in steps for orbit in orbits])
-        for mats in chunk.reshape(len(steps), b, d, d):
-            q, r_diag = _qr(mats.transpose(0, 2, 1) @ q)
-            q *= np.sign(r_diag)[:, None, :]  # fix orientation
+        with _qr_errstate():
+            for mats in chunk.reshape(len(steps), b, d, d):
+                q, r_diag = _qr_step(mats.transpose(0, 2, 1) @ q)
+                q *= np.sign(r_diag)[:, None, :]  # fix orientation
     return q
 
 

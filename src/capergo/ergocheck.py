@@ -149,16 +149,21 @@ System = FiniteSystem | IntervalSystem
 def _cesaro(sys: System, p, b, c, pts: list, transform: Callable):
     """Partial Cesaro means of transform(P(B & T^{-i}C)) at the
     checkpoints pts, and the exact limit (the mean over one period) when
-    the terms are eventually periodic, else None."""
+    the terms are eventually periodic, else None.
+
+    The running sums are those of `itertools.accumulate` from
+    Fraction(0): Fraction(0) + t0 + t1 + ..., added left to right, so
+    float terms give float sums and exact terms exact ones, in the order
+    of a plain loop.
+    """
     terms, cycle = sys.correlations(p, b, c, pts[-1])
+    sums = itertools.accumulate(map(transform, terms), initial=Fraction(0))
     partials = []
-    total = Fraction(0)
-    k = 0
-    for i, x in enumerate(terms):
-        total = total + transform(x)
-        if k < len(pts) and i + 1 == pts[k]:
-            partials.append(total / (i + 1))
-            k += 1
+    read = 0  # sums[:read] have been consumed
+    for q in pts:
+        for total in itertools.islice(sums, q - read, q - read + 1):
+            partials.append(total / q)
+        read = q + 1
     limit = None
     if cycle is not None:
         limit = sum(map(transform, cycle), Fraction(0)) / len(cycle)

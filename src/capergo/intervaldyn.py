@@ -14,10 +14,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .numeric import close, is_exact, parse
 
 BOUNDARY_SNAP = 1e-15
 DOUBLING_BUDGET = 24
+SWAP_CHUNK = 4096  # rotation-swap correlation terms computed at a time
 
 # default irrational rotation parameter: reversed golden ratio, badly
 # approximable, so Birkhoff sums converge at the best worst-case rate
@@ -298,22 +301,6 @@ def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
     return out
 
 
-def _rot_overlap(x_pieces, y_pieces, t):
-    """Measure of X intersected with the unit-circle rotate of Y by -t."""
-    t = t % 1
-    total = 0.0
-    for a, b in y_pieces:
-        a2 = (a - t) % 1
-        b2 = a2 + (b - a)
-        shifted = [(a2, b2)] if b2 <= 1 else [(a2, 1), (0, b2 - 1)]
-        for lo, hi in shifted:
-            for xa, xb in x_pieces:
-                l, h = max(lo, xa), min(hi, xb)
-                if l < h:
-                    total += h - l
-    return total
-
-
 def _split_halves(pieces):
     """Split [0,2) pieces into lower and down-shifted upper unit floats."""
     low, up = [], []
@@ -326,21 +313,50 @@ def _split_halves(pieces):
     return low, up
 
 
+def _rot_overlaps(x_pieces, y_pieces, t):
+    """Measure of X intersected with the unit-circle rotate of Y by -t, for
+    each shift in the array t.
+
+    Overlaps are added piece by piece in a fixed order: for each piece of
+    Y its rotate, then the part of it that wraps past 1, each against
+    every piece of X.  np.maximum and np.minimum return their first
+    argument on ties, as max and min do, so every term is bit for bit the
+    one a scalar loop over the same pieces gives.
+    """
+    t = t % 1
+    total = np.zeros(len(t))
+    for a, b in y_pieces:
+        a2 = (a - t) % 1
+        b2 = a2 + (b - a)
+        for lo, hi, live in ((a2, np.minimum(b2, 1), True),
+                             (0.0, b2 - 1, b2 > 1)):
+            for xa, xb in x_pieces:
+                l, h = np.maximum(lo, xa), np.minimum(hi, xb)
+                total += np.where(live & (l < h), h - l, 0.0)
+    return total
+
+
 def _swap_correlations(mp, bw, c_set, n):
     """Float terms for the rotation-swap map, B already cut to the window.
 
     The i-th preimage of C is a parity-alternating pair of rotates of C's
     two unit halves: the square of the swap map rotates each half by alpha.
+    The terms are computed SWAP_CHUNK at a time, so memory stays flat in n.
     """
     alpha = float(mp.branches[0][3]) - 1  # lower branch sends x to x+a+1
     x_low, x_up = _split_halves(bw.intervals)
-    y0, y1 = _split_halves(c_set.intervals)
+    halves = _split_halves(c_set.intervals)
     out = []
-    for i in range(n):
-        k, odd = divmod(i, 2)
-        y_low, y_up = (y1, y0) if odd else (y0, y1)
-        out.append(_rot_overlap(x_low, y_low, (k + odd) * alpha) +
-                   _rot_overlap(x_up, y_up, k * alpha))
+    for start in range(0, n, SWAP_CHUNK):
+        i = np.arange(start, min(start + SWAP_CHUNK, n))
+        terms = np.empty(len(i))
+        for odd in (0, 1):
+            at = i % 2 == odd
+            k = i[at] // 2
+            y_low, y_up = halves[odd], halves[1 - odd]
+            terms[at] = (_rot_overlaps(x_low, y_low, (k + odd) * alpha) +
+                         _rot_overlaps(x_up, y_up, k * alpha))
+        out += terms.tolist()
     return out
 
 
@@ -389,8 +405,9 @@ def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
 
 
 def _orbit_average_swap(mp, f, x, n):
-    import numpy as np
-    cuts = np.array([float(v) for v in f.cuts])
+    # f is read as the loop reads it: a float point lies at or past a cut
+    # exactly when it lies at or past the least float at or above the cut
+    cuts = np.array([_float_ceil(v) for v in f.cuts])
     vals = np.array([float(v) for v in f.values])
     alpha = float(mp.branches[0][3]) - 1
     pos = np.empty(n)
@@ -403,12 +420,10 @@ def _orbit_average_swap(mp, f, x, n):
     low = (start_low + alpha * ((k + 1) // 2)) % 1.0
     low[1::2] += 1.0  # odd steps from the lower half land in [1, 2)
     pos[off:] = low
-    # boundary-hit detection against branch cuts and f's cuts
-    edges = sorted({float(br[0]) for br in mp.branches} |
-                   {float(v) for v in f.cuts})
-    for e in edges:
-        if e and np.any(np.abs(pos - e) < BOUNDARY_SNAP):
-            raise BoundaryHitError("orbit hit a partition boundary")
+    # the loop's boundary check: the map's nonzero branch cuts only
+    for e in mp._snap:
+        if np.any(np.abs(pos - e) < BOUNDARY_SNAP):
+            raise BoundaryHitError("orbit hit a branch boundary")
     idx = np.searchsorted(cuts, pos, side="right") - 1
     return float(vals[np.clip(idx, 0, len(vals) - 1)].mean())
 

@@ -151,6 +151,64 @@ def test_report_serialization_shapes():
     assert "check" in summary and "verdict" in summary
 
 
+def _parent_cesaro_partials(terms, pts, transform):
+    """The per-term loop that `_cesaro`'s running sums must reproduce."""
+    partials = []
+    total = Fraction(0)
+    k = 0
+    for i, x in enumerate(terms):
+        total = total + transform(x)
+        if k < len(pts) and i + 1 == pts[k]:
+            partials.append(total / (i + 1))
+            k += 1
+    return partials
+
+
+class _GivenTerms:
+    """A system whose correlation terms are fixed in advance."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def correlations(self, p, b, c, n):
+        return self.terms[:n], None
+
+
+def _typed_bits(x):
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+CESARO_TERMS = {
+    "float": st.floats(0, 2),
+    "fraction": st.fractions(0, 2, max_denominator=50),
+    "int": st.integers(0, 3),
+}
+CESARO_TERMS["mixed"] = st.one_of(*CESARO_TERMS.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CESARO_TERMS)).flatmap(
+           lambda kind: st.lists(CESARO_TERMS[kind], min_size=1,
+                                 max_size=200)),
+       st.sampled_from(["identity", "squared", "sqrt", "zero"]),
+       st.one_of(st.floats(0, 2), st.fractions(0, 2, max_denominator=50)))
+@example([F(1, 3), 0.1, 2, 0.7, F(2, 7)], "squared", F(1, 4))
+@example([0.1] * 9, "identity", 0.0)
+@example([1, 2, 3], "zero", 0.0)
+def test_cesaro_partials_equal_the_parent_loop_type_and_bits(terms, name,
+                                                            center):
+    transform = {"identity": lambda x: x,
+                 "squared": lambda x: (x - center) ** 2,
+                 "sqrt": lambda x: float(x) ** 0.5,
+                 "zero": lambda x: 0}[name]
+    pts = checkpoints_of(len(terms))
+    got, limit = ergocheck._cesaro(_GivenTerms(terms), None, None, None, pts,
+                                   transform)
+    want = _parent_cesaro_partials(terms, pts, transform)
+    assert limit is None
+    assert [_typed_bits(x) for x in got] == [_typed_bits(x) for x in want]
+
+
 # --- Choquet independence ---------------------------------------------------
 
 

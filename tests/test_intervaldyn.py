@@ -1,10 +1,11 @@
 import math
 import random
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capergo import intervaldyn
@@ -301,6 +302,77 @@ def test_rotation_fast_path_matches_preimage_path_for_float_alpha(alpha, data,
     assert all(abs(x - y) <= 1e-12 for x, y in zip(fast, slow))
 
 
+def _rot_overlap(x_pieces, y_pieces, t):
+    """Measure of X intersected with the unit-circle rotate of Y by -t: the
+    scalar loop that the vectorised swap terms replaced."""
+    t = t % 1
+    total = 0.0
+    for a, b in y_pieces:
+        a2 = (a - t) % 1
+        b2 = a2 + (b - a)
+        shifted = [(a2, b2)] if b2 <= 1 else [(a2, 1), (0, b2 - 1)]
+        for lo, hi in shifted:
+            for xa, xb in x_pieces:
+                l, h = max(lo, xa), min(hi, xb)
+                if l < h:
+                    total += h - l
+    return total
+
+
+def _scalar_swap_correlations(mp, bw, c_set, n):
+    """The per-term loop over `_rot_overlap` that `_swap_correlations`
+    must reproduce bit for bit."""
+    alpha = float(mp.branches[0][3]) - 1
+    x_low, x_up = intervaldyn._split_halves(bw.intervals)
+    y0, y1 = intervaldyn._split_halves(c_set.intervals)
+    out = []
+    for i in range(n):
+        k, odd = divmod(i, 2)
+        y_low, y_up = (y1, y0) if odd else (y0, y1)
+        out.append(_rot_overlap(x_low, y_low, (k + odd) * alpha) +
+                   _rot_overlap(x_up, y_up, k * alpha))
+    return out
+
+
+@st.composite
+def swap_sets(draw):
+    """An IntervalSet on [0, 2) with up to 3 float pieces, whose ends are
+    often quarters, so pieces touch each other, the halves' seam at 1 and
+    the rotates of a quarter or half angle."""
+    ends = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5,
+                                      1.75, 2.0]), st.floats(0, 2))
+    return IntervalSet(draw(st.lists(st.tuples(ends, ends), max_size=3)),
+                       c=2)
+
+
+def _bits(terms):
+    assert all(type(x) is float for x in terms)
+    return [x.hex() for x in terms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.5, 0.25, 0.75, GOLDEN]),
+                 st.floats(0.001, 0.999)),
+       swap_sets(), swap_sets(), swap_sets(), st.integers(1, 40),
+       st.sampled_from([1, 2, 7, intervaldyn.SWAP_CHUNK]))
+@example(0.5, IntervalSet([(0.25, 1.5)], c=2), IntervalSet([(0.5, 2.0)], c=2),
+         IntervalSet([(0, 2)], c=2), 2 * intervaldyn.SWAP_CHUNK + 3,
+         intervaldyn.SWAP_CHUNK)
+@example(GOLDEN, IntervalSet([(0.1, 0.7), (1.2, 1.9)], c=2),
+         IntervalSet([(0.3, 1.6)], c=2), IntervalSet([(0, 2)], c=2), 3000,
+         intervaldyn.SWAP_CHUNK)
+@example(0.25, IntervalSet([], c=2), IntervalSet([(0.75, 1.25)], c=2),
+         IntervalSet([(0, 2)], c=2), 9, 2)
+def test_swap_terms_equal_the_scalar_loop_bit_for_bit(alpha, b, c_set, window,
+                                                      n, chunk):
+    mp = PiecewiseAffineMap.rotation_swap(alpha)
+    bw = b.intersect(window)
+    want = _scalar_swap_correlations(mp, bw, c_set, n)
+    with unittest.mock.patch.object(intervaldyn, "SWAP_CHUNK", chunk):
+        got = intervaldyn._swap_correlations(mp, bw, c_set, n)
+    assert _bits(got) == _bits(want)
+
+
 def test_rotation_swap_closed_form_runs_only_on_float_inputs(monkeypatch):
     calls = []
     closed_form = intervaldyn._swap_correlations
@@ -472,26 +544,40 @@ def test_orbit_average_constant_function():
        st.integers(1, 400), st.data())
 @example(GOLDEN, 0.1234 / 2, 300, None)
 @example(GOLDEN, 0.777 / 2, 300, None)
+# a start on a cut of f, which the loop reads without a boundary check
+@example(GOLDEN, 0.25, 10, IntervalSet([(0, F(1, 2))], c=2))
+# a start just below the cut 1/3, at the float nearest to it
+@example(GOLDEN, float(F(1, 3)) / 2, 300, IntervalSet([(F(1, 3), 1)], c=2))
+# a start on a branch cut: both paths raise
+@example(0.5, 0.25, 10, None)
 def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data):
+    """The vectorised swap average has the outcome of the loop over the
+    same branches as a plain map: the same value, or the same exception."""
     mp = PiecewiseAffineMap.rotation_swap(alpha)
+    loop_map = PiecewiseAffineMap(mp.branches, c=mp.c)
     x0 = start * 2
-    s = IntervalSet([(F(1, 4), F(5, 4))], c=2) if data is None else \
-        data.draw(exact_sets(2).filter(lambda s: s.intervals))
+    if data is None:
+        s = IntervalSet([(F(1, 4), F(5, 4))], c=2)
+    elif isinstance(data, IntervalSet):
+        s = data
+    else:
+        s = data.draw(exact_sets(2).filter(lambda s: s.intervals))
     f = PiecewiseConstant.indicator(s)
-    try:
-        fast = orbit_average(mp, f, x0, n)
-    except BoundaryHitError:
-        reject()
     edges = [float(v) for v in f.cuts] + [float(br[0]) for br in mp.branches]
-    x, total = x0, 0.0
-    for _ in range(n):
-        # the loop's rounding error grows with each step, so an orbit
-        # point this close to a cut may land on either side of it
-        assume(all(abs(x - e) > 1e-9 for e in edges))
-        total += float(f(x))
-        x = mp.apply(x)
+    x = x0
+    for i in range(n):
+        # the two paths compute the orbit with different rounding, and the
+        # loop's error grows with each step, so a later orbit point this
+        # close to a cut may land on either side of it; the start is the
+        # same float on both
+        assume(i == 0 or all(abs(x - e) > 1e-9 for e in edges))
+        try:
+            x = loop_map.apply(x)
+        except BoundaryHitError:
+            break
     # f takes the values 0 and 1, so both sums are exact counts
-    assert fast == total / n
+    assert _outcome(orbit_average, mp, f, x0, n) == \
+        _outcome(orbit_average, loop_map, f, x0, n)
 
 
 @pytest.mark.parametrize("x", [0.2, F(1, 5)])
