@@ -23,13 +23,19 @@ Two more measurements ride along on the same two trees:
 - per scenario, PAIRS more alternating pairs in which a small driver
   times ``capergo.cli.main(["run", <name>, "--seed", "7", "--out",
   <tmp>])`` in-process for every registry entry of that side's tree,
-  taking the best of SCENARIO_REPEATS runs.
+  taking the best of SCENARIO_REPEATS runs;
+- per acceptance criterion, CRITERION_PAIRS alternating pairs of
+  ``pytest tests/test_acceptance.py`` runs, each criterion's duration
+  read from pytest's JUnit XML report;
+- one Tier-1 run (the whole ``pytest`` suite) on each side, with its
+  wall time and its counts of tests and failed tests.
 
 The output holds both commits, every run's result line and provenance
-record, and per workload and per scenario the median of each metric on
-each side, the change/parent ratio of the medians, the distance between
-the quartiles of the parent's runs, and the number of pairs in which the
-change read lower than the parent.  Only the standard library is used.
+record, and per workload, per scenario and per criterion the median of
+each metric on each side, the change/parent ratio of the medians, the
+distance between the quartiles of the parent's runs, and the number of
+pairs in which the change read lower than the parent.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -42,11 +48,16 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
+import xml.etree.ElementTree as ET
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 RUN_TIMEOUT_S = 1800
 SCENARIO_REPEATS = 3
+CRITERION_PAIRS = 5
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+          "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
 # BLAS pinned to one thread, as capbench pins it
 ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -114,6 +125,40 @@ def time_scenarios(tree):
     env = dict(os.environ, **ONE_THREAD)
     lines = run_lines([sys.executable, "-c", SCENARIO_DRIVER], tree, env)
     return json.loads(lines[-1])
+
+
+def run_pytest(tree, args):
+    """{wall_s, tests, failed, durations} of one pytest run in tree, with
+    each test's duration (setup, call and teardown) read from its JUnit
+    XML report.  Failing tests are counted, not fatal."""
+    env = dict(os.environ, PYTHONPATH="src", **ONE_THREAD)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "junit.xml")
+        started = time.perf_counter()
+        proc = subprocess.run(PYTEST + args + ["--junitxml", report],
+                              cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S)
+        wall = time.perf_counter() - started
+        if not os.path.exists(report):
+            raise SystemExit("pytest wrote no report in %s (exit %d):\n%s"
+                             % (tree, proc.returncode, proc.stdout[-2000:]))
+        cases = list(ET.parse(report).getroot().iter("testcase"))
+    failed = sum(1 for c in cases
+                 if c.find("failure") is not None
+                 or c.find("error") is not None)
+    return {"wall_s": wall, "tests": len(cases), "failed": failed,
+            "durations": {c.get("name"): float(c.get("time"))
+                          for c in cases}}
+
+
+def time_criteria(tree):
+    """{criterion test name: seconds} of one acceptance run in tree."""
+    run = run_pytest(tree, ["tests/test_acceptance.py"])
+    if run["failed"]:
+        print("%d acceptance tests failed in %s" % (run["failed"], tree),
+              file=sys.stderr)
+    return {name: t for name, t in run["durations"].items()
+            if name.startswith("test_criterion_")}
 
 
 def paired(runs, values_of):
@@ -217,6 +262,24 @@ def main(argv=None):
                       file=sys.stderr)
         report["scenarios"] = dict(paired(runs, lambda run: run["seconds"]),
                                    repeats=SCENARIO_REPEATS, runs=runs)
+        runs = []
+        for k in range(CRITERION_PAIRS):
+            for side in order_of(k):
+                runs.append({"side": side, "pair": k,
+                             "seconds": time_criteria(trees[side])})
+                print("criteria pair %d %s: %.1f s in all" % (
+                    k, side, sum(runs[-1]["seconds"].values())),
+                      file=sys.stderr)
+        report["criteria"] = dict(paired(runs, lambda run: run["seconds"]),
+                                  runs=runs)
+        report["tier1"] = {}
+        for side in SIDES:
+            run = run_pytest(trees[side], [])
+            report["tier1"][side] = {k: run[k]
+                                     for k in ("wall_s", "tests", "failed")}
+            print("tier-1 %s: %d tests, %d failed, %.1f s" % (
+                side, run["tests"], run["failed"], run["wall_s"]),
+                  file=sys.stderr)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     with open(args.out, "w") as fh:

@@ -393,9 +393,10 @@ def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
     Stationarity compares V of every depth-d cylinder event with V of its
     one-step shift (an exact event-algebra identity when V is invariant).
     The SLLN compares each point's exact Birkhoff limit of h with
-    int h dQ; the failure set must be V-null.  All three comparisons go
-    through `numeric.close`: exact on exact values, within FLOAT_TOL once
-    a float is involved.
+    int h dQ; the failure set must be V-null.  V's values are compared
+    as `Capacity.arithmetic` gives them (in integers for an exact table),
+    the limits through `numeric.close`: exact on exact values, within
+    FLOAT_TOL once a float is involved.
     """
     if depth > 8:
         raise ValueError("depth budget: depth <= 8")
@@ -403,6 +404,7 @@ def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
         raise NotImplementedError("process checks run on finite systems")
     t, v = sys.t, sys.v
     m = v.n
+    vals, _, eq, _ = v.arithmetic()
     # depth-d cylinder events {x : (h(x), h(Tx), ...) = word} as masks
     cylinders = {}
     for x in range(m):
@@ -414,8 +416,8 @@ def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
         word = tuple(word)
         cylinders[word] = cylinders.get(word, 0) | (1 << x)
     witness = next((word for word, mask in cylinders.items()
-                    if not close(v.table[mask],
-                                 v.table[t.preimage_mask(mask)])), None)
+                    if not eq(vals[mask], vals[t.preimage_mask(mask)])),
+                   None)
     out = {"stationary": witness is None, "witness": witness}
     if sys.skeleton is None:
         out["slln"] = {"status": "no-skeleton"}
@@ -428,5 +430,5 @@ def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
             fail_mask |= 1 << x
     out["slln"] = {"status": "ok", "target": target,
                    "failure_mask": fail_mask,
-                   "verdict": close(v.table[fail_mask], 0)}
+                   "verdict": eq(vals[fail_mask], 0)}
     return out

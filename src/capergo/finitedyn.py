@@ -7,36 +7,61 @@ skeleton measures are all finite computations.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import close, parse
-from .setfun import (Capacity, UpperProbability, core_range, in_core,
-                     product_upper, subset_sums)
+from .numeric import close, is_exact, parse
+from .setfun import (Capacity, UpperProbability, _over_common_denominator,
+                     in_core, product_upper, subset_sums)
 
 
 class Endomap:
+    """A map of {0, ..., n-1} into itself, held as its image tuple.
+
+    It is immutable, so the table of every preimage mask and the cycle
+    decomposition are each built once, on first use.
+    """
+
     def __init__(self, image: Sequence[int]):
+        image = tuple(image)
         n = len(image)
         if any(not 0 <= t < n for t in image):
             raise ValueError("image must map into the ground set")
-        self.n = n
-        self.image = list(image)
+        self._image = image
+
+    @property
+    def image(self) -> tuple:
+        return self._image
+
+    @property
+    def n(self) -> int:
+        return len(self._image)
 
     def __call__(self, i: int) -> int:
-        return self.image[i]
+        return self._image[i]
+
+    @functools.cached_property
+    def preimages(self) -> list[int]:
+        """T^{-1}A for every mask A.  The preimages of single points are
+        disjoint, so each union is their subset sum."""
+        points = [0] * self.n
+        for i, j in enumerate(self._image):
+            points[j] |= 1 << i
+        return subset_sums(points, 0)
 
     def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i in range(self.n):
-            if mask & (1 << self.image[i]):
-                out |= 1 << i
-        return out
+        return self.preimages[mask]
+
+    @functools.cached_property
+    def decomposition(self) -> dict:
+        """cycle_decomposition(self); read it, do not change it."""
+        return cycle_decomposition(self)
 
     def product(self, other: "Endomap") -> "Endomap":
         """The map (i, j) -> (T i, S j) on indices i * other.n + j."""
         n2 = other.n
-        image = [self.image[i] * n2 + other.image[j]
+        image = [self._image[i] * n2 + other.image[j]
                  for i in range(self.n) for j in range(n2)]
         return Endomap(image)
 
@@ -87,7 +112,7 @@ def invariant_atoms(t: Endomap) -> list[int]:
     Each atom is the full basin of one terminal cycle: the invariance
     equation forces unions of basins and separates distinct cycles.
     """
-    dec = cycle_decomposition(t)
+    dec = t.decomposition
     atoms = [0] * len(dec["cycles"])
     for p in range(t.n):
         atoms[dec["cycle_of"][p]] |= 1 << p
@@ -107,7 +132,7 @@ def skeleton(p: Sequence, t: Endomap) -> list:
     Mass starting at a point ends up spread uniformly over that point's
     terminal cycle, so the limit is supported on cycle points.
     """
-    dec = cycle_decomposition(t)
+    dec = t.decomposition
     out = [Fraction(0)] * t.n
     for i, w in enumerate(p):
         cyc = dec["cycles"][dec["cycle_of"][i]]
@@ -131,7 +156,7 @@ def common_cond_exp(f: Sequence, t: Endomap) -> list:
     under every invariant probability at once, and the pointwise Birkhoff
     limit of f.
     """
-    dec = cycle_decomposition(t)
+    dec = t.decomposition
     avg = []
     for cyc in dec["cycles"]:
         avg.append(sum((parse(f[c]) for c in cyc), Fraction(0)) / len(cyc))
@@ -141,8 +166,8 @@ def common_cond_exp(f: Sequence, t: Endomap) -> list:
 def is_invariant_capacity(mu: Capacity, t: Endomap) -> bool:
     if mu.n != t.n:
         raise ValueError("capacity on %d points, endomap on %d" % (mu.n, t.n))
-    return all(close(mu.table[t.preimage_mask(a)], mu.table[a])
-               for a in range(1 << mu.n))
+    vals, _, eq, _ = mu.arithmetic()
+    return all(map(eq, map(vals.__getitem__, t.preimages), vals))
 
 
 def ergodicity_check(mu: Capacity, t: Endomap) -> dict:
@@ -152,13 +177,14 @@ def ergodicity_check(mu: Capacity, t: Endomap) -> dict:
     mu(B) = 0 or mu(complement B) = 0.  Returns a witness mask on failure.
     """
     invariant = is_invariant_capacity(mu, t)
+    vals, one, eq, _ = mu.arithmetic()
     full = (1 << mu.n) - 1
     witness = None
     for b in invariant_events(t):
-        vb = mu.table[b]
-        vc = mu.table[full ^ b]
-        zero_one = (close(vb, 0) or close(vb, 1))
-        null_side = (close(vb, 0) or close(vc, 0))
+        vb = vals[b]
+        vc = vals[full ^ b]
+        zero_one = (eq(vb, 0) or eq(vb, one))
+        null_side = (eq(vb, 0) or eq(vc, 0))
         if not (zero_one and null_side):
             witness = b
             break
@@ -184,22 +210,31 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     if not erg["ergodic"]:
         return {"ok": False, "reason": "not ergodic", "witness": erg["witness"]}
     q = skeleton(v.family[0], t)
-    q_of = subset_sums(q, 0)  # Q(A) for every mask A
+    # V is compared as vals / one and Q as qs / m: in integers when both
+    # are exact, else element by element under numeric.close
+    if v.is_exact() and all(map(is_exact, q)):
+        vals, one, eq, _ = v.arithmetic()
+        (qs,), m = _over_common_denominator([q])
+    else:
+        vals, one, eq, qs, m = v.table, 1, close, q, 1
+    q_of = subset_sums(qs, 0)  # Q(A) * m for every mask A
     events = invariant_events(t)
+    full = (1 << v.n) - 1
     checks = {}
 
     def agrees(b):
-        lo, hi = core_range(v, b)
-        return close(lo, hi) and close(lo, q_of[b])
+        # core_range's closed form: the core's min and max of P(B) are
+        # 1 - V(B^c) and V(B)
+        lo = one - vals[full ^ b]
+        return eq(lo, vals[b]) and eq(lo * m, q_of[b] * one)
 
     # (a) every core element gives the same mass to invariant-atom unions
     # (trivially so when the only ones are the empty and full events)
     checks["core_agrees_on_invariants"] = \
         len(events) == 2 or all(map(agrees, events))
     # (b) Q ergodic: exactly one terminal cycle carries mass
-    dec = cycle_decomposition(t)
-    charged = [cyc for cyc in dec["cycles"]
-               if any(not close(q[c], 0) for c in cyc)]
+    charged = [list(cyc) for cyc in t.decomposition["cycles"]
+               if any(not eq(qs[c], 0) for c in cyc)]
     checks["skeleton_ergodic"] = len(charged) == 1
     # (c) Q in core(V)
     checks["skeleton_in_core"] = in_core(v, q)
@@ -207,7 +242,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     # invariant events and is what the ergodic characterisation needs; on
     # arbitrary events only V(A)=0 => Q(A)=0 is guaranteed.
     checks["v_null_implies_q_null"] = not any(
-        close(va, 0) and not close(qa, 0) for va, qa in zip(v.table, q_of))
+        eq(va, 0) and not eq(qa, 0) for va, qa in zip(vals, q_of))
     ok = all(checks.values())
     return {"ok": ok, "skeleton": q, "charged": charged, "checks": checks}
 

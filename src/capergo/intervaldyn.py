@@ -425,7 +425,9 @@ def _orbit_average_swap(mp, f, x, n):
         if np.any(np.abs(pos - e) < BOUNDARY_SNAP):
             raise BoundaryHitError("orbit hit a branch boundary")
     idx = np.searchsorted(cuts, pos, side="right") - 1
-    return float(vals[np.clip(idx, 0, len(vals) - 1)].mean())
+    # added left to right, as the loop adds them (mean() sums pairwise)
+    terms = vals[np.clip(idx, 0, len(vals) - 1)]
+    return float(np.add.accumulate(terms)[-1] / n)
 
 
 class BitstreamPoint:

@@ -3,6 +3,11 @@
 A value is exact when it is an int or a Fraction, and a float otherwise.
 Two exact values compare exactly; a comparison that involves a float
 allows FLOAT_TOL.  Files and reports carry exact values as "p/q" strings.
+
+A capacity table makes this decision once, when it is built
+(`setfun.Capacity`): an all-exact table is compared in integers over one
+denominator, and a table with any float entry, mixed ones included, is
+compared element by element with `close` and `le` below.
 """
 
 from __future__ import annotations

@@ -5,6 +5,14 @@ function is just a table of 2**n values.  Everything that can stay in
 exact rational arithmetic does; tables may also hold floats (for
 distortions like sqrt).  The exact/float rule, including the comparison
 tolerance for floats, lives in `capergo.numeric`.
+
+A `Capacity` applies that rule once, when it is built: an all-exact
+table is kept as integer numerators over one common denominator, and
+every check on it compares integers.  A table with any float entry is
+compared element by element under `numeric.close` and `numeric.le`, so
+a mixed table keeps the per-element rule: exact against exact is exact,
+anything against a float is within FLOAT_TOL.  `Capacity.arithmetic`
+hands a consumer the one choice.
 """
 
 from __future__ import annotations
@@ -64,35 +72,69 @@ def indices_of(mask: int) -> list[int]:
 
 
 class Capacity:
-    """A monotone set function with mu(empty)=0 and mu(ground)=1."""
+    """A monotone set function with mu(empty)=0 and mu(ground)=1.
+
+    An all-exact table is held as integer numerators `nums` over one
+    denominator `den`; a table with any float entry has `nums` and `den`
+    None.  `table` holds the values by mask either way.
+    """
 
     def __init__(self, n: int, table: Sequence, *, validate: bool = True):
+        table = list(table)
+        nums = den = None
+        if all(map(is_exact, table)):
+            (nums,), den = _over_common_denominator([table])
+        self._init(n, table, nums, den, validate)
+
+    def _init(self, n, table, nums, den, validate):
+        """Set the table; `table` may be None for an exact table, whose
+        Fraction values are then built from nums / den on first read."""
         if n < 1:
             raise ValueError("ground set must be nonempty")
-        if len(table) != 1 << n:
+        if len(nums if table is None else table) != 1 << n:
             raise ValueError("table must have 2**n entries")
         self.n = n
-        self.table = list(table)
+        self._table = table
+        self.nums, self.den = nums, den
         if validate:
             self._validate()
 
+    @property
+    def table(self) -> list:
+        if self._table is None:
+            den = self.den
+            self._table = [Fraction(v, den) for v in self.nums]
+        return self._table
+
+    def arithmetic(self) -> tuple:
+        """(values, one, eq, le): the table as its checks compare it.
+
+        Exact: the integer numerators, the denominator as one, and
+        integer == and <=.  Otherwise: the table, 1, and numeric.close
+        and numeric.le, applied element by element.
+        """
+        if self.nums is not None:
+            return self.nums, self.den, operator.eq, operator.le
+        return self.table, 1, close, le
+
     def _validate(self):
+        vals, one, eq, le_ = self.arithmetic()
         full = (1 << self.n) - 1
-        if not close(self.table[0], 0):
+        if not eq(vals[0], 0):
             raise ValueError("capacity of empty set must be 0")
-        if not close(self.table[full], 1):
+        if not eq(vals[full], one):
             raise ValueError("capacity of ground set must be 1")
         for a in range(1 << self.n):
             for i in range(self.n):
                 if not a & (1 << i):
-                    if not le(self.table[a], self.table[a | (1 << i)]):
+                    if not le_(vals[a], vals[a | (1 << i)]):
                         raise ValueError(
                             "capacity not monotone at %r vs %r"
                             % (indices_of(a), indices_of(a | (1 << i)))
                         )
 
     def is_exact(self) -> bool:
-        return all(is_exact(x) for x in self.table)
+        return self.nums is not None
 
     @classmethod
     def additive(cls, weights: Sequence) -> "Capacity":
@@ -109,27 +151,32 @@ class UpperProbability(Capacity):
         n = len(family[0])
         # an all-exact family is validated and summed in integers over its
         # common denominator, which skips a gcd on every Fraction operation
-        exact = all(is_exact(x) for p in family for x in p)
-        rows, one = _over_common_denominator(family) if exact else (family, 1)
+        exact = all(map(is_exact, itertools.chain.from_iterable(family)))
+        if exact:
+            (rows, one), eq, le_ = (_over_common_denominator(family),
+                                    operator.eq, operator.le)
+        else:
+            rows, one, eq, le_ = family, 1, close, le
         for p in rows:
             if len(p) != n:
                 raise ValueError("family members must share a ground set")
-            if not close(sum(p), one):
+            if not eq(sum(p), one):
                 raise ValueError("family members must be probability vectors")
-            if any(not le(0, x) for x in p):
+            if any(not le_(0, x) for x in p):
                 raise ValueError("family members must be nonnegative")
         self.family = [list(p) for p in family]
         table = None
         for p in rows:
             sums = subset_sums(p, 0 if exact else Fraction(0))
             table = sums if table is None else list(map(max, table, sums))
-        if exact:
-            table = [Fraction(v, one) for v in table]
         # adding a term >= 0 never lowers a rounded partial sum, so with no
         # negative entry the table is monotone and normalised as built; an
         # entry in [-numeric.FLOAT_TOL, 0) still gets the full check
-        super().__init__(n, table,
-                         validate=any(x < 0 for p in rows for x in p))
+        validate = any(x < 0 for p in rows for x in p)
+        if exact:
+            self._init(n, None, table, one, validate)
+        else:
+            super().__init__(n, table, validate=validate)
 
 
 def classify_capacity(mu: Capacity) -> dict:
@@ -139,6 +186,7 @@ def classify_capacity(mu: Capacity) -> dict:
     A witness is a pair of event masks violating the property.
     """
     n = mu.n
+    t, _, eq, le_ = mu.arithmetic()
     additive = True
     subadditive = True
     concave = True
@@ -146,16 +194,15 @@ def classify_capacity(mu: Capacity) -> dict:
     for a in range(1 << n):
         for b in range(1 << n):
             if a & b == 0:
-                s = mu.table[a] + mu.table[b]
-                if additive and not close(mu.table[a | b], s):
+                s = t[a] + t[b]
+                if additive and not eq(t[a | b], s):
                     additive = False
                     witnesses["additive"] = (a, b)
-                if subadditive and not le(mu.table[a | b], s):
+                if subadditive and not le_(t[a | b], s):
                     subadditive = False
                     witnesses["subadditive"] = (a, b)
             join, meet = a | b, a & b
-            if concave and not le(mu.table[join] + mu.table[meet],
-                                   mu.table[a] + mu.table[b]):
+            if concave and not le_(t[join] + t[meet], t[a] + t[b]):
                 concave = False
                 witnesses["concave"] = (a, b)
     return {"additive": additive, "subadditive": subadditive,
@@ -271,17 +318,16 @@ def core_vertices(mu: Capacity) -> list[list]:
             % (CORE_N_LIMIT, n, _candidate_count(n)))
     rows, adj, det = _bases(n)
     full = (1 << n) - 1
-    table = mu.table
-    active = [not le(1, table[a]) for a in range(1, full)] + [True] * n
+    vals, scale, _, le_ = mu.arithmetic()
+    active = [not le_(scale, vals[a]) for a in range(1, full)] + [True] * n
     exact = mu.is_exact()
     if exact:
         # an exact solution is held as x * d * scale, in integers
-        (vals,), scale = _over_common_denominator([table])
         tol = 0
         caps = {d: [d * u for u in vals[1:full]] for d in set(det)}
     else:
         scale = 1.0
-        vals = [float(x) for x in table]
+        vals = [float(x) for x in vals]
         tol = 1e-9
         caps = dict.fromkeys(set(det), [u + tol for u in vals[1:full]])
     bounds = vals[1:full] + [0] * n  # right-hand side of each row
@@ -353,6 +399,13 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
 def in_core(mu: Capacity, p: Sequence) -> bool:
     if len(p) != mu.n:
         raise ValueError("p must be defined on the ground set")
+    if mu.is_exact() and all(map(is_exact, p)):
+        # P(A) <= nums[A] / den with P(A) = sums[A] / m, in integers
+        (ints,), m = _over_common_denominator([p])
+        den = mu.den
+        return sum(ints) == m and all(
+            s * den <= x * m for s, x in zip(subset_sums(ints, 0)[1:],
+                                             mu.nums[1:]))
     if not close(sum(p, Fraction(0)), 1):
         return False
     return all(map(le, subset_sums(p, 0)[1:], mu.table[1:]))
@@ -368,7 +421,7 @@ def product_upper(v1: UpperProbability,
     each P1 x P2 evaluation is bilinear in (P1, P2).
     """
     vs1 = core_vertices(v1)
-    vs2 = core_vertices(v2)
+    vs2 = vs1 if v2 is v1 else core_vertices(v2)
     n2 = v2.n
     family = []
     for p1 in vs1:

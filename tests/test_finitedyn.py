@@ -3,12 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from capergo import finitedyn
+from capergo.ergocheck import FiniteSystem, process_slln_check
 from capergo.finitedyn import (Endomap, common_cond_exp, cycle_decomposition,
                                ergodic_skeleton, ergodicity_check,
                                invariant_atoms, is_invariant_capacity,
                                pushforward, skeleton, weak_mixing_check)
-from capergo.setfun import UpperProbability, core_range, core_vertices
+from capergo.numeric import close, le
+from capergo.setfun import (Capacity, UpperProbability, core_range,
+                            core_vertices, in_core, product_upper,
+                            subset_sums)
 
 F = Fraction
 
@@ -71,6 +78,29 @@ def test_invariant_atoms_are_fully_invariant_partition():
         assert sum(atoms) == (1 << n) - 1  # disjoint cover
         for a in atoms:
             assert t.preimage_mask(a) == a
+
+
+def test_endomap_is_immutable_and_decomposes_once(monkeypatch):
+    calls = []
+    real = finitedyn.cycle_decomposition
+
+    def spy(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(finitedyn, "cycle_decomposition", spy)
+    t = Endomap([1, 0, 1])
+    with pytest.raises(AttributeError):
+        t.image = (0, 0, 0)
+    assert t.image == (1, 0, 1)
+    v = UpperProbability([[F(1, 2), F(1, 2), F(0)]])
+    ergodicity_check(v, t)
+    ergodic_skeleton(v, t)
+    common_cond_exp([F(1), F(0), F(2)], t)
+    skeleton([F(0), F(0), F(1)], t)
+    assert invariant_atoms(t) == [0b111]
+    assert calls == [t]
+    assert t.decomposition == real(t)
 
 
 # --- skeletons and conditional expectations ---------------------------------
@@ -280,3 +310,184 @@ def test_charged_periods_are_the_cycles_carrying_skeleton_mass():
         assert out["charged_periods"] == sorted(
             len(cyc) for cyc in cycles if any(p[c] != 0 for c in cyc))
         assert out["weak_mixing"] == (out["charged_periods"] == [1])
+
+
+# --- differential oracle: the per-element checks ----------------------------
+#
+# The finite checks decide a table's arithmetic once: integer numerators
+# over one denominator for an exact table, numeric.close / numeric.le per
+# element once any entry is a float.  The definitions below are the
+# per-element ones they replace: one preimage mask at a time, and every
+# comparison through close or le.
+
+
+def _preimage_mask_loop(t, mask):
+    out = 0
+    for i in range(t.n):
+        if mask & (1 << t.image[i]):
+            out |= 1 << i
+    return out
+
+
+def _ref_invariant(mu, t):
+    return all(close(mu.table[_preimage_mask_loop(t, a)], mu.table[a])
+               for a in range(1 << mu.n))
+
+
+def _ref_ergodicity(mu, t):
+    invariant = _ref_invariant(mu, t)
+    full = (1 << mu.n) - 1
+    witness = None
+    for b in subset_sums(invariant_atoms(t), 0):
+        vb, vc = mu.table[b], mu.table[full ^ b]
+        if not ((close(vb, 0) or close(vb, 1))
+                and (close(vb, 0) or close(vc, 0))):
+            witness = b
+            break
+    return {"invariant": invariant,
+            "ergodic": invariant and witness is None, "witness": witness}
+
+
+def _ref_in_core(mu, p):
+    if not close(sum(p, F(0)), 1):
+        return False
+    return all(map(le, subset_sums(p, 0)[1:], mu.table[1:]))
+
+
+def _ref_skeleton_check(v, t):
+    erg = _ref_ergodicity(v, t)
+    if not erg["invariant"]:
+        return {"ok": False, "reason": "not invariant"}
+    if not erg["ergodic"]:
+        return {"ok": False, "reason": "not ergodic", "witness": erg["witness"]}
+    q = skeleton(v.family[0], t)
+    q_of = subset_sums(q, 0)
+    events = subset_sums(invariant_atoms(t), 0)
+
+    def agrees(b):
+        lo, hi = core_range(v, b)
+        return close(lo, hi) and close(lo, q_of[b])
+
+    checks = {"core_agrees_on_invariants":
+              len(events) == 2 or all(map(agrees, events))}
+    charged = [cyc for cyc in cycle_decomposition(t)["cycles"]
+               if any(not close(q[c], 0) for c in cyc)]
+    checks["skeleton_ergodic"] = len(charged) == 1
+    checks["skeleton_in_core"] = _ref_in_core(v, q)
+    checks["v_null_implies_q_null"] = not any(
+        close(va, 0) and not close(qa, 0) for va, qa in zip(v.table, q_of))
+    return {"ok": all(checks.values()), "skeleton": q, "charged": charged,
+            "checks": checks}
+
+
+def _ref_stationarity_witness(v, t, h, depth):
+    cylinders = {}
+    for x in range(v.n):
+        word = []
+        y = x
+        for _ in range(depth):
+            word.append(h[y])
+            y = t(y)
+        cylinders[tuple(word)] = cylinders.get(tuple(word), 0) | (1 << x)
+    return next((word for word, mask in cylinders.items()
+                 if not close(v.table[mask],
+                              v.table[_preimage_mask_loop(t, mask)])), None)
+
+
+def _cast(p, how):
+    """p with every entry (float), no entry (exact) or the flagged entries
+    (mixed) turned into floats."""
+    if how == "exact":
+        return list(p)
+    if how == "float":
+        return [float(x) for x in p]
+    return [float(x) if f else x for x, f in zip(p, how)]
+
+
+@st.composite
+def _finite_systems(draw):
+    """(family, endomap) on n <= 4 points.  Members are random vectors,
+    skeletons of Diracs (invariant, supported on one cycle) or uniform
+    on a cycle; half the families are closed under pushforward, so many
+    envelopes are invariant and some ergodic.  Entries stay exact, all
+    become floats, or some do."""
+    n = draw(st.integers(1, 4))
+    t = Endomap(draw(st.lists(st.integers(0, n - 1), min_size=n,
+                              max_size=n)))
+    cycles = cycle_decomposition(t)["cycles"]
+    weights = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(
+        lambda w: sum(w) > 0).map(lambda w: [F(x, sum(w)) for x in w])
+    on_cycle = st.sampled_from(cycles).map(
+        lambda cyc: [F(int(i in cyc), len(cyc)) for i in range(n)])
+    diracs = st.integers(0, n - 1).map(lambda i: skeleton(dirac(n, i), t))
+    family = draw(st.lists(st.one_of(weights, on_cycle, diracs),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):
+        closed = []
+        for p in family:
+            while p not in closed and len(closed) < 6:
+                closed.append(p)
+                p = pushforward(p, t)
+        family = closed
+    how = draw(st.sampled_from(["exact", "float", "mixed"]))
+    if how == "mixed":
+        family = [_cast(p, draw(st.lists(st.booleans(), min_size=n,
+                                         max_size=n))) for p in family]
+    else:
+        family = [_cast(p, how) for p in family]
+    return family, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_systems(), st.data())
+# the product oracle at n = 4, as the 16-point products in capbench:
+# exact and weakly mixing, exact and of period 2, and a float table
+@example(([[F(1), F(0), F(0), F(0)]], Endomap([0, 0, 1, 3])), None)
+@example(([[F(1, 2), F(1, 2), F(0), F(0)]], Endomap([1, 0, 1, 2])), None)
+@example(([[0.25, 0.75, 0.0, 0.0], [0.75, 0.25, 0.0, 0.0]],
+          Endomap([1, 0, 0, 2])), None)
+# an exact envelope that is ergodic, with Q = the uniform 2-cycle
+@example(([[F(1, 2), F(1, 2), F(0)]], Endomap([1, 0, 1])), None)
+# ergodic on the basin of the 2-cycle {1, 2}, with four invariant events:
+# V is held over 6 and Q = (0, 1/2, 1/2) over 2
+@example(([[F(0), F(1, 2), F(1, 2)], [F(0), F(1, 3), F(2, 3)],
+           [F(0), F(2, 3), F(1, 3)]], Endomap([0, 2, 1])), None)
+# exact table over denominator 6, invariant and not ergodic
+@example(([[F(1, 6), F(5, 6)], [F(5, 6), F(1, 6)]], Endomap([0, 1])), None)
+# an exact envelope table whose skeleton is read from a float member:
+# each float entry lies below 1/2, so max keeps the exact member's
+@example(([[0.4999999999999999] * 2, [F(1, 2), F(1, 2)]], Endomap([1, 0])),
+         None)
+def test_finite_checks_match_per_element_definitions(system, data):
+    family, t = system
+    v = UpperProbability(family)
+    n = v.n
+    # the table itself, through Capacity's own arithmetic decision
+    mu = Capacity(n, v.table, validate=False)
+    assert t.preimages == [_preimage_mask_loop(t, a) for a in range(1 << n)]
+    for cap in (v, mu):
+        assert is_invariant_capacity(cap, t) == _ref_invariant(cap, t)
+        assert ergodicity_check(cap, t) == _ref_ergodicity(cap, t)
+    sk = ergodic_skeleton(v, t)
+    assert sk == _ref_skeleton_check(v, t)
+    draw_p = st.lists(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), 0.5,
+                                       1 / 3]), min_size=n, max_size=n)
+    probes = list(family) + [skeleton(family[0], t)]
+    if data is not None:
+        probes.append(data.draw(draw_p))
+    for p in probes:
+        for cap in (v, mu):
+            assert in_core(cap, p) == _ref_in_core(cap, p)
+    h = [x % 2 for x in t.image]
+    for depth in (1, 2, 3):
+        out = process_slln_check(FiniteSystem(v, t), h, depth)
+        assert out["witness"] == _ref_stationarity_witness(v, t, h, depth)
+        assert out["stationary"] == (out["witness"] is None)
+    if sk.get("ok") and (n <= 3 or data is None):
+        # the product oracle's envelope on up to 16 points, and the
+        # per-element zero-one law on it (about 0.5 s at n = 4, so drawn
+        # systems run it up to n = 3 and the examples above at n = 4)
+        want = _ref_ergodicity(product_upper(v, v), t.product(t))["ergodic"]
+        got = weak_mixing_check(v, t, product_oracle=True)
+        assert got["product_ergodic"] == want
+        assert got["weak_mixing"] == all(len(c) == 1 for c in sk["charged"])

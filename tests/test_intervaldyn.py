@@ -580,6 +580,36 @@ def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data):
         _outcome(orbit_average, loop_map, f, x0, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.001, 0.999), st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(1, 3000),
+       st.lists(st.one_of(st.fractions(-3, 3, max_denominator=12),
+                          st.floats(-3.0, 3.0)), min_size=3, max_size=3))
+# values 1/3, 1/7 and 2/3, whose pairwise sum differs from the loop's
+@example(GOLDEN, 0.1234 / 2, 3000, [F(1, 3), F(1, 7), F(2, 3)])
+@example(GOLDEN, 0.777 / 2, 1001, [F(1, 3), F(1, 7), F(2, 3)])
+def test_orbit_average_fast_path_adds_like_the_loop(alpha, start, n,
+                                                    values):
+    """With values other than 0 and 1, the vectorised swap average adds
+    f's values left to right, as the loop does, to the same float."""
+    mp = PiecewiseAffineMap.rotation_swap(alpha)
+    loop_map = PiecewiseAffineMap(mp.branches, c=mp.c)
+    f = PiecewiseConstant([0, F(1, 2), F(3, 2), 2], values, c=2)
+    x0 = start * 2
+    edges = [float(v) for v in f.cuts] + [float(br[0]) for br in mp.branches]
+    x = x0
+    for i in range(n):
+        # as in the test above: later orbit points this close to a cut may
+        # land on either side of it on the two paths
+        assume(i == 0 or all(abs(x - e) > 1e-9 for e in edges))
+        try:
+            x = loop_map.apply(x)
+        except BoundaryHitError:
+            break
+    assert _outcome(orbit_average, mp, f, x0, n) == \
+        _outcome(orbit_average, loop_map, f, x0, n)
+
+
 @pytest.mark.parametrize("x", [0.2, F(1, 5)])
 @pytest.mark.parametrize("n", [0, -1])
 def test_orbit_averages_reject_empty_horizon(x, n):
