@@ -8,7 +8,8 @@ in a temporary directory, and checks every op against its oracle.  Then
 it prints, grouped by file and function, the executable lines of
 ``src/capergo`` that no workload reached, and their count.  A line is
 executable when some instruction of the compiled file carries its
-number.
+number.  Last it prints the physical line count of ``src/capergo`` (every
+line of its ``.py`` files, as ``wc -l`` counts them).
 
 capergo is imported from ``src/`` and the workloads from
 ``capbench/workloads.py`` of the checkout this script sits in; nothing
@@ -113,11 +114,13 @@ def main() -> int:
         names = [w["name"] for w in json.load(fh)["workloads"]]
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "capbench")]
     failed, reached = traced(lambda: run_workloads(names))
-    total = missed = 0
+    total = missed = physical = 0
     for fname in sorted(os.listdir(PACKAGE)):
         if not fname.endswith(".py"):
             continue
         path = os.path.join(PACKAGE, fname)
+        with open(path) as fh:
+            physical += sum(1 for _ in fh)
         owner = executable_lines(path)
         unreached = {}
         for line in sorted(owner):
@@ -132,6 +135,7 @@ def main() -> int:
                 print("  %s: %s" % (name, spans(lines)))
     print("%d of %d executable src/capergo lines unreached by %s"
           % (missed, total, ", ".join(names)))
+    print("%d physical src/capergo lines" % physical)
     if failed:
         print("%d ops failed their oracle" % failed, file=sys.stderr)
     return 1 if failed else 0

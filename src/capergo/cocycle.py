@@ -51,27 +51,19 @@ def _qr_errstate():
 
 
 def _qr_step(a):
-    """(Q, diag R) of a float64 matrix or (B, d, d) stack, which it
-    overwrites, without entering the error state; the QR loops enter
-    `_qr_errstate` once per stack of steps."""
+    """(Q, diag R) of a float64 matrix or (B, d, d) stack, bit for bit as
+    `np.linalg.qr` gives them.  It overwrites its input.
+
+    Calls the two LAPACK gufuncs behind `np.linalg.qr` directly, and skips
+    the wrapper's type dispatch, its `triu` of R, whose diagonal is all
+    the callers read, and its error state: the QR loops enter
+    `_qr_errstate` once per stack of steps.  The per-call wrapper cost is
+    most of the time of a 3 x 3 factorization.  The gufunc names are
+    those of numpy >= 2.0.
+    """
     tau = _umath_linalg.qr_r_raw(a, signature="d->d")
     q = _umath_linalg.qr_reduced(a, tau, signature="dd->d")
     return q, a.diagonal(0, -2, -1)
-
-
-def _qr(a):
-    """(Q, diag R) of a float matrix or a (B, d, d) stack, bit for bit as
-    `np.linalg.qr` gives them.
-
-    Calls the two LAPACK gufuncs behind `np.linalg.qr` directly, under the
-    same error state, and skips the wrapper's type dispatch and its `triu`
-    of R, whose diagonal is all the callers read.  The per-call wrapper
-    cost is most of the time of a 3 x 3 factorization.  The gufunc names
-    are those of numpy >= 2.0.
-    """
-    a = np.array(a, dtype=np.float64)  # a copy: qr_r_raw overwrites it
-    with _qr_errstate():
-        return _qr_step(a)
 
 
 class MatrixGen:
@@ -340,8 +332,8 @@ def _right_subspace_bases(gen: MatrixGen, orbits: Sequence) -> np.ndarray:
 
 
 def principal_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    qu, _ = _qr(u)
-    qv, _ = _qr(v)
+    qu, _ = np.linalg.qr(u)
+    qv, _ = np.linalg.qr(v)
     sv = np.linalg.svd(qu.T @ qv, compute_uv=False)
     sv = np.clip(sv, -1.0, 1.0)
     return np.arccos(sv)

@@ -111,7 +111,7 @@ class FiniteSystem:
         while c not in seen:
             seen[c] = len(masks)
             masks.append(c)
-            c = self.t.preimage_mask(c)
+            c = self.t.preimages[c]
         terms = [self.prob(p, b & m) for m in masks]
         start = seen[c]
         cycle = terms[start:]
@@ -416,7 +416,7 @@ def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
         word = tuple(word)
         cylinders[word] = cylinders.get(word, 0) | (1 << x)
     witness = next((word for word, mask in cylinders.items()
-                    if not eq(vals[mask], vals[t.preimage_mask(mask)])),
+                    if not eq(vals[mask], vals[t.preimages[mask]])),
                    None)
     out = {"stationary": witness is None, "witness": witness}
     if sys.skeleton is None:

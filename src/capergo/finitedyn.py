@@ -11,16 +11,17 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import close, is_exact, parse
-from .setfun import (Capacity, UpperProbability, _over_common_denominator,
-                     in_core, product_upper, subset_sums)
+from .numeric import parse
+from .setfun import (Capacity, UpperProbability, in_core, product_upper,
+                     subset_sums)
 
 
 class Endomap:
     """A map of {0, ..., n-1} into itself, held as its image tuple.
 
-    It is immutable, so the table of every preimage mask and the cycle
-    decomposition are each built once, on first use.
+    It is immutable, so the table of every preimage mask, the cycle
+    decomposition and the invariant events are each built once, on first
+    use.
     """
 
     def __init__(self, image: Sequence[int]):
@@ -50,13 +51,17 @@ class Endomap:
             points[j] |= 1 << i
         return subset_sums(points, 0)
 
-    def preimage_mask(self, mask: int) -> int:
-        return self.preimages[mask]
-
     @functools.cached_property
     def decomposition(self) -> dict:
         """cycle_decomposition(self); read it, do not change it."""
         return cycle_decomposition(self)
+
+    @functools.cached_property
+    def invariant_events(self) -> list[int]:
+        """Every event B with T^{-1} B = B: the k-th is the union of the
+        atoms j with bit j of k set.  The atoms are disjoint bitmasks, so
+        these unions are their subset sums.  Read it, do not change it."""
+        return subset_sums(invariant_atoms(self), 0)
 
     def product(self, other: "Endomap") -> "Endomap":
         """The map (i, j) -> (T i, S j) on indices i * other.n + j."""
@@ -119,13 +124,6 @@ def invariant_atoms(t: Endomap) -> list[int]:
     return sorted(atoms)
 
 
-def invariant_events(t: Endomap) -> list[int]:
-    """Every event B with T^{-1} B = B: the k-th is the union of the atoms
-    j with bit j of k set.  The atoms are disjoint bitmasks, so these
-    unions are their subset sums."""
-    return subset_sums(invariant_atoms(t), 0)
-
-
 def skeleton(p: Sequence, t: Endomap) -> list:
     """Cesaro limit of the pushforwards P o T^{-i}.
 
@@ -180,7 +178,7 @@ def ergodicity_check(mu: Capacity, t: Endomap) -> dict:
     vals, one, eq, _ = mu.arithmetic()
     full = (1 << mu.n) - 1
     witness = None
-    for b in invariant_events(t):
+    for b in t.invariant_events:
         vb = vals[b]
         vc = vals[full ^ b]
         zero_one = (eq(vb, 0) or eq(vb, one))
@@ -210,15 +208,10 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     if not erg["ergodic"]:
         return {"ok": False, "reason": "not ergodic", "witness": erg["witness"]}
     q = skeleton(v.family[0], t)
-    # V is compared as vals / one and Q as qs / m: in integers when both
-    # are exact, else element by element under numeric.close
-    if v.is_exact() and all(map(is_exact, q)):
-        vals, one, eq, _ = v.arithmetic()
-        (qs,), m = _over_common_denominator([q])
-    else:
-        vals, one, eq, qs, m = v.table, 1, close, q, 1
-    q_of = subset_sums(qs, 0)  # Q(A) * m for every mask A
-    events = invariant_events(t)
+    # V(A) is vals[A] / one and Q(A) is q_of[A] / one
+    vals, qs, one, eq, _ = v.arithmetic_with(q)
+    q_of = subset_sums(qs, 0)
+    events = t.invariant_events
     full = (1 << v.n) - 1
     checks = {}
 
@@ -226,7 +219,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
         # core_range's closed form: the core's min and max of P(B) are
         # 1 - V(B^c) and V(B)
         lo = one - vals[full ^ b]
-        return eq(lo, vals[b]) and eq(lo * m, q_of[b] * one)
+        return eq(lo, vals[b]) and eq(lo, q_of[b])
 
     # (a) every core element gives the same mass to invariant-atom unions
     # (trivially so when the only ones are the empty and full events)

@@ -3,16 +3,12 @@
 Events on a ground set {0, ..., n-1} are encoded as bitmasks, so a set
 function is just a table of 2**n values.  Everything that can stay in
 exact rational arithmetic does; tables may also hold floats (for
-distortions like sqrt).  The exact/float rule, including the comparison
-tolerance for floats, lives in `capergo.numeric`.
+distortions like sqrt).
 
-A `Capacity` applies that rule once, when it is built: an all-exact
-table is kept as integer numerators over one common denominator, and
-every check on it compares integers.  A table with any float entry is
-compared element by element under `numeric.close` and `numeric.le`, so
-a mixed table keeps the per-element rule: exact against exact is exact,
-anything against a float is within FLOAT_TOL.  `Capacity.arithmetic`
-hands a consumer the one choice.
+How a table is compared is decided once, by `numeric.decide_arithmetic`
+when the `Capacity` is built, and the capacity keeps that decision:
+`Capacity.arithmetic` hands it to every check, and
+`Capacity.arithmetic_with` extends it to a probability vector.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numeric import close, is_exact, le
+from .numeric import close, decide_arithmetic, le
 
 Number = object  # Fraction or float; kept loose on purpose
 
@@ -52,14 +48,6 @@ def subset_sums(p: Sequence, zero) -> list:
     return sums
 
 
-def _over_common_denominator(rows: Sequence[Sequence]) -> tuple:
-    """([[x * L for x in row] for row in rows] as ints, L) for exact rows,
-    with L the lcm of every entry's denominator."""
-    lcm = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (lcm // x.denominator) for x in row]
-            for row in rows], lcm
-
-
 def indices_of(mask: int) -> list[int]:
     out = []
     i = 0
@@ -74,51 +62,58 @@ def indices_of(mask: int) -> list[int]:
 class Capacity:
     """A monotone set function with mu(empty)=0 and mu(ground)=1.
 
-    An all-exact table is held as integer numerators `nums` over one
-    denominator `den`; a table with any float entry has `nums` and `den`
-    None.  `table` holds the values by mask either way.
+    `table` holds the values by mask, of the types given, and
+    `arithmetic()` the tuple `numeric.decide_arithmetic` gives for them.
     """
 
     def __init__(self, n: int, table: Sequence, *, validate: bool = True):
-        table = list(table)
-        nums = den = None
-        if all(map(is_exact, table)):
-            (nums,), den = _over_common_denominator([table])
-        self._init(n, table, nums, den, validate)
+        self.table = table = list(table)
+        (vals,), one, eq, le_ = decide_arithmetic([table])
+        self._set(n, (vals, one, eq, le_), validate)
 
-    def _init(self, n, table, nums, den, validate):
-        """Set the table; `table` may be None for an exact table, whose
-        Fraction values are then built from nums / den on first read."""
+    def _set(self, n, arithmetic, validate):
         if n < 1:
             raise ValueError("ground set must be nonempty")
-        if len(nums if table is None else table) != 1 << n:
+        if len(arithmetic[0]) != 1 << n:
             raise ValueError("table must have 2**n entries")
         self.n = n
-        self._table = table
-        self.nums, self.den = nums, den
+        self._arithmetic = arithmetic
         if validate:
             self._validate()
 
-    @property
+    @functools.cached_property
     def table(self) -> list:
-        if self._table is None:
-            den = self.den
-            self._table = [Fraction(v, den) for v in self.nums]
-        return self._table
+        """The values by mask.  `Capacity()` stores the table it is given;
+        an envelope builds its own on first read: Fractions when exact,
+        else the table it compares."""
+        vals, one, _, _ = self._arithmetic
+        if not self.is_exact():
+            return vals
+        return [Fraction(v, one) for v in vals]
 
     def arithmetic(self) -> tuple:
-        """(values, one, eq, le): the table as its checks compare it.
+        """(values, one, eq, le): the table as its checks compare it,
+        as `numeric.decide_arithmetic` decided it."""
+        return self._arithmetic
 
-        Exact: the integer numerators, the denominator as one, and
-        integer == and <=.  Otherwise: the table, 1, and numeric.close
-        and numeric.le, applied element by element.
+    def arithmetic_with(self, p: Sequence) -> tuple:
+        """(values, qs, one, eq, le): the table and the vector p compared
+        together, mu(A) as values[A] / one and p[i] as qs[i] / one.
+
+        In integers over one denominator when both are exact; otherwise
+        the table and p as they are, one = 1, and numeric.close and
+        numeric.le element by element.
         """
-        if self.nums is not None:
-            return self.nums, self.den, operator.eq, operator.le
-        return self.table, 1, close, le
+        (qs,), m, p_eq, _ = decide_arithmetic([p])
+        if not (self.is_exact() and p_eq is operator.eq):
+            return self.table, p, 1, close, le
+        vals, one, eq, le_ = self._arithmetic
+        lcm = math.lcm(one, m)
+        return ([v * (lcm // one) for v in vals],
+                [q * (lcm // m) for q in qs], lcm, eq, le_)
 
     def _validate(self):
-        vals, one, eq, le_ = self.arithmetic()
+        vals, one, eq, le_ = self._arithmetic
         full = (1 << self.n) - 1
         if not eq(vals[0], 0):
             raise ValueError("capacity of empty set must be 0")
@@ -134,7 +129,7 @@ class Capacity:
                         )
 
     def is_exact(self) -> bool:
-        return self.nums is not None
+        return self._arithmetic[2] is operator.eq
 
     @classmethod
     def additive(cls, weights: Sequence) -> "Capacity":
@@ -151,12 +146,7 @@ class UpperProbability(Capacity):
         n = len(family[0])
         # an all-exact family is validated and summed in integers over its
         # common denominator, which skips a gcd on every Fraction operation
-        exact = all(map(is_exact, itertools.chain.from_iterable(family)))
-        if exact:
-            (rows, one), eq, le_ = (_over_common_denominator(family),
-                                    operator.eq, operator.le)
-        else:
-            rows, one, eq, le_ = family, 1, close, le
+        rows, one, eq, le_ = decide_arithmetic(family)
         for p in rows:
             if len(p) != n:
                 raise ValueError("family members must share a ground set")
@@ -165,18 +155,18 @@ class UpperProbability(Capacity):
             if any(not le_(0, x) for x in p):
                 raise ValueError("family members must be nonnegative")
         self.family = [list(p) for p in family]
+        # other families sum from Fraction(0), so an exact partial sum of a
+        # mixed member stays a Fraction
+        zero = 0 if eq is operator.eq else Fraction(0)
         table = None
         for p in rows:
-            sums = subset_sums(p, 0 if exact else Fraction(0))
+            sums = subset_sums(p, zero)
             table = sums if table is None else list(map(max, table, sums))
         # adding a term >= 0 never lowers a rounded partial sum, so with no
         # negative entry the table is monotone and normalised as built; an
         # entry in [-numeric.FLOAT_TOL, 0) still gets the full check
         validate = any(x < 0 for p in rows for x in p)
-        if exact:
-            self._init(n, None, table, one, validate)
-        else:
-            super().__init__(n, table, validate=validate)
+        self._set(n, (table, one, eq, le_), validate)
 
 
 def classify_capacity(mu: Capacity) -> dict:
@@ -399,16 +389,9 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
 def in_core(mu: Capacity, p: Sequence) -> bool:
     if len(p) != mu.n:
         raise ValueError("p must be defined on the ground set")
-    if mu.is_exact() and all(map(is_exact, p)):
-        # P(A) <= nums[A] / den with P(A) = sums[A] / m, in integers
-        (ints,), m = _over_common_denominator([p])
-        den = mu.den
-        return sum(ints) == m and all(
-            s * den <= x * m for s, x in zip(subset_sums(ints, 0)[1:],
-                                             mu.nums[1:]))
-    if not close(sum(p, Fraction(0)), 1):
-        return False
-    return all(map(le, subset_sums(p, 0)[1:], mu.table[1:]))
+    vals, qs, one, eq, le_ = mu.arithmetic_with(p)
+    return eq(sum(qs), one) and all(
+        map(le_, subset_sums(qs, 0)[1:], vals[1:]))
 
 
 def product_upper(v1: UpperProbability,

@@ -77,7 +77,7 @@ def test_invariant_atoms_are_fully_invariant_partition():
         atoms = invariant_atoms(t)
         assert sum(atoms) == (1 << n) - 1  # disjoint cover
         for a in atoms:
-            assert t.preimage_mask(a) == a
+            assert t.preimages[a] == a
 
 
 def test_endomap_is_immutable_and_decomposes_once(monkeypatch):

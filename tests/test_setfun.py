@@ -115,6 +115,17 @@ def test_monotonicity_violation_rejected():
         Capacity(3, table)
 
 
+@pytest.mark.parametrize("table", [
+    [0, F(1, 3), F(1, 2), 1],  # exact: ints stay ints
+    [0.0, 0.25, 0.5, 1.0],
+    [0, 0.25, F(1, 2), 1],  # mixed
+])
+def test_capacity_table_keeps_given_values_and_types(table):
+    mu = Capacity(2, table)
+    assert mu.table == table
+    assert [type(x) for x in mu.table] == [type(x) for x in table]
+
+
 def test_distort_must_fix_endpoints():
     with pytest.raises(ValueError):
         distort([F(1, 2), F(1, 2)], lambda x: x / 2)
@@ -206,6 +217,12 @@ def test_sqrt_distortion_core_vertices():
 def test_in_core_rejects_vector_off_the_ground_set(p):
     with pytest.raises(ValueError, match="ground set"):
         in_core(UpperProbability([[F(1, 2), F(1, 2)]]), p)
+
+
+def test_in_core_allows_float_tol_on_a_float_vector_against_exact_table():
+    v = UpperProbability([[F(1, 2), F(1, 2)]])
+    assert in_core(v, [0.5 + 1e-13, 0.5 - 1e-13])
+    assert not in_core(v, [0.5 + 1e-9, 0.5 - 1e-9])
 
 
 def test_family_members_lie_in_core_and_envelope_is_tight():
