@@ -155,8 +155,8 @@ class UpperProbability(Capacity):
             if any(not le_(0, x) for x in p):
                 raise ValueError("family members must be nonnegative")
         self.family = [list(p) for p in family]
-        # other families sum from Fraction(0), so an exact partial sum of a
-        # mixed member stays a Fraction
+        # a family with a float entry sums from Fraction(0), as a Fraction
+        # DP would, so the exact entries of its table are Fractions
         zero = 0 if eq is operator.eq else Fraction(0)
         table = None
         for p in rows:
