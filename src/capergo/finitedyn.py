@@ -209,7 +209,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
         return {"ok": False, "reason": "not ergodic", "witness": erg["witness"]}
     q = skeleton(v.family[0], t)
     # V(A) is vals[A] / one and Q(A) is q_of[A] / one
-    vals, qs, one, eq, _ = v.arithmetic_with(q)
+    (vals, qs), one, eq, _ = v.arithmetic_with(q)
     q_of = subset_sums(qs, 0)
     events = t.invariant_events
     full = (1 << v.n) - 1

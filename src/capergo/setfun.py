@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .numeric import close, decide_arithmetic, le
+from .numeric import close, decide_arithmetic
 
 Number = object  # Fraction or float; kept loose on purpose
 
@@ -97,20 +97,10 @@ class Capacity:
         return self._arithmetic
 
     def arithmetic_with(self, p: Sequence) -> tuple:
-        """(values, qs, one, eq, le): the table and the vector p compared
-        together, mu(A) as values[A] / one and p[i] as qs[i] / one.
-
-        In integers over one denominator when both are exact; otherwise
-        the table and p as they are, one = 1, and numeric.close and
-        numeric.le element by element.
-        """
-        (qs,), m, p_eq, _ = decide_arithmetic([p])
-        if not (self.is_exact() and p_eq is operator.eq):
-            return self.table, p, 1, close, le
-        vals, one, eq, le_ = self._arithmetic
-        lcm = math.lcm(one, m)
-        return ([v * (lcm // one) for v in vals],
-                [q * (lcm // m) for q in qs], lcm, eq, le_)
+        """((values, qs), one, eq, le): the table and the vector p as
+        `numeric.decide_arithmetic` decides them together, mu(A) as
+        values[A] / one and p[i] as qs[i] / one."""
+        return decide_arithmetic([self.table, p])
 
     def _validate(self):
         vals, one, eq, le_ = self._arithmetic
@@ -166,6 +156,10 @@ class UpperProbability(Capacity):
         # negative entry the table is monotone and normalised as built; an
         # entry in [-numeric.FLOAT_TOL, 0) still gets the full check
         validate = any(x < 0 for p in rows for x in p)
+        if eq is not operator.eq:
+            # float members that never set the max leave an exact table,
+            # so a float family's table is decided on its own values
+            (table,), one, eq, le_ = decide_arithmetic([table])
         self._set(n, (table, one, eq, le_), validate)
 
 
@@ -389,7 +383,7 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
 def in_core(mu: Capacity, p: Sequence) -> bool:
     if len(p) != mu.n:
         raise ValueError("p must be defined on the ground set")
-    vals, qs, one, eq, le_ = mu.arithmetic_with(p)
+    (vals, qs), one, eq, le_ = mu.arithmetic_with(p)
     return eq(sum(qs), one) and all(
         map(le_, subset_sums(qs, 0)[1:], vals[1:]))
 

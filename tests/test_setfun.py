@@ -204,6 +204,14 @@ def test_core_keeps_exact_vertices_closer_than_any_float_tolerance():
     assert core_range(Capacity(2, v.table), 0b10) == (1 - a, F(1, 2))
 
 
+def test_float_member_that_never_sets_the_max_leaves_envelope_exact():
+    a = F(500000000001, 10 ** 12)
+    v = UpperProbability([[a, 1 - a], [F(1, 2), F(1, 2)], [0.5, 0.5]])
+    assert v.is_exact()
+    assert all(type(x) is F for x in v.table)
+    assert core_vertices(v) == [[a, 1 - a], [F(1, 2), F(1, 2)]]
+
+
 def test_sqrt_distortion_core_vertices():
     mu = distort([F(1, 2), F(1, 2)], math.sqrt)
     verts = sorted((float(a), float(b)) for a, b in core_vertices(mu))
@@ -217,12 +225,6 @@ def test_sqrt_distortion_core_vertices():
 def test_in_core_rejects_vector_off_the_ground_set(p):
     with pytest.raises(ValueError, match="ground set"):
         in_core(UpperProbability([[F(1, 2), F(1, 2)]]), p)
-
-
-def test_in_core_allows_float_tol_on_a_float_vector_against_exact_table():
-    v = UpperProbability([[F(1, 2), F(1, 2)]])
-    assert in_core(v, [0.5 + 1e-13, 0.5 - 1e-13])
-    assert not in_core(v, [0.5 + 1e-9, 0.5 - 1e-9])
 
 
 def test_family_members_lie_in_core_and_envelope_is_tight():
