@@ -58,10 +58,14 @@ def _load_scenario_file(path: str):
     return name, config
 
 
+def _is_scenario_file(name: str) -> bool:
+    return os.path.sep in name or name.endswith(".json")
+
+
 def cmd_run(args) -> int:
     overrides = dict(_parse_override(s) for s in args.set or [])
     name = args.scenario
-    if os.path.sep in name or name.endswith(".json"):
+    if _is_scenario_file(name):
         name, file_config = _load_scenario_file(name)
         overrides = {**file_config, **overrides}
     started = time.monotonic()
@@ -100,8 +104,11 @@ def cmd_core(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    if args.scenario not in scenarios.COCYCLE:
-        raise ConfigError("not a cocycle scenario: %r" % args.scenario)
+    name = args.scenario
+    if _is_scenario_file(name):
+        name, _ = _load_scenario_file(name)
+    if name not in scenarios.COCYCLE:
+        raise ConfigError("not a cocycle scenario: %r" % name)
     return cmd_run(args)
 
 

@@ -273,18 +273,18 @@ def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,
     Verifies f_{n+m}(w) <= f_n(w) + f_m(T^n w) on 40 sampled (n, m) with
     n + m <= n_max, and |f_n| <= k n M throughout.
     """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2, not %r" % (n_max,))
     rng = random.Random(seed)
     orbit = gen.orbit(omega, n_max + 1)
 
     def f(n, start_idx):
-        mats = gen.matrices(orbit[start_idx:start_idx + n])
         if k == gen.d:
             # top compound is the determinant; evaluating it per step
             # avoids the LU roundoff of an ill-conditioned dense product
-            return sum(np.linalg.slogdet(a)[1] for a in mats)
-        phi = np.eye(gen.d)
-        for a in mats:
-            phi = a @ phi
+            return sum(np.linalg.slogdet(a)[1]
+                       for a in gen.matrices(orbit[start_idx:start_idx + n]))
+        phi = cocycle_matrix(gen, orbit[start_idx], n)
         nrm = np.linalg.norm(compound_power(phi, k), 2)
         if nrm == 0 or not np.isfinite(nrm):
             raise OverflowError("dense compound product left float range; "
@@ -381,7 +381,7 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
     # one orbit serves every pass: on a periodic base it runs round the
     # cycle, so orbit[j:j + n] is the orbit of the j-th cycle point
     starts = period or 2
-    orbit = gen.orbit(omega, max(n, dir_horizon) + starts)
+    orbit = gen.orbit(omega, n + starts)
     # one stacked backward pass over the orbits of every cycle point, or
     # of omega and T omega on an aperiodic base; omega and T omega first
     bases_at = list(_right_subspace_bases(
@@ -391,17 +391,16 @@ def oseledets_filtration(gen: MatrixGen, omega, n: int) -> OseledetsApprox:
     def directional(x, start_idx, block_start):
         v = np.array(x, dtype=float)
         acc = 0.0
-        end = start_idx + dir_horizon
-        for lo in range(start_idx, end, CHUNK):
-            mats = gen.matrices(orbit[lo:min(lo + CHUNK, end)])
-            for i, a in enumerate(mats, lo):
-                v = a @ v
-                if period:
-                    vi_here = bases_at[(i + 1) % period][:, block_start:]
-                    v = vi_here @ (vi_here.T @ v)
-                nrm = np.linalg.norm(v)
-                acc += math.log(nrm)
-                v /= nrm
+        steps = itertools.chain.from_iterable(
+            _stacks(gen, orbit[start_idx], dir_horizon))
+        for i, a in enumerate(steps, start_idx):
+            v = a @ v
+            if period:
+                vi_here = bases_at[(i + 1) % period][:, block_start:]
+                v = vi_here @ (vi_here.T @ v)
+            nrm = np.linalg.norm(v)
+            acc += math.log(nrm)
+            v /= nrm
         return acc / dir_horizon
 
     filtration = []
@@ -452,6 +451,8 @@ def subadditive_limit_finite(f_seq: Callable[[int], Sequence], t,
     sampled (n, m); the inf is required to have stabilized over the last
     quarter of the horizon.
     """
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2, not %r" % (horizon,))
     rng = random.Random(0)
     m_pts = len(f_seq(1))
     for _ in range(30):

@@ -3,8 +3,11 @@
 Two arithmetic modes coexist: exact (Fraction endpoints) and float; the
 rule that tells them apart, the float tolerance and the "p/q" encoding
 live in `capergo.numeric`.  All intervals are half-open [a, b); boundary
-points belong to the right-continuous side, so partitions and preimages
-stay half-open and measure computations never see boundary ambiguity.
+points belong to the right-continuous side, so partitions stay half-open
+and measure computations never see boundary ambiguity.  Preimages are
+stored half-open too: under a negative-slope branch the true preimage of
+[a, b) is closed on the right, so there they are exact only up to their
+endpoints.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class IntervalSet:
     def measure(self):
         return sum((b - a for a, b in self.intervals), Fraction(0))
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        self._check(other)
-        return IntervalSet(self.intervals + other.intervals, self.c)
-
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         self._check(other)
         out = []
@@ -81,17 +80,6 @@ class IntervalSet:
                 if lo < hi:
                     out.append((lo, hi))
                 k += 1
-        return IntervalSet(out, self.c)
-
-    def complement(self) -> "IntervalSet":
-        out = []
-        prev = parse(0)
-        for a, b in self.intervals:
-            if prev < a:
-                out.append((prev, a))
-            prev = b
-        if prev < self.c:
-            out.append((prev, self.c))
         return IntervalSet(out, self.c)
 
     def _check(self, other):

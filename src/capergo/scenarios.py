@@ -32,10 +32,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
     return encode(x)
 
 

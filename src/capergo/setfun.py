@@ -66,10 +66,10 @@ class Capacity:
     `arithmetic()` the tuple `numeric.decide_arithmetic` gives for them.
     """
 
-    def __init__(self, n: int, table: Sequence, *, validate: bool = True):
+    def __init__(self, n: int, table: Sequence):
         self.table = table = list(table)
         (vals,), one, eq, le_ = decide_arithmetic([table])
-        self._set(n, (vals, one, eq, le_), validate)
+        self._set(n, (vals, one, eq, le_), True)
 
     def _set(self, n, arithmetic, validate):
         if n < 1:

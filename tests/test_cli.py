@@ -273,6 +273,20 @@ def test_lyapunov_rejects_other_scenarios(tmp_path):
                     str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("name, code", [("kingman-two-cycle", 0),
+                                        ("finite-swap-ergodic", 2)])
+def test_lyapunov_reads_the_scenario_name_from_a_file(tmp_path, capsys,
+                                                      name, code):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"name": name}))
+    out = tmp_path / "out"
+    assert run_cli(["lyapunov", str(cfg), "--out", str(out)]) == code
+    assert (out / name / "report.json").exists() == (code == 0)
+    if code:
+        assert capsys.readouterr().err == \
+            "error: not a cocycle scenario: %r\n" % name
+
+
 def test_seed_flag_changes_seeded_config(tmp_path):
     for seed, sub in ((3, "a"), (4, "b")):
         assert run_cli(["run", "polynomial-birkhoff", "--seed", str(seed),

@@ -711,6 +711,17 @@ def test_kingman_rejects_superadditive_sequence():
     assert not res["ok"] and res["witness"]
 
 
+@pytest.mark.parametrize("horizon", [-1, 0, 1])
+def test_subadditive_checks_reject_horizons_below_two(horizon):
+    with pytest.raises(ValueError, match="n_max must be >= 2, not %d"
+                       % horizon):
+        subadditive_check(diag_gen(2.0, 0.5), 0, k=1, n_max=horizon)
+    with pytest.raises(ValueError, match="horizon must be >= 2, not %d"
+                       % horizon):
+        subadditive_limit_finite(lambda n: [float(n)], Endomap([0]),
+                                 horizon)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "table", "d": 3, "matrices": [[[2.0, 0.0], [0.0, 1.0]]]},
     {"kind": "table", "matrices": [[[2.0, 0.0], [0.0, 1.0]]]},

@@ -463,7 +463,7 @@ def test_finite_checks_match_per_element_definitions(system, data):
     v = UpperProbability(family)
     n = v.n
     # the table itself, through Capacity's own arithmetic decision
-    mu = Capacity(n, v.table, validate=False)
+    mu = Capacity(n, v.table)
     assert t.preimages == [_preimage_mask_loop(t, a) for a in range(1 << n)]
     for cap in (v, mu):
         assert is_invariant_capacity(cap, t) == _ref_invariant(cap, t)

@@ -33,32 +33,23 @@ def random_set(rng, c=2, denom=64, pieces=2):
 # --- interval algebra -------------------------------------------------------
 
 
-def test_complement_of_lower_half():
-    s = IntervalSet([(0, 1)], c=2)
-    assert s.complement() == IntervalSet([(1, 2)], c=2)
-
-
 def test_intersection_measure():
     a = IntervalSet([(0, F(1, 2)), (1, F(3, 2))], c=2)
     b = IntervalSet([(F(3, 10), F(12, 10))], c=2)
     assert a.intersect(b).measure() == F(2, 10) + F(2, 10)
 
 
-def test_union_merges_touching_pieces():
-    a = IntervalSet([(0, F(1, 2))], c=2)
-    b = IntervalSet([(F(1, 2), 1)], c=2)
-    assert a.union(b) == IntervalSet([(0, 1)], c=2)
+def union(a, b):
+    """a | b, through the constructor's merge of overlapping pieces."""
+    return IntervalSet(a.intervals + b.intervals, a.c)
 
 
 def test_set_algebra_laws_random():
     rng = random.Random(21)
     for _ in range(40):
         a, b = random_set(rng), random_set(rng)
-        assert a.union(b).measure() + a.intersect(b).measure() == \
+        assert union(a, b).measure() + a.intersect(b).measure() == \
             a.measure() + b.measure()
-        assert a.complement().complement() == a
-        # De Morgan
-        assert a.union(b).complement() == a.complement().intersect(b.complement())
 
 
 # --- piecewise affine maps --------------------------------------------------
@@ -84,6 +75,11 @@ def test_doubling_preimage_of_lower_half():
     assert mp.preimage(s) == expect
 
 
+def tent():
+    """The tent map: its second branch is the tests' only negative slope."""
+    return PiecewiseAffineMap([(0, F(1, 2), 2, 0), (F(1, 2), 1, -2, 2)], c=1)
+
+
 def contains(s, x):
     """Membership of x in the half-open pieces of s."""
     return any(a <= x < b for a, b in s.intervals)
@@ -93,7 +89,7 @@ def test_preimage_membership_oracle():
     rng = random.Random(22)
     maps = [PiecewiseAffineMap.rotation_swap(F(3, 10)),
             PiecewiseAffineMap.doubling_paste(),
-            PiecewiseAffineMap.rotation(F(2, 7))]
+            PiecewiseAffineMap.rotation(F(2, 7)), tent()]
     for mp in maps:
         for _ in range(5):
             s = random_set(rng, c=mp.c)
@@ -108,7 +104,7 @@ def test_preimage_preserves_measure():
     for mp in (PiecewiseAffineMap.rotation_swap(),
                PiecewiseAffineMap.rotation_swap(F(3, 10)),
                PiecewiseAffineMap.doubling(),
-               PiecewiseAffineMap.doubling_paste()):
+               PiecewiseAffineMap.doubling_paste(), tent()):
         for _ in range(10):
             s = random_set(rng, c=mp.c)
             assert abs(float(mp.preimage(s).measure() - s.measure())) <= 1e-12
@@ -117,10 +113,21 @@ def test_preimage_preserves_measure():
 def test_preimage_distributes_over_union_and_complement():
     rng = random.Random(24)
     mp = PiecewiseAffineMap.doubling_paste()
+    empty, whole = IntervalSet([], mp.c), IntervalSet([(0, mp.c)], mp.c)
     for _ in range(10):
         a, b = random_set(rng), random_set(rng)
-        assert mp.preimage(a.union(b)) == mp.preimage(a).union(mp.preimage(b))
-        assert mp.preimage(a.complement()) == mp.preimage(a).complement()
+        assert mp.preimage(union(a, b)) == \
+            union(mp.preimage(a), mp.preimage(b))
+        # a and b below partition [0, c): the pieces between drawn cuts,
+        # alternately; their preimages partition [0, c) too
+        cuts = [0] + sorted(F(rng.randint(1, 127), 64)
+                            for _ in range(rng.randint(1, 6))) + [mp.c]
+        pieces = list(zip(cuts, cuts[1:]))
+        a, b = IntervalSet(pieces[::2], mp.c), IntervalSet(pieces[1::2], mp.c)
+        assert union(a, b) == whole and a.intersect(b) == empty
+        pre_a, pre_b = mp.preimage(a), mp.preimage(b)
+        assert union(pre_a, pre_b) == whole
+        assert pre_a.intersect(pre_b) == empty
 
 
 def test_boundary_hit_raises_in_float_mode():

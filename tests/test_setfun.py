@@ -105,6 +105,39 @@ def test_classify_max_of_diracs():
     assert flags["witnesses"]["additive"] == (1, 2)
 
 
+def _first_witness(t, n, fails, disjoint):
+    """The first pair (a, b) in row-major order over all 4**n mask pairs,
+    disjoint ones only if asked, on which fails(t, a, b) holds."""
+    return next(((a, b) for a in range(1 << n) for b in range(1 << n)
+                 if not (disjoint and a & b) and fails(t, a, b)), None)
+
+
+def test_classify_failure_flags_match_a_brute_force_scan():
+    cases = [
+        UpperProbability([[F(1), F(0)], [F(0), F(1)]]),
+        # P**2 is superadditive: V({0, 1}) = 1 > V({0}) + V({1}) = 1/2
+        distort([F(1, 2), F(1, 2)], lambda x: x * x),
+        # subadditive, but V({0,1,2}) + V({1}) > V({0,1}) + V({1,2})
+        Capacity(3, [0, F(1, 2), F(1, 2), F(1, 2), F(1, 2), 1, F(1, 2), 1]),
+    ]
+    laws = {
+        "additive": (lambda t, a, b: t[a | b] != t[a] + t[b], True),
+        "subadditive": (lambda t, a, b: t[a | b] > t[a] + t[b], True),
+        "concave": (lambda t, a, b: t[a | b] + t[a & b] > t[a] + t[b],
+                    False),
+    }
+    failed = set()
+    for mu in cases:
+        flags = classify_capacity(mu)
+        for law, (fails, disjoint) in laws.items():
+            witness = _first_witness(mu.table, mu.n, fails, disjoint)
+            assert flags[law] == (witness is None)
+            assert flags["witnesses"].get(law) == witness
+            if witness:
+                failed.add(law)
+    assert failed == set(laws)
+
+
 def test_monotonicity_violation_rejected():
     table = [F(0)] * 8
     table[7] = F(1)
@@ -400,7 +433,8 @@ _weights = st.integers(1, 4).flatmap(_weight_lists)
 def exact_capacities(draw):
     """Envelopes of 1-3 rational vectors, or min(c * P, 1) and P**2
     distortions, on up to 4 points (n = 5 is too slow for the oracle
-    on a dense table)."""
+    on a dense table), as (constructor, arguments): the test builds the
+    capacity, so a fault in construction fails it, not the import."""
     w = draw(_weights)
     n = len(w)
     kind = draw(st.sampled_from(["envelope", "concave", "convex"]))
@@ -408,32 +442,36 @@ def exact_capacities(draw):
         extra = draw(st.lists(st.lists(st.integers(0, 12), min_size=n,
                                        max_size=n).filter(any),
                               max_size=2))
-        return UpperProbability([_exact_prob(w)] +
-                                [_exact_prob(e) for e in extra])
+        return UpperProbability, ([_exact_prob(w)] +
+                                  [_exact_prob(e) for e in extra],)
     if kind == "concave":
         c = F(draw(st.integers(4, 24)), 4)
-        return distort(_exact_prob(w), lambda x: min(c * x, F(1)))
-    return distort(_exact_prob(w), lambda x: x * x)
+        return distort, (_exact_prob(w), lambda x: min(c * x, F(1)))
+    return distort, (_exact_prob(w), lambda x: x * x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(exact_capacities())
-@example(UpperProbability([_exact_prob([10 ** 15 + 1, 3, 7, 10 ** 14]),
-                           _exact_prob([1, 2, 3, 4])]))
-def test_core_vertices_match_brute_force_exact(mu):
+@example((UpperProbability, ([_exact_prob([10 ** 15 + 1, 3, 7, 10 ** 14]),
+                              _exact_prob([1, 2, 3, 4])],)))
+def test_core_vertices_match_brute_force_exact(spec):
+    build, args = spec
+    mu = build(*args)
     got = core_vertices(mu)
     assert got == brute_force_core_vertices(mu)
     assert all(type(x) is F for v in got for x in v)
 
 
-@pytest.mark.parametrize("mu", [
+@pytest.mark.parametrize("build, args", [
     # the Dirac member pins V(A) = 1 on every A containing point 0
-    UpperProbability([[F(1, 5)] * 5, [F(1), F(0), F(0), F(0), F(0)]]),
-    distort([F(1, 10), F(2, 10), F(3, 10), F(1, 10), F(3, 10)],
-            lambda x: min(3 * x, F(1))),
-    Capacity.additive([F(1, 15), F(2, 15), F(3, 15), F(4, 15), F(5, 15)]),
+    (UpperProbability, ([[F(1, 5)] * 5, [F(1), F(0), F(0), F(0), F(0)]],)),
+    (distort, ([F(1, 10), F(2, 10), F(3, 10), F(1, 10), F(3, 10)],
+               lambda x: min(3 * x, F(1)))),
+    (Capacity.additive, ([F(1, 15), F(2, 15), F(3, 15), F(4, 15),
+                          F(5, 15)],)),
 ], ids=["envelope-with-dirac", "min-linear", "additive"])
-def test_core_vertices_match_brute_force_exact_n5(mu):
+def test_core_vertices_match_brute_force_exact_n5(build, args):
+    mu = build(*args)
     assert core_vertices(mu) == brute_force_core_vertices(mu)
 
 
