@@ -30,6 +30,9 @@ Two more measurements ride along on the same two trees:
 - one Tier-1 run (the whole ``pytest`` suite) on each side, with its
   wall time and its counts of tests and failed tests.
 
+Every pytest run records each failed test as ``classname::name`` with the
+first line of its message, and prints them to standard error.
+
 The output holds both commits, every run's result line and provenance
 record, and per workload, per scenario and per criterion the median of
 each metric on each side, the change/parent ratio of the medians, the
@@ -127,10 +130,25 @@ def time_scenarios(tree):
     return json.loads(lines[-1])
 
 
+def failure_of(case):
+    """{test, message} of a JUnit test case that failed or errored, with
+    the test as classname::name and the message's first line; else
+    None."""
+    node = case.find("failure")
+    if node is None:
+        node = case.find("error")
+    if node is None:
+        return None
+    lines = (node.get("message") or node.text or "").splitlines()
+    return {"test": "%s::%s" % (case.get("classname"), case.get("name")),
+            "message": lines[0] if lines else ""}
+
+
 def run_pytest(tree, args):
-    """{wall_s, tests, failed, durations} of one pytest run in tree, with
-    each test's duration (setup, call and teardown) read from its JUnit
-    XML report.  Failing tests are counted, not fatal."""
+    """{wall_s, tests, failed, failures, durations} of one pytest run in
+    tree, with each failed test's `failure_of` record and each test's
+    duration (setup, call and teardown) read from its JUnit XML report.
+    Failing tests are recorded and printed to stderr, not fatal."""
     env = dict(os.environ, PYTHONPATH="src", **ONE_THREAD)
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "junit.xml")
@@ -143,22 +161,22 @@ def run_pytest(tree, args):
             raise SystemExit("pytest wrote no report in %s (exit %d):\n%s"
                              % (tree, proc.returncode, proc.stdout[-2000:]))
         cases = list(ET.parse(report).getroot().iter("testcase"))
-    failed = sum(1 for c in cases
-                 if c.find("failure") is not None
-                 or c.find("error") is not None)
-    return {"wall_s": wall, "tests": len(cases), "failed": failed,
+    failures = [f for f in map(failure_of, cases) if f is not None]
+    for f in failures:
+        print("FAILED in %s: %s: %s" % (tree, f["test"], f["message"]),
+              file=sys.stderr)
+    return {"wall_s": wall, "tests": len(cases), "failed": len(failures),
+            "failures": failures,
             "durations": {c.get("name"): float(c.get("time"))
                           for c in cases}}
 
 
 def time_criteria(tree):
-    """{criterion test name: seconds} of one acceptance run in tree."""
+    """({criterion test name: seconds}, failures) of one acceptance run in
+    tree."""
     run = run_pytest(tree, ["tests/test_acceptance.py"])
-    if run["failed"]:
-        print("%d acceptance tests failed in %s" % (run["failed"], tree),
-              file=sys.stderr)
-    return {name: t for name, t in run["durations"].items()
-            if name.startswith("test_criterion_")}
+    return ({name: t for name, t in run["durations"].items()
+             if name.startswith("test_criterion_")}, run["failures"])
 
 
 def paired(runs, values_of):
@@ -265,8 +283,9 @@ def main(argv=None):
         runs = []
         for k in range(CRITERION_PAIRS):
             for side in order_of(k):
-                runs.append({"side": side, "pair": k,
-                             "seconds": time_criteria(trees[side])})
+                seconds, failures = time_criteria(trees[side])
+                runs.append({"side": side, "pair": k, "seconds": seconds,
+                             "failures": failures})
                 print("criteria pair %d %s: %.1f s in all" % (
                     k, side, sum(runs[-1]["seconds"].values())),
                       file=sys.stderr)
@@ -275,8 +294,8 @@ def main(argv=None):
         report["tier1"] = {}
         for side in SIDES:
             run = run_pytest(trees[side], [])
-            report["tier1"][side] = {k: run[k]
-                                     for k in ("wall_s", "tests", "failed")}
+            report["tier1"][side] = {
+                k: run[k] for k in ("wall_s", "tests", "failed", "failures")}
             print("tier-1 %s: %d tests, %d failed, %.1f s" % (
                 side, run["tests"], run["failed"], run["wall_s"]),
                   file=sys.stderr)

@@ -62,14 +62,24 @@ def _is_scenario_file(name: str) -> bool:
     return os.path.sep in name or name.endswith(".json")
 
 
-def cmd_run(args) -> int:
+def _resolve_scenario(args) -> argparse.Namespace:
+    """args with `scenario` the scenario's name and `config` its
+    overrides: a scenario file's name and config, under the --set
+    overrides.  Every scenario command gets its args through it, so a
+    scenario file is read once."""
     overrides = dict(_parse_override(s) for s in args.set or [])
     name = args.scenario
     if _is_scenario_file(name):
         name, file_config = _load_scenario_file(name)
         overrides = {**file_config, **overrides}
+    return argparse.Namespace(**dict(vars(args), scenario=name,
+                                     config=overrides))
+
+
+def cmd_run(args) -> int:
+    name = args.scenario
     started = time.monotonic()
-    report, csv_tables = scenarios.run_scenario(name, overrides, args.seed)
+    report, csv_tables = scenarios.run_scenario(name, args.config, args.seed)
     elapsed = time.monotonic() - started
     out_root = args.out or os.environ.get("CAPERGO_OUT", "capergo-out")
     path = _write_report(out_root, name, report, csv_tables)
@@ -104,22 +114,20 @@ def cmd_core(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    name = args.scenario
-    if _is_scenario_file(name):
-        name, _ = _load_scenario_file(name)
-    if name not in scenarios.COCYCLE:
-        raise ConfigError("not a cocycle scenario: %r" % name)
+    if args.scenario not in scenarios.COCYCLE:
+        raise ConfigError("not a cocycle scenario: %r" % args.scenario)
     return cmd_run(args)
 
 
 def _add_scenario_command(sub, name, help_text, fn):
-    """A subcommand taking a scenario and --seed, --out and --set."""
+    """A subcommand taking a scenario and --seed, --out and --set; fn
+    gets the args as `_resolve_scenario` resolves them."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--set", action="append", metavar="key=value")
-    p.set_defaults(fn=fn)
+    p.set_defaults(fn=lambda args: fn(_resolve_scenario(args)))
 
 
 def main(argv=None) -> int:

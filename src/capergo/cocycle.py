@@ -128,34 +128,32 @@ class MatrixGen:
 
     @classmethod
     def from_json(cls, obj):
+        """A `rotation_angle` spec: L(x) = planar rotation by
+        angle_scale * x over the circle rotation base with the default
+        irrational angle."""
         kind = obj["kind"]
-        if kind == "table":
-            gen = cls.periodic(obj["matrices"])
-        elif kind == "rotation_angle":
-            # L(x) = planar rotation by angle_scale * x over the circle
-            # rotation base with the default irrational angle
-            from .intervaldyn import GOLDEN, PiecewiseAffineMap
-            scale = obj.get("angle_scale", 1.0)
-            if isinstance(scale, bool) or \
-                    not isinstance(scale, numbers.Real) or \
-                    not math.isfinite(scale):
-                raise ValueError("angle_scale must be a finite number, "
-                                 "not %r" % (scale,))
-            scale = float(scale)
-            mp = PiecewiseAffineMap.rotation(GOLDEN)
-
-            def stack_of(points):
-                th = scale * np.array(points, dtype=float)
-                cos, sin = np.cos(th), np.sin(th)
-                out = np.empty((len(th), 2, 2))
-                out[:, 0, 0] = out[:, 1, 1] = cos
-                out[:, 0, 1] = -sin
-                out[:, 1, 0] = sin
-                return out
-
-            gen = cls(2, stack_of, mp.apply, bound_m=1.0)
-        else:
+        if kind != "rotation_angle":
             raise ValueError("unknown generator kind %r" % kind)
+        from .intervaldyn import GOLDEN, PiecewiseAffineMap
+        scale = obj.get("angle_scale", 1.0)
+        if isinstance(scale, bool) or \
+                not isinstance(scale, numbers.Real) or \
+                not math.isfinite(scale):
+            raise ValueError("angle_scale must be a finite number, "
+                             "not %r" % (scale,))
+        scale = float(scale)
+        mp = PiecewiseAffineMap.rotation(GOLDEN)
+
+        def stack_of(points):
+            th = scale * np.array(points, dtype=float)
+            cos, sin = np.cos(th), np.sin(th)
+            out = np.empty((len(th), 2, 2))
+            out[:, 0, 0] = out[:, 1, 1] = cos
+            out[:, 0, 1] = -sin
+            out[:, 1, 0] = sin
+            return out
+
+        gen = cls(2, stack_of, mp.apply, bound_m=1.0)
         if obj.get("d") != gen.d:
             raise ValueError("declared d=%r, but the generator is %d x %d"
                              % (obj.get("d"), gen.d, gen.d))

@@ -206,16 +206,14 @@ def squared_deviation_check(sys: System, p, b, c, n: int,
                            lambda center: 0)
 
 
-def choquet_independence_check(sys: System, f: Sequence, g: Sequence,
-                               n: int) -> ConvergenceReport:
+def choquet_independence_check(sys: FiniteSystem, f: Sequence,
+                               g: Sequence, n: int) -> ConvergenceReport:
     """Choquet average of f * (g o T^i) against (int f dV)(int g dQ).
 
     Finite regime only: each checkpoint evaluates an exact Choquet
     integral of the running Cesaro average, and the exact limit is the
     Choquet integral of f times the common conditional expectation of g.
     """
-    if not isinstance(sys, FiniteSystem):
-        raise NotImplementedError("choquet check runs on finite systems")
     pts = checkpoints_of(n)
     if sys.skeleton is None:
         return ConvergenceReport("choquet_independence", pts, [], 0, 0,
@@ -387,7 +385,7 @@ def paper_sequence_6_remark(K: int) -> dict:
 # stationary-process SLLN
 
 
-def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
+def process_slln_check(sys: FiniteSystem, h: Sequence, depth: int) -> dict:
     """Stationarity of Y_k = h o T^{k-1} plus the per-point SLLN.
 
     Stationarity compares V of every depth-d cylinder event with V of its
@@ -400,8 +398,6 @@ def process_slln_check(sys: System, h: Sequence, depth: int) -> dict:
     """
     if depth > 8:
         raise ValueError("depth budget: depth <= 8")
-    if not isinstance(sys, FiniteSystem):
-        raise NotImplementedError("process checks run on finite systems")
     t, v = sys.t, sys.v
     m = v.n
     vals, _, eq, _ = v.arithmetic()

@@ -11,9 +11,8 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import parse
-from .setfun import (Capacity, UpperProbability, in_core, product_upper,
-                     subset_sums)
+from .numeric import decide_arithmetic, parse
+from .setfun import Capacity, UpperProbability, product_upper, subset_sums
 
 
 class Endomap:
@@ -72,14 +71,13 @@ class Endomap:
 
 
 def cycle_decomposition(t: Endomap) -> dict:
-    """Terminal cycles plus per-point entry data.
+    """Terminal cycles and the cycle each point's orbit ends on.
 
     Returns {"cycles": [sorted point lists], "cycle_of": point -> cycle
-    index, "entry_time": steps until the orbit first hits its cycle}.
+    index}.
     """
     n = t.n
     cycle_of = [-1] * n
-    entry = [0] * n
     cycles: list[list[int]] = []
     state = [0] * n  # 0 unvisited, 1 in progress, 2 done
     for start in range(n):
@@ -97,18 +95,16 @@ def cycle_decomposition(t: Endomap) -> dict:
             cyc = path[k:]
             ci = len(cycles)
             cycles.append(sorted(cyc))
-            for p in cyc:  # entry time 0, as initialised
+            for p in cyc:
                 cycle_of[p] = ci
             tail = path[:k]
         else:
             tail = path  # ran into already-classified territory
         for p in reversed(tail):
-            nxt = t(p)
-            cycle_of[p] = cycle_of[nxt]
-            entry[p] = entry[nxt] + 1
+            cycle_of[p] = cycle_of[t(p)]
         for p in path:
             state[p] = 2
-    return {"cycles": cycles, "cycle_of": cycle_of, "entry_time": entry}
+    return {"cycles": cycles, "cycle_of": cycle_of}
 
 
 def invariant_atoms(t: Endomap) -> list[int]:
@@ -209,7 +205,7 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
         return {"ok": False, "reason": "not ergodic", "witness": erg["witness"]}
     q = skeleton(v.family[0], t)
     # V(A) is vals[A] / one and Q(A) is q_of[A] / one
-    (vals, qs), one, eq, _ = v.arithmetic_with(q)
+    (vals, qs), one, eq, le_ = decide_arithmetic([v.table, q])
     q_of = subset_sums(qs, 0)
     events = t.invariant_events
     full = (1 << v.n) - 1
@@ -229,8 +225,9 @@ def ergodic_skeleton(v: UpperProbability, t: Endomap) -> dict:
     charged = [list(cyc) for cyc in t.decomposition["cycles"]
                if any(not eq(qs[c], 0) for c in cyc)]
     checks["skeleton_ergodic"] = len(charged) == 1
-    # (c) Q in core(V)
-    checks["skeleton_in_core"] = in_core(v, q)
+    # (c) Q in core(V): a probability below V on every event
+    checks["skeleton_in_core"] = eq(q_of[-1], one) and all(
+        map(le_, q_of[1:], vals[1:]))
     # (d) null sets of Q and V coincide.  Q-null iff V-null holds for
     # invariant events and is what the ergodic characterisation needs; on
     # arbitrary events only V(A)=0 => Q(A)=0 is guaranteed.

@@ -26,16 +26,16 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def close(a, b, tol=FLOAT_TOL) -> bool:
+def close(a, b) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(a - b) <= tol
+    return abs(a - b) <= FLOAT_TOL
 
 
-def le(a, b, tol=FLOAT_TOL) -> bool:
+def le(a, b) -> bool:
     if is_exact(a) and is_exact(b):
         return a <= b
-    return a <= b + tol
+    return a <= b + FLOAT_TOL
 
 
 def decide_arithmetic(rows) -> tuple:

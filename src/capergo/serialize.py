@@ -71,12 +71,17 @@ def capacity_from_json(obj) -> Capacity:
     if len(table) != 1 << n:
         raise ValueError("'table' must have 2**n entries for n=%d" % n)
     values = [None] * len(table)
+    key_of = {}
     for key, val in table.items():
         if not (key.isascii() and key.isdigit()) or int(key) >= len(values):
             raise ValueError("event mask %r out of range for n=%d" % (key, n))
-        values[int(key)] = _value(val)
-    if any(v is None for v in values):
-        raise ValueError("capacity table incomplete")
+        mask = int(key)
+        if mask in key_of:
+            raise ValueError("keys %r and %r name the same event mask %d"
+                             % (key_of[mask], key, mask))
+        key_of[mask] = key
+        values[mask] = _value(val)
+    # 2**n distinct masks below 2**n: every event has its value
     return Capacity(n, values)
 
 

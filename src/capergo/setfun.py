@@ -7,8 +7,7 @@ distortions like sqrt).
 
 How a table is compared is decided once, by `numeric.decide_arithmetic`
 when the `Capacity` is built, and the capacity keeps that decision:
-`Capacity.arithmetic` hands it to every check, and
-`Capacity.arithmetic_with` extends it to a probability vector.
+`Capacity.arithmetic` hands it to every check.
 """
 
 from __future__ import annotations
@@ -95,12 +94,6 @@ class Capacity:
         """(values, one, eq, le): the table as its checks compare it,
         as `numeric.decide_arithmetic` decided it."""
         return self._arithmetic
-
-    def arithmetic_with(self, p: Sequence) -> tuple:
-        """((values, qs), one, eq, le): the table and the vector p as
-        `numeric.decide_arithmetic` decides them together, mu(A) as
-        values[A] / one and p[i] as qs[i] / one."""
-        return decide_arithmetic([self.table, p])
 
     def _validate(self):
         vals, one, eq, le_ = self._arithmetic
@@ -378,14 +371,6 @@ def core_range(mu: Capacity, event, vertices=None) -> tuple:
     idx = indices_of(mask)
     vals = [sum((v[i] for i in idx), Fraction(0)) for v in vertices]
     return min(vals), max(vals)
-
-
-def in_core(mu: Capacity, p: Sequence) -> bool:
-    if len(p) != mu.n:
-        raise ValueError("p must be defined on the ground set")
-    (vals, qs), one, eq, le_ = mu.arithmetic_with(p)
-    return eq(sum(qs), one) and all(
-        map(le_, subset_sums(qs, 0)[1:], vals[1:]))
 
 
 def product_upper(v1: UpperProbability,

@@ -170,23 +170,36 @@ def test_missing_capacity_file(tmp_path):
     assert run_cli(["check-capacity", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("obj", [
-    {"n": 2, "table": {"0": "0", "1": None, "2": "1/2", "3": "1"}},
-    {"n": 100, "table": {"0": "0", "1": "1"}},
-    {"n": 2, "table": {"0": "0", "1": "1/2", "7": "1/2", "3": "1"}},
-    {"n": 2, "table": {"0": "0", "1": "1/0", "2": "1/2", "3": "1"}},
-    {"n": "2", "table": {"0": "0", "1": "1/2", "2": "1/2", "3": "1"}},
-    {"kind": "lambda", "lambda": [["1/2", None]]},
-    ["not", "an", "object"],
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 2, "table": {"0": "0", "1": None, "2": "1/2", "3": "1"}},
+     "not a finite number or 'p/q' string within float range: None"),
+    ({"n": 100, "table": {"0": "0", "1": "1"}},
+     "capacities limited to n <= 12 points: n=100"),
+    ({"n": 2, "table": {"0": "0", "1": "1/2", "7": "1/2", "3": "1"}},
+     "event mask '7' out of range for n=2"),
+    ({"n": 2, "table": {"0": "0", "1": "1/0", "2": "1/2", "3": "1"}},
+     "zero denominator in '1/0'"),
+    ({"n": "2", "table": {"0": "0", "1": "1/2", "2": "1/2", "3": "1"}},
+     "'n' must be an integer >= 1"),
+    ({"kind": "lambda", "lambda": [["1/2", None]]},
+     "not a finite number or 'p/q' string within float range: None"),
+    (["not", "an", "object"], "capacity file must hold a JSON object"),
+    # 2**n keys, two of them naming mask 1
+    ({"n": 2, "table": {"0": "0", "1": "1/2", "01": "1/2", "3": "1"}},
+     "keys '1' and '01' name the same event mask 1"),
+    ({"n": 1, "table": {"0": "1/2", "1": "1"}},
+     "capacity of empty set must be 0"),
 ], ids=["null-value", "huge-n", "mask-out-of-range", "zero-denominator",
-        "string-n", "null-in-lambda", "not-an-object"])
+        "string-n", "null-in-lambda", "not-an-object", "repeated-mask",
+        "nonzero-empty-set"])
 @pytest.mark.parametrize("command", ["core", "check-capacity"])
 def test_malformed_capacity_file_is_config_error(tmp_path, capsys, obj,
-                                                 command):
+                                                 message, command):
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(obj))
     assert run_cli([command, str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
 
 
 def test_core_rejects_n6_before_building_bases(tmp_path, capsys,
@@ -285,6 +298,23 @@ def test_lyapunov_reads_the_scenario_name_from_a_file(tmp_path, capsys,
     if code:
         assert capsys.readouterr().err == \
             "error: not a cocycle scenario: %r\n" % name
+
+
+def test_lyapunov_reads_its_scenario_file_once(tmp_path, monkeypatch):
+    from capergo import serialize
+
+    real, paths = serialize.load_json, []
+    monkeypatch.setattr(serialize, "load_json",
+                        lambda path: paths.append(path) or real(path))
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"name": "kingman-two-cycle",
+                               "config": {"seed": 3}}))
+    out = tmp_path / "out"
+    assert run_cli(["lyapunov", str(cfg), "--out", str(out)]) == 0
+    assert paths == [str(cfg)]
+    report = json.loads((out / "kingman-two-cycle" /
+                         "report.json").read_text())
+    assert report["config"]["seed"] == 3
 
 
 def test_seed_flag_changes_seeded_config(tmp_path):

@@ -723,11 +723,9 @@ def test_subadditive_checks_reject_horizons_below_two(horizon):
 
 
 @pytest.mark.parametrize("spec", [
-    {"kind": "table", "d": 3, "matrices": [[[2.0, 0.0], [0.0, 1.0]]]},
-    {"kind": "table", "matrices": [[[2.0, 0.0], [0.0, 1.0]]]},
     {"kind": "rotation_angle", "d": 1, "angle_scale": 1.0},
     {"kind": "rotation_angle"},
-], ids=["table-d3-over-2x2", "table-no-d", "rotation-d1", "rotation-no-d"])
+], ids=["rotation-d1", "rotation-no-d"])
 def test_from_json_rejects_missing_or_wrong_d(spec):
     with pytest.raises(ValueError, match="d="):
         MatrixGen.from_json(spec)
@@ -737,12 +735,13 @@ def test_from_json_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown generator kind 'two_point'"):
         MatrixGen.from_json({"kind": "two_point", "d": 2,
                              "matrices": [[[2.0, 0.0], [0.0, 1.0]]]})
+    # periodic generators are built with MatrixGen.periodic
+    with pytest.raises(ValueError, match="unknown generator kind 'table'"):
+        MatrixGen.from_json({"kind": "table", "d": 2,
+                             "matrices": [[[2.0, 0.0], [0.0, 1.0]]]})
 
 
 def test_from_json_builds_the_declared_d():
     gen = MatrixGen.from_json({"kind": "rotation_angle", "d": 2,
                                "angle_scale": 1.3})
     assert gen.d == 2
-    gen = MatrixGen.from_json({"kind": "table", "d": 3,
-                               "matrices": [np.diag([2.0, 1.0, 0.5])]})
-    assert gen.d == 3

@@ -14,8 +14,7 @@ from capergo.finitedyn import (Endomap, common_cond_exp, cycle_decomposition,
                                pushforward, skeleton, weak_mixing_check)
 from capergo.numeric import close, le
 from capergo.setfun import (Capacity, UpperProbability, core_range,
-                            core_vertices, in_core, product_upper,
-                            subset_sums)
+                            core_vertices, product_upper, subset_sums)
 
 F = Fraction
 
@@ -25,10 +24,12 @@ def dirac(n, i):
 
 
 def transient_and_period(t):
-    """Steps until every orbit has reached its cycle, and the lcm of the
-    cycle lengths: every orbit is periodic with that period afterwards."""
+    """A number of steps after which every orbit has reached its cycle (n
+    will do: the first n + 1 points of an orbit repeat one), and the lcm
+    of the cycle lengths: every orbit is periodic with that period
+    afterwards."""
     dec = cycle_decomposition(t)
-    return max(dec["entry_time"]), math.lcm(*map(len, dec["cycles"]))
+    return t.n, math.lcm(*map(len, dec["cycles"]))
 
 
 # --- cycle structure --------------------------------------------------------
@@ -38,35 +39,19 @@ def test_cycle_decomposition_tail_into_swap():
     t = Endomap([1, 2, 1])
     dec = cycle_decomposition(t)
     assert dec["cycles"] == [[1, 2]]
-    assert dec["entry_time"] == [1, 0, 0]
     assert dec["cycle_of"][0] == dec["cycle_of"][1] == dec["cycle_of"][2] == 0
 
 
 def test_cycle_decomposition_identity():
     dec = cycle_decomposition(Endomap([0, 1, 2]))
     assert dec["cycles"] == [[0], [1], [2]]
-    assert dec["entry_time"] == [0, 0, 0]
+    assert dec["cycle_of"] == [0, 1, 2]
 
 
 def test_cycle_decomposition_constant_map():
     dec = cycle_decomposition(Endomap([3, 3, 3, 3]))
     assert dec["cycles"] == [[3]]
-    assert dec["entry_time"] == [1, 1, 1, 0]
-
-
-def test_entry_time_reaches_cycle():
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(1, 7)
-        t = Endomap([rng.randrange(n) for _ in range(n)])
-        dec = cycle_decomposition(t)
-        on_cycle = {p for cyc in dec["cycles"] for p in cyc}
-        for x in range(n):
-            y = x
-            for _ in range(dec["entry_time"][x]):
-                y = t.image[y]
-            assert y in on_cycle
-            assert dec["entry_time"][x] == 0 or x not in on_cycle
+    assert dec["cycle_of"] == [0, 0, 0, 0]
 
 
 def test_invariant_atoms_are_fully_invariant_partition():
@@ -78,6 +63,13 @@ def test_invariant_atoms_are_fully_invariant_partition():
         assert sum(atoms) == (1 << n) - 1  # disjoint cover
         for a in atoms:
             assert t.preimages[a] == a
+
+
+@pytest.mark.parametrize("image", [[0, 5], [-1]])
+def test_endomap_rejects_an_image_outside_the_ground_set(image):
+    with pytest.raises(ValueError,
+                       match="^image must map into the ground set$"):
+        Endomap(image)
 
 
 def test_endomap_is_immutable_and_decomposes_once(monkeypatch):
@@ -284,6 +276,28 @@ def test_fixed_point_system_is_weak_mixing():
     assert out["product_ergodic"] is True
 
 
+def test_weak_mixing_check_reports_a_non_ergodic_envelope():
+    # both fixed points are invariant events of V-measure 1
+    out = weak_mixing_check(UpperProbability([dirac(2, 0), dirac(2, 1)]),
+                            Endomap([0, 1]))
+    assert out == {"ok": False, "reason": "not ergodic"}
+
+
+def test_product_oracle_rejects_n5_before_building_the_product(monkeypatch):
+    def no_product(v1, v2):
+        raise AssertionError("a %d-point product built" % (v1.n * v2.n))
+
+    monkeypatch.setattr(finitedyn, "product_upper", no_product)
+    v = UpperProbability([[F(1, 5)] * 5])
+    t = Endomap([1, 2, 3, 4, 0])
+    assert ergodic_skeleton(v, t)["ok"]
+    with pytest.raises(ValueError,
+                       match=r"^product oracle limited to n <= 4$"):
+        weak_mixing_check(v, t)
+    assert weak_mixing_check(v, t, product_oracle=False)["weak_mixing"] \
+        is False
+
+
 def test_product_oracle_agrees_with_period_criterion():
     rng = random.Random(20)
     for _ in range(40):
@@ -470,14 +484,6 @@ def test_finite_checks_match_per_element_definitions(system, data):
         assert ergodicity_check(cap, t) == _ref_ergodicity(cap, t)
     sk = ergodic_skeleton(v, t)
     assert sk == _ref_skeleton_check(v, t)
-    draw_p = st.lists(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), 0.5,
-                                       1 / 3]), min_size=n, max_size=n)
-    probes = list(family) + [skeleton(family[0], t)]
-    if data is not None:
-        probes.append(data.draw(draw_p))
-    for p in probes:
-        for cap in (v, mu):
-            assert in_core(cap, p) == _ref_in_core(cap, p)
     h = [x % 2 for x in t.image]
     for depth in (1, 2, 3):
         out = process_slln_check(FiniteSystem(v, t), h, depth)

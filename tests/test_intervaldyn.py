@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import unittest.mock
 from fractions import Fraction
 
@@ -689,6 +690,17 @@ def test_polynomial_orbit_average_rejects_non_dyadic_pieces():
     x = BitstreamPoint(seed=4, budget=64)
     with pytest.raises(ValueError):
         polynomial_orbit_average(f, lambda i: i, x, 8)
+
+
+@pytest.mark.parametrize("cuts, values, message", [
+    ([0, 1, 2], [F(1)], "need one value per piece"),
+    ([F(1, 2), 2], [F(1)], "pieces must cover [0, c)"),
+    ([0, 1], [F(1)], "pieces must cover [0, c)"),
+    ([0, 1, 1, 2], [F(1), F(2), F(3)], "cuts must increase"),
+], ids=["values-short", "starts-past-0", "ends-before-c", "repeated-cut"])
+def test_piecewise_constant_rejects_malformed_pieces(cuts, values, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        PiecewiseConstant(cuts, values, c=2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,8 @@ from capergo import setfun
 from capergo.numeric import is_exact, le
 from capergo.setfun import (Capacity, UpperProbability, choquet_integral,
                             classify_capacity, core_range, core_vertices,
-                            distort, in_core, indices_of, mask_of,
-                            product_upper)
+                            distort, indices_of, mask_of, product_upper,
+                            subset_sums)
 
 F = Fraction
 
@@ -138,6 +139,17 @@ def test_classify_failure_flags_match_a_brute_force_scan():
     assert failed == set(laws)
 
 
+@pytest.mark.parametrize("n, table, message", [
+    (0, [0], "ground set must be nonempty"),
+    (2, [0, 1], "table must have 2**n entries"),
+    (1, [F(1, 2), 1], "capacity of empty set must be 0"),
+    (1, [0, 0.5], "capacity of ground set must be 1"),
+], ids=["n0", "short-table", "empty-set", "ground-set"])
+def test_capacity_rejects_table_with_pinned_message(n, table, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        Capacity(n, table)
+
+
 def test_monotonicity_violation_rejected():
     table = [F(0)] * 8
     table[7] = F(1)
@@ -226,6 +238,8 @@ def test_core_of_dirac_envelope_is_simplex():
 def test_core_can_be_empty():
     mu = Capacity(2, [F(0), F(3, 10), F(3, 10), F(1)])
     assert core_vertices(mu) == []
+    with pytest.raises(ValueError, match="^core is empty$"):
+        core_range(mu, 0b01)
 
 
 def test_core_keeps_exact_vertices_closer_than_any_float_tolerance():
@@ -254,12 +268,6 @@ def test_sqrt_distortion_core_vertices():
     assert abs(verts[0][1] - s) <= 1e-12
 
 
-@pytest.mark.parametrize("p", [[F(1, 2), F(1, 2), F(0)], [F(1)]])
-def test_in_core_rejects_vector_off_the_ground_set(p):
-    with pytest.raises(ValueError, match="ground set"):
-        in_core(UpperProbability([[F(1, 2), F(1, 2)]]), p)
-
-
 def test_family_members_lie_in_core_and_envelope_is_tight():
     rng = random.Random(15)
     for _ in range(15):
@@ -267,7 +275,8 @@ def test_family_members_lie_in_core_and_envelope_is_tight():
         fam = [random_prob(rng, n) for _ in range(rng.randint(1, 3))]
         v = UpperProbability(fam)
         for p in fam:
-            assert in_core(v, p)
+            # P lies in the core: P(A) <= V(A) on every event
+            assert all(map(le, subset_sums(p, 0), v.table))
         verts = core_vertices(v)
         for a in range(1, 1 << n):
             lo, hi = core_range(v, a, verts)
@@ -389,6 +398,7 @@ def brute_force_core_vertices(mu):
     first-seen, exactly for an exact table and on float keys within 1e-9
     otherwise."""
     n = mu.n
+    # sol and the table's values are compared within tol
     tol = 0 if mu.is_exact() else 1e-9
     full = (1 << n) - 1
     constraints = [(a, mu.table[a]) for a in range(1, full)
@@ -400,9 +410,9 @@ def brute_force_core_vertices(mu):
                             for key, _ in combo]
         rhs = [1] + [0 if bound is None else bound for _, bound in combo]
         sol = _solve_linear(rows, rhs)
-        if sol is None or any(not le(0, x, tol) for x in sol):
+        if sol is None or any(x < -tol for x in sol):
             continue
-        if not all(le(sum(sol[i] for i in indices_of(a)), mu.table[a], tol)
+        if not all(sum(sol[i] for i in indices_of(a)) <= mu.table[a] + tol
                    for a in range(1, full)):
             continue
         keyed = sol if tol == 0 else [float(x) for x in sol]
