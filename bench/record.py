@@ -14,7 +14,7 @@ first alternates from pair to pair, parent first on pair 0.  Ten pairs
 is the fewest on which a gain may be claimed (the change must read
 lower in at least nine of them).
 
-Two more measurements ride along on the same two trees:
+More measurements ride along on the same two trees:
 
 - per workload, one ``--trace 1`` run on each side (seed PAIRS + 1),
   whose per-layer metrics (calls, inclusive and self time and work
@@ -28,7 +28,10 @@ Two more measurements ride along on the same two trees:
   ``pytest tests/test_acceptance.py`` runs, each criterion's duration
   read from pytest's JUnit XML report;
 - one Tier-1 run (the whole ``pytest`` suite) on each side, with its
-  wall time and its counts of tests and failed tests.
+  wall time and its counts of tests and failed tests;
+- one ``python3 bench/traffic.py`` run on each side, the side's own
+  copy, whose counts of unreached, executable and physical
+  ``src/capergo`` lines and whose exit code are written under ``reach``.
 
 Every pytest run records each failed test as ``classname::name`` with the
 first line of its message, and prints them to standard error.
@@ -46,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -128,6 +132,25 @@ def time_scenarios(tree):
     env = dict(os.environ, **ONE_THREAD)
     lines = run_lines([sys.executable, "-c", SCENARIO_DRIVER], tree, env)
     return json.loads(lines[-1])
+
+
+def code_reach(tree):
+    """{unreached, executable, physical, exit} of one `bench/traffic.py`
+    run in tree: the counts of src/capergo lines its last two lines
+    print, and its exit code (1 when an op failed its oracle)."""
+    proc = subprocess.run([sys.executable, "bench/traffic.py"], cwd=tree,
+                          capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    counts = re.search(r"^(\d+) of (\d+) executable src/capergo lines "
+                       r"unreached.*\n(\d+) physical src/capergo lines$",
+                       proc.stdout, re.M)
+    if counts is None:
+        raise SystemExit("bench/traffic.py printed no line counts in %s "
+                         "(exit %d):\n%s" % (tree, proc.returncode,
+                                             proc.stderr[-2000:]))
+    unreached, executable, physical = map(int, counts.groups())
+    return {"unreached": unreached, "executable": executable,
+            "physical": physical, "exit": proc.returncode}
 
 
 def failure_of(case):
@@ -244,7 +267,13 @@ def main(argv=None):
                   "change": {"commit": change,
                              "src_or_capbench_uncommitted": dirty},
                   "seconds": seconds, "pairs": PAIRS, "seeds": seeds,
-                  "workloads": {}}
+                  "workloads": {}, "reach": {}}
+        for side in SIDES:
+            reach = report["reach"][side] = code_reach(trees[side])
+            print("reach %s: %d of %d executable lines unreached, %d "
+                  "physical lines, exit %d" % (
+                      side, reach["unreached"], reach["executable"],
+                      reach["physical"], reach["exit"]), file=sys.stderr)
         for workload in workloads:
             runs = []
             for k, seed in enumerate(seeds):

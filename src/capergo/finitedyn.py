@@ -136,13 +136,6 @@ def skeleton(p: Sequence, t: Endomap) -> list:
     return out
 
 
-def pushforward(p: Sequence, t: Endomap) -> list:
-    out = [0] * t.n
-    for i, w in enumerate(p):
-        out[t(i)] = out[t(i)] + w
-    return out
-
-
 def common_cond_exp(f: Sequence, t: Endomap) -> list:
     """g(x) = average of f over the terminal cycle of x.
 

@@ -239,12 +239,9 @@ class PiecewiseConstant:
                 cuts.append(a)
             values.append(1)
             cuts.append(b)
-        if cuts[-1] < s.c:
+        if cuts[-1] < s.c:  # the empty set's one piece is this zero
             values.append(0)
             cuts.append(s.c)
-        if len(cuts) == 1:  # empty set
-            cuts.append(s.c)
-            values.append(0)
         return cls(cuts, values, s.c)
 
 

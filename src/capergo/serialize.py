@@ -30,6 +30,8 @@ def _value(x):
             v = parse(x)
         except ZeroDivisionError:
             raise ValueError("zero denominator in %r" % x) from None
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ValueError("too many digits in %.60r" % x) from None
     elif isinstance(x, (int, float)) and not isinstance(x, bool):
         v = parse(x)
     # nan and inf fail this test too; an int is compared, not converted
@@ -73,12 +75,17 @@ def capacity_from_json(obj) -> Capacity:
     values = [None] * len(table)
     key_of = {}
     for key, val in table.items():
-        if not (key.isascii() and key.isdigit()) or int(key) >= len(values):
-            raise ValueError("event mask %r out of range for n=%d" % (key, n))
-        mask = int(key)
+        # leading zeros name no bit; the rest is counted before int(),
+        # which refuses more than sys.get_int_max_str_digits() digits
+        digits = key.lstrip("0") or "0"
+        if not (key.isascii() and key.isdigit()) or len(digits) > len(
+                str(len(values) - 1)) or int(digits) >= len(values):
+            raise ValueError("event mask %.60r out of range for n=%d"
+                             % (key, n))
+        mask = int(digits)
         if mask in key_of:
-            raise ValueError("keys %r and %r name the same event mask %d"
-                             % (key_of[mask], key, mask))
+            raise ValueError("keys %.60r and %.60r name the same event mask "
+                             "%d" % (key_of[mask], key, mask))
         key_of[mask] = key
         values[mask] = _value(val)
     # 2**n distinct masks below 2**n: every event has its value

@@ -68,26 +68,22 @@ class Capacity:
     def __init__(self, n: int, table: Sequence):
         self.table = table = list(table)
         (vals,), one, eq, le_ = decide_arithmetic([table])
-        self._set(n, (vals, one, eq, le_), True)
+        self._set(n, (vals, one, eq, le_))
+        self._validate()
 
-    def _set(self, n, arithmetic, validate):
+    def _set(self, n, arithmetic):
         if n < 1:
             raise ValueError("ground set must be nonempty")
         if len(arithmetic[0]) != 1 << n:
             raise ValueError("table must have 2**n entries")
         self.n = n
         self._arithmetic = arithmetic
-        if validate:
-            self._validate()
 
     @functools.cached_property
     def table(self) -> list:
-        """The values by mask.  `Capacity()` stores the table it is given;
-        an envelope builds its own on first read: Fractions when exact,
-        else the table it compares."""
+        """The values by mask, as given to `Capacity()`; only an exact
+        envelope builds its own, as Fractions, on first read."""
         vals, one, _, _ = self._arithmetic
-        if not self.is_exact():
-            return vals
         return [Fraction(v, one) for v in vals]
 
     def arithmetic(self) -> tuple:
@@ -145,15 +141,14 @@ class UpperProbability(Capacity):
         for p in rows:
             sums = subset_sums(p, zero)
             table = sums if table is None else list(map(max, table, sums))
-        # adding a term >= 0 never lowers a rounded partial sum, so with no
-        # negative entry the table is monotone and normalised as built; an
-        # entry in [-numeric.FLOAT_TOL, 0) still gets the full check
-        validate = any(x < 0 for p in rows for x in p)
-        if eq is not operator.eq:
-            # float members that never set the max leave an exact table,
-            # so a float family's table is decided on its own values
-            (table,), one, eq, le_ = decide_arithmetic([table])
-        self._set(n, (table, one, eq, le_), validate)
+        if eq is operator.eq:
+            # exact nonnegative members summing to one: the table is
+            # monotone and normalised as built
+            self._set(n, (table, one, eq, le_))
+        else:
+            # decided and validated as any other table: float members
+            # that never set the max leave an exact one
+            Capacity.__init__(self, n, table)
 
 
 def classify_capacity(mu: Capacity) -> dict:
@@ -282,11 +277,12 @@ def core_vertices(mu: Capacity) -> list[list]:
     (`_bases`).  For mu this takes the bases whose rows are all active
     (mu(A) < 1, or a nonnegativity row), solves each as
     x = adj @ rhs / det, and keeps the nonnegative solutions that satisfy
-    every constraint, deduplicated first-seen in candidate order.  Exact
-    tables stay exact (integers scaled by the lcm of the denominators)
-    and equal solutions are merged exactly; a table with any float entry
-    is solved in floats, and solutions merged, with tolerance 1e-9.  n is
-    guarded by CORE_N_LIMIT.
+    every constraint, deduplicated first-seen in candidate order.  Each
+    is tested as x * det * scale.  Exact tables stay exact (integers
+    scaled by the lcm of the denominators) and equal solutions are merged
+    exactly; a table with any float entry is solved in floats, tested and
+    merged with tolerance 1e-9, dividing by det only the kept solutions.
+    n is guarded by CORE_N_LIMIT.
     """
     n = mu.n
     if n > CORE_N_LIMIT:
@@ -298,15 +294,10 @@ def core_vertices(mu: Capacity) -> list[list]:
     vals, scale, _, le_ = mu.arithmetic()
     active = [not le_(scale, vals[a]) for a in range(1, full)] + [True] * n
     exact = mu.is_exact()
-    if exact:
-        # an exact solution is held as x * d * scale, in integers
-        tol = 0
-        caps = {d: [d * u for u in vals[1:full]] for d in set(det)}
-    else:
-        scale = 1.0
-        vals = [float(x) for x in vals]
-        tol = 1e-9
-        caps = dict.fromkeys(set(det), [u + tol for u in vals[1:full]])
+    vals = vals if exact else [float(x) for x in vals]
+    tol = 0 if exact else 1e-9
+    # a solution x is held as x * d * scale: in integers when exact
+    caps = {d: [d * (u + tol) for u in vals[1:full]] for d in set(det)}
     bounds = vals[1:full] + [0] * n  # right-hand side of each row
     m, nn = n - 1, n * n
     found = []
@@ -319,9 +310,7 @@ def core_vertices(mu: Capacity) -> list[list]:
         x = []
         for i in range(0, nn, n):
             v = sum(map(operator.mul, a[i:i + n], rhs))
-            if not exact:
-                v /= d
-            if v + tol < 0:
+            if v + d * tol < 0:
                 break
             x.append(v)
         else:
@@ -329,7 +318,7 @@ def core_vertices(mu: Capacity) -> list[list]:
             if all(map(operator.le, sums[1:full], caps[d])):
                 found.append((x, d))
     if not exact:
-        return _first_seen([x for x, _ in found], tol)
+        return _first_seen([[v / d for v in x] for x, d in found], tol)
     # x is the vertex times d * scale; over the common denominator
     # lcm(det) * scale, equal vertices have equal integer rows
     lcm = math.lcm(*caps)

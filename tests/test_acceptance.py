@@ -40,6 +40,14 @@ def _random_prob(rng, n, denom=12, sparse=False):
     return [F(weights.get(i, 0), total) for i in range(n)]
 
 
+def _pushforward(p, t):
+    """The vector P o T^{-1}: the mass at i moves to T i."""
+    out = [0] * t.n
+    for i, w in enumerate(p):
+        out[t(i)] = out[t(i)] + w
+    return out
+
+
 def _random_interval_set(rng, c=1, denom=32):
     pieces = []
     for _ in range(rng.randint(1, 2)):
@@ -101,7 +109,7 @@ def test_criterion_03_exhaustive_finite_equivalence(acceptance_log):
                         cur = p
                         while cur not in seen:
                             seen.append(cur)
-                            cur = finitedyn.pushforward(cur, t)
+                            cur = _pushforward(cur, t)
                         closed.extend(seen)
                     fam = closed
                 v = UpperProbability(fam)

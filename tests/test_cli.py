@@ -189,9 +189,19 @@ def test_missing_capacity_file(tmp_path):
      "keys '1' and '01' name the same event mask 1"),
     ({"n": 1, "table": {"0": "1/2", "1": "1"}},
      "capacity of empty set must be 0"),
+    # keys and values past int()'s 4300-digit limit
+    ({"n": 2, "table": {"0": "0", "1": "1/2", "0" * 4400 + "1": "1/2",
+                        "3": "1"}},
+     "keys '1' and %.60r name the same event mask 1" % ("0" * 4400 + "1")),
+    ({"n": 2, "table": {"0": "0", "1": "1/2", "1" * 5000: "1/2", "3": "1"}},
+     "event mask %.60r out of range for n=2" % ("1" * 5000)),
+    ({"n": 1, "table": {"0": "0", "1": "1" * 5000}},
+     "too many digits in %.60r" % ("1" * 5000)),
+    ({"n": 1, "table": [0, 1]}, "'table' must map event masks to values"),
 ], ids=["null-value", "huge-n", "mask-out-of-range", "zero-denominator",
         "string-n", "null-in-lambda", "not-an-object", "repeated-mask",
-        "nonzero-empty-set"])
+        "nonzero-empty-set", "long-zero-padded-key", "long-key",
+        "long-value", "table-as-list"])
 @pytest.mark.parametrize("command", ["core", "check-capacity"])
 def test_malformed_capacity_file_is_config_error(tmp_path, capsys, obj,
                                                  message, command):

@@ -89,6 +89,15 @@ def test_cocycle_law():
         assert np.abs(lhs - rhs).max() <= 1e-10 * max(1, np.abs(lhs).max())
 
 
+def test_cocycle_matrix_rejects_an_empty_product():
+    with pytest.raises(ValueError, match="^n >= 1 required$"):
+        cocycle_matrix(diag_gen(2.0, 0.5), 0, 0)
+
+
+def test_unhashable_base_point_has_no_detected_period():
+    assert cocycle._detect_period(diag_gen(2.0, 0.5), np.zeros(2)) == 0
+
+
 def test_dense_product_overflow_raises():
     gen = diag_gen(10.0, 10.0)
     with pytest.raises(OverflowError):
@@ -217,6 +226,12 @@ def test_compound_power_extremes():
     det = compound_power(a, 3)
     assert det.shape == (1, 1)
     assert abs(det[0, 0] - np.linalg.det(a)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_compound_power_rejects_k_outside_1_to_d(k):
+    with pytest.raises(ValueError, match="^need 1 <= k <= d$"):
+        compound_power(np.eye(3), k)
 
 
 def test_compound_power_of_diagonal():

@@ -1,5 +1,7 @@
 import math
+import numbers
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,20 +9,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capergo import finitedyn
-from capergo.ergocheck import FiniteSystem, process_slln_check
+from capergo.ergocheck import (FiniteSystem, choquet_independence_check,
+                               independence_check, process_slln_check,
+                               squared_deviation_check)
 from capergo.finitedyn import (Endomap, common_cond_exp, cycle_decomposition,
                                ergodic_skeleton, ergodicity_check,
                                invariant_atoms, is_invariant_capacity,
-                               pushforward, skeleton, weak_mixing_check)
+                               skeleton, weak_mixing_check)
 from capergo.numeric import close, le
-from capergo.setfun import (Capacity, UpperProbability, core_range,
-                            core_vertices, product_upper, subset_sums)
+from capergo.setfun import (Capacity, UpperProbability, choquet_integral,
+                            classify_capacity, core_range, core_vertices,
+                            product_upper, subset_sums)
 
 F = Fraction
 
 
 def dirac(n, i):
     return [F(1) if j == i else F(0) for j in range(n)]
+
+
+def pushforward(p, t):
+    """The vector P o T^{-1}: the mass at i moves to T i."""
+    out = [0] * t.n
+    for i, w in enumerate(p):
+        out[t(i)] = out[t(i)] + w
+    return out
 
 
 def transient_and_period(t):
@@ -497,3 +510,89 @@ def test_finite_checks_match_per_element_definitions(system, data):
         got = weak_mixing_check(v, t, product_oracle=True)
         assert got["product_ergodic"] == want
         assert got["weak_mixing"] == all(len(c) == 1 for c in sk["charged"])
+
+
+# --- exactness ledger: exact finite inputs are never turned into floats -----
+
+
+@st.composite
+def _exact_systems(draw):
+    """(family, endomap, event masks b and c, vectors f, g >= 0 and h) on
+    n <= 4 points, every entry an int or a Fraction.  Members are random
+    vectors or Diracs with int entries; half the families are closed
+    under pushforward, so many envelopes are invariant and some
+    ergodic."""
+    n = draw(st.integers(1, 4))
+    t = Endomap(draw(st.lists(st.integers(0, n - 1), min_size=n,
+                              max_size=n)))
+    weights = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(
+        lambda w: sum(w) > 0).map(lambda w: [F(x, sum(w)) for x in w])
+    diracs = st.integers(0, n - 1).map(
+        lambda i: [int(j == i) for j in range(n)])
+    family = draw(st.lists(st.one_of(weights, diracs), min_size=1,
+                           max_size=3))
+    if draw(st.booleans()):
+        closed = []
+        for p in family:
+            while p not in closed and len(closed) < 6:
+                closed.append(p)
+                p = pushforward(p, t)
+        family = closed
+    masks = st.integers(0, (1 << n) - 1)
+    vector = st.lists(st.integers(-6, 6), min_size=n, max_size=n).map(
+        lambda xs: [F(x, 2) for x in xs])
+    f, g, h = draw(vector), draw(vector), draw(vector)
+    return family, t, draw(masks), draw(masks), f, [abs(x) for x in g], h
+
+
+def _exact_numbers(x) -> bool:
+    """Every number in x, through dicts, lists and tuples, is an int or a
+    Fraction (bools are ints)."""
+    if isinstance(x, dict):
+        return all(map(_exact_numbers, x.values()))
+    if isinstance(x, (list, tuple)):
+        return all(map(_exact_numbers, x))
+    return not isinstance(x, numbers.Number) or isinstance(x, (int, F))
+
+
+def _exact_finite_api(family, t, b, c, f, g, h) -> list:
+    """The results of the finite API on one exact system."""
+    v = UpperProbability(family)
+    out = [v.table, v.arithmetic(), ergodicity_check(v, t),
+           ergodic_skeleton(v, t),
+           weak_mixing_check(v, t, product_oracle=v.n <= 3)]
+    vertices = core_vertices(v)
+    out += [vertices, core_range(v, b), classify_capacity(v),
+            choquet_integral(v, f)]
+    if vertices:
+        out.append(core_range(v, b, vertices))
+    system = FiniteSystem(v, t)
+    for report in (independence_check(system, v.family[0], b, c, 16),
+                   squared_deviation_check(system, v.family[0], b, c, 16),
+                   choquet_independence_check(system, f, g, 16)):
+        out.append([report.partials, report.target, report.exact_limit,
+                    report.final_deviation, report.verdict])
+    out += [system.skeleton, process_slln_check(system, h, 3)]
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exact_systems())
+# the uniform 2-cycle: an ergodic envelope whose skeleton is summed
+@example(([[F(1, 2), F(1, 2)]], Endomap([1, 0]), 1, 2, [F(1), F(0)],
+          [F(0), F(1)], [F(1), F(0)]))
+def test_exact_finite_inputs_are_never_converted_to_float(system):
+    converted = set()
+    real = F.__float__
+
+    def ledger(self):
+        caller = sys._getframe(1)
+        converted.add((caller.f_globals.get("__name__"),
+                       caller.f_code.co_name))
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(F, "__float__", ledger)
+        results = _exact_finite_api(*system)
+    assert not converted
+    assert _exact_numbers(results)

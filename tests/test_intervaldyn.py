@@ -34,6 +34,44 @@ def random_set(rng, c=2, denom=64, pieces=2):
 # --- interval algebra -------------------------------------------------------
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntervalSet([(0, 3)], c=2), "interval outside [0, c)"),
+    (lambda: IntervalSet([(0, 1)], c=1).intersect(IntervalSet([(0, 1)])),
+     "mismatched circumference"),
+    (lambda: PiecewiseAffineMap.rotation_swap().preimage(
+        IntervalSet([(0, 1)], c=1)), "mismatched circumference"),
+    (lambda: PiecewiseAffineMap.rotation_swap(0), "alpha must lie in (0,1)"),
+    (lambda: PiecewiseAffineMap.rotation_swap(1), "alpha must lie in (0,1)"),
+    (lambda: BitstreamPoint(1, 8).bit(-1), "negative bit index"),
+    (lambda: polynomial_orbit_average(
+        PiecewiseConstant([0, 1, 2], [F(1), F(0)], c=2), lambda i: i,
+        BitstreamPoint(4, 64), 8),
+     "polynomial averages run on the unit circle"),
+    (lambda: polynomial_orbit_average(
+        PiecewiseConstant([0, 1], [F(1)], c=1), lambda i: -i,
+        BitstreamPoint(4, 64), 8), "polynomial must be nonnegative"),
+], ids=["interval-past-c", "intersect-across-circles",
+        "preimage-across-circles", "swap-angle-0", "swap-angle-1",
+        "negative-bit", "polynomial-on-circle-2", "negative-exponent"])
+def test_interval_inputs_are_rejected_with_pinned_message(build, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("alpha", [0, 1, F(1), 1.0])
+def test_rotation_by_a_whole_turn_is_the_identity(alpha):
+    mp = PiecewiseAffineMap.rotation(alpha)
+    assert mp.branches == [(0, 1, 1, 0)]
+    for x in (0, F(1, 3), 0.75):
+        assert mp.apply(x) == x
+
+
+def test_indicator_of_the_empty_set_is_zero():
+    f = PiecewiseConstant.indicator(IntervalSet([], 2))
+    assert (f.cuts, f.values, f.c) == ([0, 2], [0], 2)
+    assert f(0) == f(F(3, 2)) == 0
+
+
 def test_intersection_measure():
     a = IntervalSet([(0, F(1, 2)), (1, F(3, 2))], c=2)
     b = IntervalSet([(F(3, 10), F(12, 10))], c=2)

@@ -73,6 +73,14 @@ def test_choquet_uniform_two_points():
     assert choquet_integral(mu, [0, 1]) == F(1, 2)
 
 
+@pytest.mark.parametrize("f", [[1], [0, 1, 2]], ids=["short", "long"])
+def test_choquet_rejects_f_off_the_ground_set(f):
+    mu = Capacity.additive([F(1, 2), F(1, 2)])
+    with pytest.raises(ValueError,
+                       match="^f must be defined on the ground set$"):
+        choquet_integral(mu, f)
+
+
 def test_choquet_constant_is_translation():
     rng = random.Random(3)
     for _ in range(20):
@@ -604,20 +612,28 @@ def test_envelope_table_passes_capacity_validation(family):
 
 
 def test_envelope_validates_only_with_negative_entries(monkeypatch):
+    """An exact family's table is not validated a second time; a family
+    with a float entry, negative or not, is validated once, on its
+    decided table."""
     checked = []
     real = Capacity._validate
 
     def spy(self):
-        checked.append(self.table)
+        checked.append(self.arithmetic()[0])
         return real(self)
 
     monkeypatch.setattr(Capacity, "_validate", spy)
-    UpperProbability([[F(1, 3), F(2, 3)], [0.25, 0.75]])
+    UpperProbability([[F(1, 3), F(2, 3)], [F(1, 4), F(3, 4)]])
     assert checked == []
+    v = UpperProbability([[F(1, 3), F(2, 3)], [0.25, 0.75]])
+    assert checked == [v.arithmetic()[0]] == [[0, F(1, 3), 0.75, 1]]
+    # a float member that never sets the max leaves an exact table
+    v = UpperProbability([[F(1, 2), F(1, 2)], [0.5, 0.5]])
+    assert v.is_exact() and checked[1:] == [[0, 1, 1, 2]]
     UpperProbability([[1.0 + 1e-13, -1e-13]])  # within FLOAT_TOL of >= 0
-    assert len(checked) == 1
+    assert len(checked) == 3
     v = UpperProbability([[-1e-13, 1 + 1e-13]])
-    assert checked[1:] == [v.table]
+    assert checked[3:] == [v.arithmetic()[0]] == [v.table]
 
 
 # --- differential oracle: the Fraction envelope DP --------------------------
