@@ -43,6 +43,8 @@ class IntervalSet:
 
     def __init__(self, intervals: Sequence = (), c=2):
         self.c = parse(c)
+        if not self.c > 0:
+            raise ValueError("circumference c must be positive, got %s" % c)
         self.intervals = self._normalize(intervals)
 
     def _normalize(self, raw):
@@ -254,14 +256,18 @@ def correlation_sequence(p: RestrictedLebesgue, mp: PiecewiseAffineMap,
     Closed forms: for the doubling map each term i >= 1 comes from
     Leb([a,b) & T^{-i}C) = (b-a)|C| + (H(2^i b mod 1) - H(2^i a mod 1))/2^i
     with H(u) = |C & [0,u)| - u|C|, summed over the pieces [a, b) of B
-    within the window.  Endpoints are carried as u -> 2u mod 1 and keep
-    their input denominators, so the exponential interval blowup (and with
-    it the iterate budget) disappears; the terms are Fractions, exact on
-    float endpoints too, and past the dyadic level of every such endpoint
-    they equal P(B)|C|.  For the rotation-swap map with a float among
-    alpha and the endpoints of C and of B within the window, the terms are
-    float overlaps of B with rotates of C's two unit halves; all-exact
-    inputs take the preimage path and give Fractions.
+    within the window.  Every endpoint is held as an integer numerator over
+    q, the lcm of the denominators of all of them (floats by their exact
+    values), and carried as U -> 2U mod q; q^2 H(U/q) is an integer too,
+    so term i is built as one Fraction over q^2 2^i.  The exponential
+    interval blowup (and with it the iterate budget) disappears; the terms
+    are Fractions, exact on float endpoints too, and past the dyadic level
+    of every such endpoint they equal P(B)|C|.  Term 0 is P(B & C) itself.
+
+    For the rotation-swap map with a float among alpha and the endpoints
+    of C and of B within the window, the terms are float overlaps of B
+    with rotates of C's two unit halves; all-exact inputs take the
+    preimage path and give Fractions.
     """
     if any(s.c != mp.c for s in (b, c_set, p.window)):
         raise ValueError("mismatched circumference")
@@ -346,23 +352,29 @@ def _swap_correlations(mp, bw, c_set, n):
 
 
 def _doubling_correlations(p, b, c_set, n):
-    # Leb(T^{-i}C & [0,x)) = x|C| + H(2^i x mod 1) / 2^i, where
-    # H(u) = |C & [0,u)| - u|C|; each endpoint u is carried as 2u mod 1
+    # Leb(T^{-i}C & [0,x)) = x|C| + h(2^i x mod 1) / 2^i, where
+    # h(u) = |C & [0,u)| - u|C|.  Endpoints are integer numerators over q,
+    # carried as U -> 2U mod q, and hq(U) = q^2 h(U/q) is an integer.
     cs = [(Fraction(lo), Fraction(hi)) for lo, hi in c_set.intervals]
-    c_len = sum((hi - lo for lo, hi in cs), Fraction(0))
+    bs = [(Fraction(lo), Fraction(hi))
+          for lo, hi in b.intersect(p.window).intervals]
+    q = math.lcm(*(x.denominator for piece in cs + bs for x in piece))
 
-    def h(u):
-        return sum((min(hi, u) - lo for lo, hi in cs if lo < u),
-                   -u * c_len)
+    cs = [(int(lo * q), int(hi * q)) for lo, hi in cs]
+    ends = [(int(lo * q), int(hi * q)) for lo, hi in bs]
+    c_len = sum(hi - lo for lo, hi in cs)
 
-    ends = [(Fraction(lo), Fraction(hi))
-            for lo, hi in b.intersect(p.window).intervals]
-    base = sum((hi - lo for lo, hi in ends), Fraction(0)) * c_len
+    def hq(u):
+        return (q * sum(min(hi, u) - lo for lo, hi in cs if lo < u)
+                - u * c_len)
+
+    base = sum(hi - lo for lo, hi in ends) * c_len
     out = [p(b.intersect(c_set))]
     for i in range(1, n):
-        ends = [(2 * lo % 1, 2 * hi % 1) for lo, hi in ends]
-        out.append(base + sum((h(hi) - h(lo) for lo, hi in ends),
-                              Fraction(0)) / (1 << i))
+        ends = [(2 * lo % q, 2 * hi % q) for lo, hi in ends]
+        out.append(Fraction((base << i) +
+                            sum(hq(hi) - hq(lo) for lo, hi in ends),
+                            q * q << i))
     return out
 
 
@@ -441,14 +453,15 @@ class BitstreamPoint:
             raise ValueError("negative bit index")
         return self._bits[k >> 3] >> (k & 7) & 1
 
-    def value_at(self, m: int, depth: int) -> Fraction:
-        """The first `depth` binary digits of T^m x, as a dyadic rational."""
+    def digits(self, m: int, depth: int) -> int:
+        """The first `depth` binary digits of T^m x, as an integer r:
+        T^m x lies in [r, r + 1) / 2^depth."""
         if m + depth > self.budget:
             raise BudgetError("bit budget exceeded")
         num = 0
-        for j in range(depth):
-            num = (num << 1) | self.bit(m + j)
-        return Fraction(num, 1 << depth)
+        for k in range(m, m + depth):
+            num = (num << 1) | self.bit(k)
+        return num
 
 
 def _dyadic_depth(f: PiecewiseConstant) -> int:
@@ -467,20 +480,30 @@ def polynomial_orbit_average(f: PiecewiseConstant, p, x: BitstreamPoint,
     """(1/n) * sum over i = 1..n of f(T^{p(i)} x) on the doubling shift.
 
     f must have dyadic endpoints: its value at T^m x then depends on
-    finitely many bits, read exactly from the stream.
+    finitely many bits, read exactly from the stream.  With 2^depth the
+    finest denominator of f's cuts, each read is the integer of the first
+    depth bits, and f's cuts are scaled to integers over 2^depth, so a
+    read finds its piece without building a Fraction.  The values are
+    added from int 0 in the order of the reads, so an exact sum is the
+    same number as one from Fraction(0), float rounding is that of a
+    plain loop, and Fraction(0) + total has the type that loop ends with.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if f.c != 1:
         raise ValueError("polynomial averages run on the unit circle")
     depth = max(_dyadic_depth(f), 1)
-    total = Fraction(0)
+    cuts = [int(Fraction(v) * (1 << depth)) for v in f.cuts]
+    last = len(f.values)
+    total = 0
     for i in range(1, n + 1):
         m = p(i)
         if m < 0:
             raise ValueError("polynomial must be nonnegative")
-        total += f(x.value_at(m, depth))
-    return total / n
+        # the last piece whose scaled left cut is <= the read, as f(x)
+        r = x.digits(m, depth)
+        total += f.values[bisect_right(cuts, r, 1, last) - 1]
+    return (Fraction(0) + total) / n
 
 
 def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,

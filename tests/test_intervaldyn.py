@@ -50,9 +50,13 @@ def random_set(rng, c=2, denom=64, pieces=2):
     (lambda: polynomial_orbit_average(
         PiecewiseConstant([0, 1], [F(1)], c=1), lambda i: -i,
         BitstreamPoint(4, 64), 8), "polynomial must be nonnegative"),
+    (lambda: IntervalSet([], 0), "circumference c must be positive, got 0"),
+    (lambda: IntervalSet([], "-1/2"),
+     "circumference c must be positive, got -1/2"),
 ], ids=["interval-past-c", "intersect-across-circles",
         "preimage-across-circles", "swap-angle-0", "swap-angle-1",
-        "negative-bit", "polynomial-on-circle-2", "negative-exponent"])
+        "negative-bit", "polynomial-on-circle-2", "negative-exponent",
+        "circle-of-length-0", "circle-of-negative-length"])
 def test_interval_inputs_are_rejected_with_pinned_message(build, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build()
@@ -215,7 +219,7 @@ def _near_endpoints(mp):
 def _outcome(f, *args):
     try:
         y = f(*args)
-    except (ValueError, BoundaryHitError) as exc:
+    except (ValueError, BoundaryHitError, BudgetError) as exc:
         return type(exc), str(exc)
     return type(y), repr(y)
 
@@ -567,6 +571,32 @@ def test_doubling_long_horizon_matches_parent_tiling(b, c_set, window):
     assert [type(x) for x in got] == [type(x) for x in want]
 
 
+# up to 3 pieces of a set on [0, 1), each endpoint a rational of
+# denominator up to 96 or a float
+_mixed_ends = st.one_of(st.fractions(0, 1, max_denominator=96),
+                        st.floats(0, 1))
+_mixed_pieces = st.lists(st.tuples(_mixed_ends, _mixed_ends), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_pieces, _mixed_pieces, _mixed_pieces, st.integers(1, 60))
+@example([(F(1, 3), F(5, 7))], [], [(0, 1)], 20)  # empty C
+@example([], [(F(1, 3), F(5, 7))], [(0, 1)], 20)  # empty B
+# the window cuts B at 1/2 and 5/6
+@example([(F(1, 5), F(4, 5)), (F(6, 7), 1)], [(F(1, 3), F(2, 3))],
+         [(F(1, 2), F(5, 6))], 40)
+@example([(0.1, 0.7)], [(F(1, 3), 0.9)], [(0, 1)], 60)
+def test_doubling_integer_carry_matches_parent_tiling(b, c_set, window, n):
+    """On mixed rational and float endpoints, every term, and its type, is
+    the rescaled-tiling loop's."""
+    b, c_set, window = (IntervalSet(s, c=1) for s in (b, c_set, window))
+    p = RestrictedLebesgue(window)
+    got = correlation_sequence(p, PiecewiseAffineMap.doubling(), b, c_set, n)
+    want = _parent_doubling_correlations(p, b, c_set, n)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
 def test_generic_expanding_map_honours_budget():
     mp = PiecewiseAffineMap.doubling_paste()
     b = IntervalSet([(0, 1)], c=2)
@@ -682,9 +712,9 @@ def test_orbit_average_equidistributes_on_rotation_swap():
 def test_bitstream_value_reads_prefix_bits():
     x = BitstreamPoint(seed=1, budget=64)
     bits = [x.bit(k) for k in range(10)]
-    v = x.value_at(3, 7)
+    r = x.digits(3, 7)
     expect = sum(F(bits[3 + j], 2 ** (j + 1)) for j in range(7))
-    assert v == expect
+    assert type(r) is int and F(r, 2 ** 7) == expect
 
 
 def test_bitstream_is_deterministic_per_seed():
@@ -707,9 +737,9 @@ def test_bitstream_bits_are_the_getrandbits_digits(seed, budget):
     with pytest.raises(BudgetError):
         x.bit(budget)
     with pytest.raises(BudgetError):
-        x.value_at(budget, 1)
+        x.digits(budget, 1)
     with pytest.raises(BudgetError):
-        x.value_at(0, budget + 1)
+        x.digits(0, budget + 1)
 
 
 def test_polynomial_orbit_average_constant_and_indicator():
@@ -728,6 +758,74 @@ def test_polynomial_orbit_average_rejects_non_dyadic_pieces():
     x = BitstreamPoint(seed=4, budget=64)
     with pytest.raises(ValueError):
         polynomial_orbit_average(f, lambda i: i, x, 8)
+
+
+def _fraction_polynomial_orbit_average(f, p, x, n):
+    """The loop the integer reads replaced: each read is the dyadic
+    Fraction of depth bits, f is evaluated there, and f's values are added
+    in the order of the reads."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if f.c != 1:
+        raise ValueError("polynomial averages run on the unit circle")
+    depth = max(intervaldyn._dyadic_depth(f), 1)
+    total = F(0)
+    for i in range(1, n + 1):
+        m = p(i)
+        if m < 0:
+            raise ValueError("polynomial must be nonnegative")
+        if m + depth > x.budget:
+            raise BudgetError("bit budget exceeded")
+        num = 0
+        for j in range(depth):
+            num = (num << 1) | x.bit(m + j)
+        total += f(F(num, 1 << depth))
+    return total / n
+
+
+@st.composite
+def dyadic_functions(draw):
+    """(cuts, values) of a function on [0, 1) with cuts k/16 (as Fractions
+    or as floats), sometimes one more cut at 1/3, and values that are
+    ints, Fractions or floats."""
+    inner = {F(k, 16) for k in draw(st.sets(st.integers(1, 15), max_size=5))}
+    if draw(st.integers(0, 7)) == 0:
+        inner.add(F(1, 3))
+    cuts = [F(0)] + sorted(inner) + [F(1)]
+    if draw(st.booleans()):
+        cuts = [float(x) for x in cuts]
+    value = st.one_of(st.integers(-3, 3),
+                      st.fractions(-3, 3, max_denominator=12),
+                      st.floats(-3, 3))
+    values = draw(st.lists(value, min_size=len(cuts) - 1,
+                           max_size=len(cuts) - 1))
+    return cuts, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_functions(), st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                     st.integers(-4, 4)),
+       st.integers(0, 2 ** 32), st.integers(1, 400), st.integers(1, 30))
+# depth-3 cut at 3/8 with exact values; then float values, added in order
+@example(([0, F(3, 8), 1], [F(1, 3), F(2, 7)]), (1, 0, 0), 7, 4000, 30)
+@example(([0, F(3, 8), F(1, 2), 1], [0.1, F(1, 3), 0.7]), (0, 1, 0), 7, 400,
+         30)
+# the two error paths: a negative exponent, then a read past the budget
+@example(([0, F(3, 8), 1], [0, 1]), (0, 1, -3), 7, 400, 10)
+@example(([0, F(3, 8), 1], [0, 1]), (1, 0, 0), 7, 50, 10)
+def test_polynomial_integer_reads_match_fraction_loop(pieces, coeffs, seed,
+                                                      budget, n):
+    """The same value, of the same type and bit for bit when it is a
+    float, or the same exception with the same message."""
+    f = PiecewiseConstant(*pieces, c=1)
+    a, b, c = coeffs
+
+    def p(i):
+        return a * i * i + b * i + c
+
+    x = BitstreamPoint(seed, budget)
+    assert _outcome(polynomial_orbit_average, f, p, x, n) == \
+        _outcome(_fraction_polynomial_orbit_average, f, p, x, n)
 
 
 @pytest.mark.parametrize("cuts, values, message", [

@@ -4,6 +4,8 @@ in capbench/workloads.py), so a refactor that keeps the verdicts but
 changes a byte of a report fails here."""
 
 import hashlib
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -52,3 +54,79 @@ def test_report_bytes_match_pin(name, tmp_path):
     assert cli.main(["run", name, "--seed", "7", "--out", str(tmp_path)]) == 0
     blob = (tmp_path / name / "report.json").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[name]
+
+
+# Every site where the scenarios at seed 7 turn a Fraction into a float,
+# as (module, function), with the reason it may; a method is named with
+# the class of its self, so one constructor's entry admits no other.
+FLOAT_SITES = {
+    ("capergo.cocycle", "subadditive_limit_finite"):
+        "the Kingman stabilization drift is measured in floats",
+    ("capergo.ergocheck", "_cesaro"):
+        "float terms (float endpoints, r-th powers) are summed from "
+        "Fraction(0)",
+    ("capergo.ergocheck", "_remark_block_sum"):
+        "the remark's float weight is applied to exact sequence values",
+    ("capergo.ergocheck", "ConvergenceReport.csv_rows"):
+        "CSV tables hold floats",
+    ("capergo.ergocheck", "ConvergenceReport.final_deviation"):
+        "float partial means are compared with an exact target",
+    ("capergo.ergocheck", "IntervalSystem.q_measure"):
+        "a float measure is divided by the exact circumference",
+    ("capergo.ergocheck", "sqrt_moment_check"):
+        "the moment bounds are float powers of P(B) and P(C)",
+    ("capergo.ergocheck", "ConvergenceReport.summary"):
+        "report deviations, tolerances and targets are floats",
+    ("capergo.finitedyn", "common_cond_exp"):
+        "float cocycle logs are averaged from Fraction(0)",
+    ("capergo.intervaldyn", "PiecewiseAffineMap.__init__"):
+        "a map keeps float copies of its branches for float points",
+    ("capergo.intervaldyn", "_float_ceil"):
+        "the least float at or above an exact branch cut",
+    ("capergo.intervaldyn", "_split_halves"):
+        "the float rotation-swap closed form reads float endpoints",
+    ("capergo.intervaldyn", "IntervalSet.measure"):
+        "a set with float endpoints has a float measure",
+    ("capergo.intervaldyn", "verify_eigenfunction"):
+        "refinement cuts are sorted by their float values",
+    ("capergo.scenarios", "doubling_weak_mixing"):
+        "the KvN density-zero extraction reads float deviations",
+    ("capergo.scenarios", "kingman_two_cycle"):
+        "the Kingman limit is compared with log(2) / 2 in floats",
+    ("capergo.scenarios", "polynomial_birkhoff"):
+        "stream averages are compared and reported as floats",
+    ("capergo.setfun", "distort"):
+        "the sqrt distortion of exact probabilities is a float",
+}
+
+# frames that count as the function they run in
+_INNER = {"<listcomp>", "<genexpr>", "<lambda>", "<dictcomp>", "<setcomp>"}
+
+
+def test_scenario_float_conversions_are_the_declared_sites(tmp_path):
+    """Fraction.__float__ is wrapped to record its caller, past the
+    operator fallbacks of `fractions` (a Fraction meeting a float) and
+    past comprehensions and lambdas.  Every registry scenario at seed 7
+    converts at exactly the declared sites: a new site, or one no longer
+    reached, fails until FLOAT_SITES says so."""
+    sites = set()
+    real = Fraction.__float__
+
+    def ledger(self):
+        frame = sys._getframe(1)
+        while (frame.f_globals.get("__name__") == "fractions"
+               or frame.f_code.co_name in _INNER):
+            frame = frame.f_back
+        code, name = frame.f_code, frame.f_code.co_name
+        if code.co_argcount and code.co_varnames[0] == "self":
+            name = type(frame.f_locals["self"]).__qualname__ + "." + name
+        sites.add((frame.f_globals.get("__name__"), name))
+        return real(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__float__", ledger)
+        for name in sorted(PINNED_SHA256):
+            assert cli.main(["run", name, "--seed", "7",
+                             "--out", str(tmp_path)]) == 0
+    assert sorted(sites - FLOAT_SITES.keys()) == []
+    assert sorted(FLOAT_SITES.keys() - sites) == []
