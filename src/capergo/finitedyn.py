@@ -76,34 +76,20 @@ def cycle_decomposition(t: Endomap) -> dict:
     Returns {"cycles": [sorted point lists], "cycle_of": point -> cycle
     index}.
     """
-    n = t.n
-    cycle_of = [-1] * n
+    cycle_of = [-1] * t.n
     cycles: list[list[int]] = []
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    for start in range(n):
-        if state[start] == 2:
-            continue
-        path = []
+    for start in range(t.n):
+        walk = {}  # point -> step, for the unclassified points walked
         x = start
-        while state[x] == 0:
-            state[x] = 1
-            path.append(x)
+        while cycle_of[x] == -1 and x not in walk:
+            walk[x] = len(walk)
             x = t(x)
-        if state[x] == 1:
-            # closed a brand-new cycle inside path
-            k = path.index(x)
-            cyc = path[k:]
-            ci = len(cycles)
-            cycles.append(sorted(cyc))
-            for p in cyc:
-                cycle_of[p] = ci
-            tail = path[:k]
-        else:
-            tail = path  # ran into already-classified territory
-        for p in reversed(tail):
-            cycle_of[p] = cycle_of[t(p)]
-        for p in path:
-            state[p] = 2
+        if cycle_of[x] == -1:
+            # the walk closed a new cycle, from its first visit of x on
+            cycle_of[x] = len(cycles)
+            cycles.append(sorted(list(walk)[walk[x]:]))
+        for p in walk:
+            cycle_of[p] = cycle_of[x]
     return {"cycles": cycles, "cycle_of": cycle_of}
 
 

@@ -114,17 +114,25 @@ def _float_ceil(v) -> float:
 class PiecewiseAffineMap:
     """Branch list (lo, hi, slope, intercept): x -> slope*x + intercept.
 
-    Branch domains partition [0, c) and each branch image already lies in
-    [0, c), so applying the map never needs an explicit mod.  `kind` names
-    the closed forms that the correlations and orbit averages may use; only
+    Branch domains tile [0, c) in order, as the constructor checks.  Each
+    branch image must lie in [0, c), so applying the map never needs an
+    explicit mod; `apply` rejects a point outside [0, c).  `kind` names the
+    closed forms that the correlations and orbit averages may use; only
     `doubling` and `rotation_swap` set it, so it always matches the branches.
     """
 
     def __init__(self, branches, c=2):
         self.c = parse(c)
+        if not self.c > 0:
+            raise ValueError("circumference c must be positive, got %s" % c)
         self.kind = "custom"
         self.branches = [(parse(lo), parse(hi), parse(s), parse(t))
                          for lo, hi, s, t in branches]
+        ends = [0] + [hi for _, hi, _, _ in self.branches]
+        if not self.branches or ends[-1] != self.c or any(
+                lo != end or lo >= hi
+                for (lo, hi, _, _), end in zip(self.branches, ends)):
+            raise ValueError("branches must tile [0, c) in order")
         self.expanding = any(abs(b[2]) > 1 for b in self.branches)
         # Float branch data for float points.  A float x satisfies lo <= x
         # exactly when it satisfies _float_ceil(lo) <= x, and Fraction *
@@ -526,10 +534,8 @@ def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
         for a, b in pre.intervals:
             cuts.add(a)
             cuts.add(b)
-    cuts = sorted(cuts, key=float)
+    cuts = sorted(cuts)
     for a, b in zip(cuts, cuts[1:]):
-        if not a < b:
-            continue
         mid = (a + b) / 2
         lhs = f(mp.apply(mid))
         rhs = lam * f(mid)

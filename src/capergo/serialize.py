@@ -16,8 +16,8 @@ from .setfun import Capacity, UpperProbability
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# a capacity on n points is a 2**n table, and classify_capacity loops
-# over its 4**n event pairs, so a file's point count bounds the work
+# classify_capacity scans the 2**n (2**n - 1) / 2 pairs of distinct events
+# of a 2**n table, so a file's point count bounds the work
 N_LIMIT = 12
 
 

@@ -155,7 +155,9 @@ def classify_capacity(mu: Capacity) -> dict:
     """Flags {additive, subadditive, concave} with a witness for each failure.
 
     Concavity here is submodularity: mu(A|B) + mu(A&B) <= mu(A) + mu(B).
-    A witness is a pair of event masks violating the property.
+    A witness is a pair of event masks violating the property: the first
+    in row-major order over all 4**n pairs.  Every law is symmetric in
+    (A, B) and holds on (A, A), so only the pairs A < B are scanned.
     """
     n = mu.n
     t, _, eq, le_ = mu.arithmetic()
@@ -164,7 +166,7 @@ def classify_capacity(mu: Capacity) -> dict:
     concave = True
     witnesses = {}
     for a in range(1 << n):
-        for b in range(1 << n):
+        for b in range(a + 1, 1 << n):
             if a & b == 0:
                 s = t[a] + t[b]
                 if additive and not eq(t[a | b], s):

@@ -198,10 +198,15 @@ def test_missing_capacity_file(tmp_path):
     ({"n": 1, "table": {"0": "0", "1": "1" * 5000}},
      "too many digits in %.60r" % ("1" * 5000)),
     ({"n": 1, "table": [0, 1]}, "'table' must map event masks to values"),
+    ({"kind": "lambda", "lambda": {"0": ["1"]}},
+     "'lambda' must be a list of probability vectors"),
+    ({"kind": "lambda", "lambda": [["1/2", "1/2"], "1"]},
+     "'lambda' must be a list of probability vectors"),
 ], ids=["null-value", "huge-n", "mask-out-of-range", "zero-denominator",
         "string-n", "null-in-lambda", "not-an-object", "repeated-mask",
         "nonzero-empty-set", "long-zero-padded-key", "long-key",
-        "long-value", "table-as-list"])
+        "long-value", "table-as-list", "lambda-as-object",
+        "lambda-member-not-a-list"])
 @pytest.mark.parametrize("command", ["core", "check-capacity"])
 def test_malformed_capacity_file_is_config_error(tmp_path, capsys, obj,
                                                  message, command):

@@ -1,17 +1,20 @@
+import collections
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capergo import cocycle
+from capergo import cocycle, cli, finitedyn
 from capergo.cocycle import (MatrixGen, cocycle_matrix, compound_power,
                              lyapunov_qr, monodromy_oracle,
                              oseledets_filtration, principal_angles,
                              subadditive_check, subadditive_limit_finite)
 from capergo.finitedyn import Endomap
+from capergo.numeric import parse
 from capergo.scenarios import compare_with_oracle, random_periodic_generator
 
 LOG2 = math.log(2.0)
@@ -293,6 +296,46 @@ def test_subadditive_check_random_generators():
             assert out["subadditive"] and out["linear_bound"]
 
 
+def _replayed_samples(seed, n_max):
+    """The (n, start) pairs that subadditive_check evaluates for a seed:
+    f_n and f_{n+m} at the orbit's start, f_m at its n-th point."""
+    rng = random.Random(seed)
+    ns = [rng.randint(1, n_max - 1) for _ in range(40)]
+    pairs = set()
+    for n in ns:
+        m = rng.randint(1, n_max - n)
+        pairs |= {(n, 0), (m, n), (n + m, 0)}
+    return pairs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_subadditive_check_evaluates_each_sample_once(monkeypatch, k):
+    """On the shift x -> x + 1 every orbit point is its own index, so the
+    point and length of each evaluation name its (n, start) pair."""
+    seen = collections.Counter()
+    gen = pointwise_gen(2, lambda x: np.array([[1.5, 0.1 * (x % 3)],
+                                               [0.0, 0.75]]),
+                        lambda x: x + 1, bound_m=1.0)
+    if k == gen.d:  # the determinant route reads the stack of each f_n
+        real_stack = gen.stack_of
+
+        def stack_of(points):
+            seen[len(points), points[0]] += 1
+            return real_stack(points)
+        monkeypatch.setattr(gen, "stack_of", stack_of)
+    else:
+        real_matrix = cocycle.cocycle_matrix
+
+        def spy(g, omega, n):
+            seen[n, omega] += 1
+            return real_matrix(g, omega, n)
+        monkeypatch.setattr(cocycle, "cocycle_matrix", spy)
+    out = subadditive_check(gen, 0, k, n_max=12, seed=3)
+    assert out["subadditive"] and out["linear_bound"]
+    assert set(seen) == _replayed_samples(3, 12)
+    assert set(seen.values()) == {1}
+
+
 # --- QR exponents against the periodic oracle -------------------------------
 
 
@@ -463,6 +506,14 @@ def test_monodromy_rejects_non_cycle():
     gen = two_cycle_gen()
     with pytest.raises(ValueError):
         monodromy_oracle(gen, [0])  # period is 2, not 1
+
+
+def test_monodromy_rejects_a_singular_period_product():
+    # diag(1, 0) has 2-norm 1, so it passes the declared bound
+    gen = pointwise_gen(2, lambda x: np.diag([1.0, 0.0]), lambda x: x,
+                        bound_m=1.0)
+    with pytest.raises(ValueError, match="^monodromy is singular$"):
+        monodromy_oracle(gen, [0])
 
 
 def test_qr_matches_monodromy_on_random_generators():
@@ -724,6 +775,107 @@ def test_kingman_rejects_superadditive_sequence():
     t = Endomap([0])
     res = subadditive_limit_finite(lambda n: [float(n * n)], t, horizon=30)
     assert not res["ok"] and res["witness"]
+
+
+def _parent_subadditive_limit_finite(f_seq, t, horizon):
+    """The Kingman limit as computed before f_seq was read once per n: the
+    spot checks call f_seq three times per sample, the limit loop once
+    per n, and every running inf is kept for the drift."""
+    rng = random.Random(0)
+    m_pts = len(f_seq(1))
+    for _ in range(30):
+        n = rng.randint(1, horizon - 1)
+        m = rng.randint(1, horizon - n)
+        fn, fm, fnm = f_seq(n), f_seq(m), f_seq(n + m)
+        for x in range(m_pts):
+            y = x
+            for _ in range(n):
+                y = t(y)
+            if fnm[x] > fn[x] + fm[y] + 1e-9:
+                return {"ok": False,
+                        "witness": {"n": n, "m": m, "point": x}}
+    best = None
+    history = []
+    for n in range(1, horizon + 1):
+        g = finitedyn.common_cond_exp([parse(v) / n for v in f_seq(n)], t)
+        if best is None:
+            best = list(g)
+        else:
+            best = [min(a, b) for a, b in zip(best, g)]
+        history.append(list(best))
+    tail = history[3 * horizon // 4:]
+    drift = max(abs(float(a - b))
+                for snap in tail for a, b in zip(snap, history[-1]))
+    return {"ok": True, "f_star": history[-1], "stabilized": drift < 1e-9}
+
+
+def _random_kingman_case(rng):
+    """A random endomap, horizon and value table f_n(x) = S_n g(x) +
+    c sqrt(n) + noise: Birkhoff sums plus a subadditive term, so it
+    passes the spot checks unless the noise or a superlinear term breaks
+    them.  Values are exact or float."""
+    m = rng.randint(1, 5)
+    t = Endomap([rng.randrange(m) for _ in range(m)])
+    horizon = rng.randint(2, 40)
+    exact = rng.random() < 0.3
+    g = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) if exact
+         else rng.uniform(-2, 2) for _ in range(m)]
+    noise = rng.choice([0, 0, 1e-12, 0.3])
+    c = rng.choice([0, 1, -1])
+    square = rng.random() < 0.15
+    table = {}
+    for n in range(1, horizon + 1):
+        row = []
+        for x in range(m):
+            total, y = 0, x
+            for _ in range(n):
+                total, y = total + g[y], t(y)
+            if not exact:
+                total += c * math.sqrt(n) + rng.uniform(-noise, noise)
+            if square:
+                total += n * n
+            row.append(total)
+        table[n] = row
+    return t, horizon, table.__getitem__
+
+
+def test_kingman_limit_matches_parent_on_random_sequences():
+    rng = random.Random(23)
+    verdicts = collections.Counter()
+    for _ in range(300):
+        t, horizon, f_seq = _random_kingman_case(rng)
+        got = subadditive_limit_finite(f_seq, t, horizon)
+        assert got == _parent_subadditive_limit_finite(f_seq, t, horizon)
+        verdicts[got["ok"], got.get("stabilized")] += 1
+    # failing, unstabilized and stabilized sequences all occur
+    assert {(False, None), (True, False), (True, True)} <= set(verdicts)
+
+
+def test_kingman_limit_reads_each_f_n_once():
+    calls = []
+    rng = random.Random(5)
+    for _ in range(20):
+        t, horizon, f_seq = _random_kingman_case(rng)
+        calls.clear()
+        subadditive_limit_finite(lambda n: calls.append(n) or f_seq(n), t,
+                                 horizon)
+        assert calls == list(range(1, horizon + 1))
+
+
+def test_kingman_scenario_reads_each_f_n_once(monkeypatch, tmp_path):
+    counts = []
+    real = cocycle.subadditive_limit_finite
+
+    def spy(f_seq, t, horizon):
+        calls = collections.Counter()
+        out = real(lambda n: calls.update([n]) or f_seq(n), t, horizon)
+        counts.append((horizon, sum(calls.values()), max(calls.values())))
+        return out
+
+    monkeypatch.setattr(cocycle, "subadditive_limit_finite", spy)
+    assert cli.main(["run", "kingman-two-cycle", "--seed", "7", "--out",
+                     str(tmp_path)]) == 0
+    assert counts == [(40, 40, 1), (20, 20, 1)]
 
 
 @pytest.mark.parametrize("horizon", [-1, 0, 1])

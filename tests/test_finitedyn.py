@@ -1,3 +1,4 @@
+import itertools
 import math
 import numbers
 import random
@@ -65,6 +66,50 @@ def test_cycle_decomposition_constant_map():
     dec = cycle_decomposition(Endomap([3, 3, 3, 3]))
     assert dec["cycles"] == [[3]]
     assert dec["cycle_of"] == [0, 0, 0, 0]
+
+
+def _parent_cycle_decomposition(t):
+    """The decomposition as computed with a three-state array: a walk
+    marks its points in progress, and a closing pass assigns the tail
+    points back to front."""
+    n = t.n
+    cycle_of = [-1] * n
+    cycles = []
+    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    for start in range(n):
+        if state[start] == 2:
+            continue
+        path = []
+        x = start
+        while state[x] == 0:
+            state[x] = 1
+            path.append(x)
+            x = t(x)
+        if state[x] == 1:
+            k = path.index(x)
+            cyc = path[k:]
+            ci = len(cycles)
+            cycles.append(sorted(cyc))
+            for p in cyc:
+                cycle_of[p] = ci
+            tail = path[:k]
+        else:
+            tail = path
+        for p in reversed(tail):
+            cycle_of[p] = cycle_of[t(p)]
+        for p in path:
+            state[p] = 2
+    return {"cycles": cycles, "cycle_of": cycle_of}
+
+
+def test_cycle_decomposition_matches_parent_on_every_small_endomap():
+    count = 0
+    for n in range(1, 6):
+        for image in itertools.product(range(n), repeat=n):
+            t = Endomap(image)
+            assert cycle_decomposition(t) == _parent_cycle_decomposition(t)
+            count += 1
+    assert count == 1 + 4 + 27 + 256 + 3125
 
 
 def test_invariant_atoms_are_fully_invariant_partition():

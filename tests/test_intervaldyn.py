@@ -53,10 +53,33 @@ def random_set(rng, c=2, denom=64, pieces=2):
     (lambda: IntervalSet([], 0), "circumference c must be positive, got 0"),
     (lambda: IntervalSet([], "-1/2"),
      "circumference c must be positive, got -1/2"),
+    (lambda: PiecewiseAffineMap([], c=-1),
+     "circumference c must be positive, got -1"),
+    (lambda: PiecewiseAffineMap([(0, 1, 1, 0)], c=0.0),
+     "circumference c must be positive, got 0.0"),
+    (lambda: PiecewiseAffineMap([], c=1), "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(F(1, 4), 1, 1, 0)], c=1),
+     "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(0, F(1, 2), 1, 0)], c=1),
+     "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(0, F(1, 2), 1, 0), (F(3, 4), 1, 1, 0)],
+                                c=1), "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(0, F(3, 4), 1, 0), (F(1, 2), 1, 1, 0)],
+                                c=1), "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(F(1, 2), 1, 1, 0), (0, F(1, 2), 1, 0)],
+                                c=1), "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(0, 0, 1, 0), (0, 1, 1, 0)], c=1),
+     "branches must tile [0, c) in order"),
+    (lambda: PiecewiseAffineMap([(0, 2, 1, 0)], c=1),
+     "branches must tile [0, c) in order"),
 ], ids=["interval-past-c", "intersect-across-circles",
         "preimage-across-circles", "swap-angle-0", "swap-angle-1",
         "negative-bit", "polynomial-on-circle-2", "negative-exponent",
-        "circle-of-length-0", "circle-of-negative-length"])
+        "circle-of-length-0", "circle-of-negative-length",
+        "map-on-negative-circle", "map-on-float-circle-0", "no-branches",
+        "branches-start-past-0", "branches-end-before-c", "branch-gap",
+        "branch-overlap", "branches-out-of-order", "empty-branch",
+        "branch-past-c"])
 def test_interval_inputs_are_rejected_with_pinned_message(build, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build()

@@ -87,8 +87,6 @@ FLOAT_SITES = {
         "the float rotation-swap closed form reads float endpoints",
     ("capergo.intervaldyn", "IntervalSet.measure"):
         "a set with float endpoints has a float measure",
-    ("capergo.intervaldyn", "verify_eigenfunction"):
-        "refinement cuts are sorted by their float values",
     ("capergo.scenarios", "doubling_weak_mixing"):
         "the KvN density-zero extraction reads float deviations",
     ("capergo.scenarios", "kingman_two_cycle"):

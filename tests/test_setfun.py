@@ -121,6 +121,29 @@ def _first_witness(t, n, fails, disjoint):
                  if not (disjoint and a & b) and fails(t, a, b)), None)
 
 
+def _classify_matches_ordered_scan(mu):
+    """Assert classify_capacity's flags and witnesses against the ordered
+    4**n scan, which compares with the table's own eq and le; return the
+    laws that fail."""
+    vals, _, eq, le_ = mu.arithmetic()
+    laws = {
+        "additive": (lambda t, a, b: not eq(t[a | b], t[a] + t[b]), True),
+        "subadditive": (lambda t, a, b: not le_(t[a | b], t[a] + t[b]),
+                        True),
+        "concave": (lambda t, a, b: not le_(t[a | b] + t[a & b],
+                                            t[a] + t[b]), False),
+    }
+    flags = classify_capacity(mu)
+    failed = set()
+    for law, (fails, disjoint) in laws.items():
+        witness = _first_witness(vals, mu.n, fails, disjoint)
+        assert flags[law] == (witness is None)
+        assert flags["witnesses"].get(law) == witness
+        if witness:
+            failed.add(law)
+    return failed
+
+
 def test_classify_failure_flags_match_a_brute_force_scan():
     cases = [
         UpperProbability([[F(1), F(0)], [F(0), F(1)]]),
@@ -129,22 +152,75 @@ def test_classify_failure_flags_match_a_brute_force_scan():
         # subadditive, but V({0,1,2}) + V({1}) > V({0,1}) + V({1,2})
         Capacity(3, [0, F(1, 2), F(1, 2), F(1, 2), F(1, 2), 1, F(1, 2), 1]),
     ]
-    laws = {
-        "additive": (lambda t, a, b: t[a | b] != t[a] + t[b], True),
-        "subadditive": (lambda t, a, b: t[a | b] > t[a] + t[b], True),
-        "concave": (lambda t, a, b: t[a | b] + t[a & b] > t[a] + t[b],
-                    False),
-    }
     failed = set()
     for mu in cases:
-        flags = classify_capacity(mu)
-        for law, (fails, disjoint) in laws.items():
-            witness = _first_witness(mu.table, mu.n, fails, disjoint)
-            assert flags[law] == (witness is None)
-            assert flags["witnesses"].get(law) == witness
-            if witness:
-                failed.add(law)
-    assert failed == set(laws)
+        failed |= _classify_matches_ordered_scan(mu)
+    assert failed == {"additive", "subadditive", "concave"}
+
+
+@st.composite
+def classify_tables(draw):
+    """(constructor, arguments) of a capacity on 1-4 points: an exact or
+    float envelope, an additive table, a sqrt distortion, or the running
+    max of random levels over subsets, exact or float.  Small integer
+    levels make ties, on which the exact and tolerant comparisons of
+    each law are decided."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["envelope", "additive", "sqrt", "levels"]))
+    exact = draw(st.booleans())
+    weights = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
+
+    def prob(w):
+        return [F(x, sum(w)) if exact else x / sum(w) for x in w]
+
+    if kind == "envelope":
+        return UpperProbability, (
+            [prob(w) for w in draw(st.lists(weights, min_size=1,
+                                            max_size=3))],)
+    if kind == "additive":
+        return Capacity.additive, (prob(draw(weights)),)
+    if kind == "sqrt":
+        return distort, (prob(draw(weights)), math.sqrt)
+    full = (1 << n) - 1
+    top = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.integers(0, top), min_size=full - 1,
+                        max_size=full - 1))
+    levels = [0] + raw + [top]
+    for a in range(1, full):  # masks below a come first
+        for i in range(n):
+            if a >> i & 1:
+                levels[a] = max(levels[a], levels[a ^ 1 << i])
+    return Capacity, (n, [F(x, top) if exact else x / top for x in levels])
+
+
+@settings(max_examples=300, deadline=None)
+@given(classify_tables())
+def test_classify_matches_the_ordered_scan_on_random_tables(spec):
+    build, args = spec
+    _classify_matches_ordered_scan(build(*args))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_visits_each_unordered_pair_once(monkeypatch, n):
+    """On an additive table no law fails, so concavity is compared on
+    every pair a < b, and both disjoint laws on every disjoint one."""
+    mu = Capacity.additive([F(1, n)] * n)
+    vals, one, eq, le_ = mu.arithmetic()
+    counts = {"eq": 0, "le": 0}
+
+    def counting(name, compare):
+        def wrapped(x, y):
+            counts[name] += 1
+            return compare(x, y)
+        return wrapped
+
+    monkeypatch.setattr(mu, "arithmetic", lambda: (
+        vals, one, counting("eq", eq), counting("le", le_)))
+    flags = classify_capacity(mu)
+    assert flags["additive"] and flags["subadditive"] and flags["concave"]
+    pairs = (1 << n) * ((1 << n) - 1) // 2
+    disjoint = (3 ** n - 1) // 2
+    assert counts == {"eq": disjoint, "le": pairs + disjoint}
 
 
 @pytest.mark.parametrize("n, table, message", [
@@ -400,14 +476,79 @@ def _solve_linear(rows, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def _bareiss_solve(rows, rhs):
+    """(y, d) for a square integer system with d = |det| > 0 and
+    rows @ y = d * rhs, by fraction-free (Bareiss) elimination and
+    back substitution in integers; None for a singular system.
+
+    By Cramer's rule y = d * rows^-1 @ rhs is an integer vector, so every
+    division of the back substitution is exact."""
+    n = len(rows)
+    a = [list(row) + [r] for row, r in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        for i in range(k + 1, n):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, n + 1):
+                ai[j] = (ai[j] * a[k][k] - aik * a[k][j]) // prev
+        prev = a[k][k]
+    d = prev  # the last pivot is +-det
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        y[i] = (d * a[i][n] - sum(a[i][j] * y[j]
+                                  for j in range(i + 1, n))) // a[i][i]
+    return (y, d) if d > 0 else ([-v for v in y], -d)
+
+
+def _integer_core_vertices(mu):
+    """The exact branch of brute_force_core_vertices, in integers.
+
+    The table is scaled to integers t over the lcm L of its denominators,
+    so q = L * P solves the same 0/1 rows with right-hand sides L, t[A]
+    and 0.  Each candidate is solved as y = d * q by `_bareiss_solve`,
+    tested as y >= 0 and sum of y over A <= d * t[A] for every event,
+    and kept unless its reduced (y, d) was kept before."""
+    n = mu.n
+    full = (1 << n) - 1
+    table = [F(x) for x in mu.table]
+    lcm = math.lcm(*(x.denominator for x in table))
+    t = [x.numerator * (lcm // x.denominator) for x in table]
+    members = [[i for i in range(n) if a >> i & 1] for a in range(1, full)]
+    constraints = [([a >> i & 1 for i in range(n)], t[a])
+                   for a in range(1, full) if t[a] < lcm]
+    constraints += [([int(i == j) for j in range(n)], 0) for i in range(n)]
+    seen, vertices = set(), []
+    for combo in itertools.combinations(constraints, n - 1):
+        solved = _bareiss_solve([[1] * n] + [row for row, _ in combo],
+                                [lcm] + [bound for _, bound in combo])
+        if solved is None:
+            continue
+        y, d = solved
+        if any(v < 0 for v in y) or any(
+                sum(y[i] for i in idx) > d * t[a]
+                for a, idx in enumerate(members, 1)):
+            continue
+        g = math.gcd(d, *y)
+        key = (d // g,) + tuple(v // g for v in y)
+        if key not in seen:
+            seen.add(key)
+            vertices.append([F(v, d * lcm) for v in y])
+    return vertices
+
+
 def brute_force_core_vertices(mu):
     """One linear solve per (n-1)-subset of the active constraints, in
     itertools.combinations order; feasible solutions deduplicated
-    first-seen, exactly for an exact table and on float keys within 1e-9
-    otherwise."""
+    first-seen, exactly for an exact table (in integers, by
+    `_integer_core_vertices`) and on float keys within 1e-9 otherwise."""
+    if mu.is_exact():
+        return _integer_core_vertices(mu)
     n = mu.n
-    # sol and the table's values are compared within tol
-    tol = 0 if mu.is_exact() else 1e-9
+    tol = 1e-9  # sol and the table's values are compared within tol
     full = (1 << n) - 1
     constraints = [(a, mu.table[a]) for a in range(1, full)
                    if not le(1, mu.table[a])]
@@ -423,7 +564,7 @@ def brute_force_core_vertices(mu):
         if not all(sum(sol[i] for i in indices_of(a)) <= mu.table[a] + tol
                    for a in range(1, full)):
             continue
-        keyed = sol if tol == 0 else [float(x) for x in sol]
+        keyed = [float(x) for x in sol]
         if any(max(abs(x - y) for x, y in zip(keyed, v)) <= tol
                for v in seen):
             continue
