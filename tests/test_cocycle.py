@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capergo import cocycle, cli, finitedyn
+from capergo import cli, cocycle, finitedyn
 from capergo.cocycle import (MatrixGen, cocycle_matrix, compound_power,
                              lyapunov_qr, monodromy_oracle,
                              oseledets_filtration, principal_angles,
