@@ -107,10 +107,7 @@ class MatrixGen:
         return self.matrices([omega])[0]
 
     def orbit(self, omega, n: int) -> list:
-        pts = [omega]
-        for _ in range(n - 1):
-            pts.append(self.step(pts[-1]))
-        return pts
+        return finitedyn.orbit(self.step, omega, n)
 
     @classmethod
     def periodic(cls, matrices: Sequence):
@@ -286,7 +283,9 @@ def subadditive_check(gen: MatrixGen, omega, k: int, n_max: int,
             return sum(np.linalg.slogdet(a)[1]
                        for a in gen.matrices(orbit[start_idx:start_idx + n]))
         phi = cocycle_matrix(gen, orbit[start_idx], n)
-        nrm = np.linalg.norm(compound_power(phi, k), 2)
+        # a minor past float range is inf, and its norm nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = np.linalg.norm(compound_power(phi, k), 2)
         if nrm == 0 or not np.isfinite(nrm):
             raise OverflowError("dense compound product left float range; "
                                 "shorten n_max")
@@ -463,9 +462,7 @@ def subadditive_limit_finite(f_seq: Callable[[int], Sequence], t,
         m = rng.randint(1, horizon - n)
         fn, fm, fnm = fs[n], fs[m], fs[n + m]
         for x in range(len(fs[1])):
-            y = x
-            for _ in range(n):
-                y = t(y)
+            y = finitedyn.orbit(t, x, n + 1)[-1]
             if fnm[x] > fn[x] + fm[y] + 1e-9:
                 return {"ok": False,
                         "witness": {"n": n, "m": m, "point": x}}

@@ -70,14 +70,6 @@ class ConvergenceReport:
                          float(abs(v - self.target))))
         return rows
 
-    def summary(self):
-        dev = self.final_deviation
-        return {"check": self.name, "verdict": bool(self.verdict),
-                "status": self.status,
-                "final_deviation": None if dev is None else float(dev),
-                "tolerance": float(self.tolerance),
-                "target": float(self.target)}
-
 
 @dataclass
 class FiniteSystem:
@@ -146,17 +138,17 @@ class IntervalSystem:
 System = FiniteSystem | IntervalSystem
 
 
-def _cesaro(sys: System, p, b, c, pts: list, transform: Callable):
-    """Partial Cesaro means of transform(P(B & T^{-i}C)) at the
-    checkpoints pts, and the exact limit (the mean over one period) when
-    the terms are eventually periodic, else None.
+def _cesaro(terms: Sequence, cycle: Optional[Sequence], pts: list,
+            transform: Callable):
+    """Partial Cesaro means of transform(term) at the checkpoints pts, and
+    the exact limit (the mean of transform over one period of the terms,
+    `cycle`) when the terms are eventually periodic, else None.
 
     The running sums are those of `itertools.accumulate` from
     Fraction(0): Fraction(0) + t0 + t1 + ..., added left to right, so
     float terms give float sums and exact terms exact ones, in the order
     of a plain loop.
     """
-    terms, cycle = sys.correlations(p, b, c, pts[-1])
     sums = itertools.accumulate(map(transform, terms), initial=Fraction(0))
     partials = []
     read = 0  # sums[:read] have been consumed
@@ -183,7 +175,7 @@ def _skeleton_check(name, sys, p, b, c, n, tol, float_tol, transform,
     if q is None:
         return ConvergenceReport(name, pts, [], 0, 0, status="no-skeleton")
     center = sys.prob(p, b) * q
-    partials, limit = _cesaro(sys, p, b, c, pts,
+    partials, limit = _cesaro(*sys.correlations(p, b, c, pts[-1]), pts,
                               lambda x: transform(x, center))
     if tol is None:
         tol = float_tol if limit is None else 0
@@ -222,18 +214,10 @@ def choquet_independence_check(sys: FiniteSystem, f: Sequence,
         raise ValueError("g must be nonnegative")
     t, v = sys.t, sys.v
     m = v.n
-    orbit = list(range(m))  # orbit[x] = T^i x
-    running = [Fraction(0)] * m
-    partials = []
-    k = 0
-    for i in range(pts[-1]):
-        for x in range(m):
-            running[x] = running[x] + Fraction(f[x]) * g[orbit[x]]
-        orbit = [t(x) for x in orbit]
-        if i + 1 == pts[k]:
-            avg = [r / (i + 1) for r in running]
-            partials.append(choquet_integral(v, avg))
-            k += 1
+    means = [_cesaro([Fraction(f[x]) * g[y]
+                      for y in finitedyn.orbit(t, x, pts[-1])],
+                     None, pts, lambda s: s)[0] for x in range(m)]
+    partials = [choquet_integral(v, avg) for avg in zip(*means)]
     ghat = finitedyn.common_cond_exp(g, t)
     limit = choquet_integral(v, [Fraction(f[x]) * ghat[x] for x in range(m)])
     target = choquet_integral(v, list(f)) * sum(
@@ -251,7 +235,8 @@ def sqrt_moment_check(sys: System, p, b, c, r, n: int,
     periodic, else the partial means from N/2 on.
     """
     pts = checkpoints_of(n)
-    partials, limit = _cesaro(sys, p, b, c, pts, lambda x: float(x) ** r)
+    partials, limit = _cesaro(*sys.correlations(p, b, c, pts[-1]), pts,
+                              lambda x: float(x) ** r)
     pb, pc = float(sys.prob(p, b)), float(sys.prob(p, c))
     lower, upper = pb ** r * pc, pb ** r * pc ** r
     if limit is None:
@@ -404,12 +389,7 @@ def process_slln_check(sys: FiniteSystem, h: Sequence, depth: int) -> dict:
     # depth-d cylinder events {x : (h(x), h(Tx), ...) = word} as masks
     cylinders = {}
     for x in range(m):
-        word = []
-        y = x
-        for _ in range(depth):
-            word.append(h[y])
-            y = t(y)
-        word = tuple(word)
+        word = tuple(h[y] for y in finitedyn.orbit(t, x, depth))
         cylinders[word] = cylinders.get(word, 0) | (1 << x)
     witness = next((word for word, mask in cylinders.items()
                     if not eq(vals[mask], vals[t.preimages[mask]])),

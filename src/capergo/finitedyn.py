@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .numeric import decide_arithmetic, parse
 from .setfun import Capacity, UpperProbability, product_upper, subset_sums
@@ -68,6 +68,15 @@ class Endomap:
         image = [self._image[i] * n2 + other.image[j]
                  for i in range(self.n) for j in range(n2)]
         return Endomap(image)
+
+
+def orbit(step: Callable, x, n: int) -> list:
+    """The first n points x, step(x), ..., step^{n-1}(x); [] for n = 0."""
+    pts = [x][:n]
+    for _ in range(n - 1):
+        x = step(x)
+        pts.append(x)
+    return pts
 
 
 def cycle_decomposition(t: Endomap) -> dict:

@@ -220,6 +220,8 @@ class PiecewiseConstant:
 
     def __init__(self, cuts, values, c=2):
         self.c = parse(c)
+        if not self.c > 0:
+            raise ValueError("circumference c must be positive, got %s" % c)
         self.cuts = [parse(x) for x in cuts]
         self.values = list(values)
         if len(self.values) != len(self.cuts) - 1:

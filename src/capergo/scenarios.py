@@ -41,9 +41,10 @@ def _check(name, verdict, **details):
 
 
 def _rep_check(rep: ergocheck.ConvergenceReport):
-    details = {k: v for k, v in rep.summary().items()
-               if k not in ("check", "verdict")}
-    return _check(rep.name, rep.verdict, **details)
+    dev = rep.final_deviation
+    return _check(rep.name, rep.verdict, status=rep.status,
+                  final_deviation=None if dev is None else float(dev),
+                  tolerance=float(rep.tolerance), target=float(rep.target))
 
 
 # ---------------------------------------------------------------------------

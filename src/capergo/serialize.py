@@ -44,11 +44,13 @@ def _value(x):
 def _check_size(n):
     if n > N_LIMIT:
         # a huge n stays symbolic: 1 << n alone could exhaust memory
-        sizes = (1 << n, 1 << 2 * n) if n <= 64 else \
-            ("2**%d" % n, "4**%d" % n)
+        # classify_capacity scans the event pairs a < b
+        sizes = (1 << n, (1 << n) * ((1 << n) - 1) // 2) if n <= 64 else \
+            ("2**%d" % n, "2**%d (2**%d - 1)" % (n - 1, n))
         raise ValueError(
             "capacities limited to n <= %d points: n=%d needs a 2**n = %s "
-            "entry table and 4**n = %s event pairs" % ((N_LIMIT, n) + sizes))
+            "entry table and 2**n (2**n - 1) / 2 = %s event pairs"
+            % ((N_LIMIT, n) + sizes))
 
 
 def capacity_from_json(obj) -> Capacity:

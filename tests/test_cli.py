@@ -174,7 +174,9 @@ def test_missing_capacity_file(tmp_path):
     ({"n": 2, "table": {"0": "0", "1": None, "2": "1/2", "3": "1"}},
      "not a finite number or 'p/q' string within float range: None"),
     ({"n": 100, "table": {"0": "0", "1": "1"}},
-     "capacities limited to n <= 12 points: n=100"),
+     "capacities limited to n <= 12 points: n=100 needs a 2**n = 2**100 "
+     "entry table and 2**n (2**n - 1) / 2 = 2**99 (2**100 - 1) event "
+     "pairs\n"),
     ({"n": 2, "table": {"0": "0", "1": "1/2", "7": "1/2", "3": "1"}},
      "event mask '7' out of range for n=2"),
     ({"n": 2, "table": {"0": "0", "1": "1/0", "2": "1/2", "3": "1"}},
@@ -248,7 +250,9 @@ def test_lambda_file_rejects_n40_before_building_envelope(tmp_path, capsys,
     assert run_cli([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "2**n = %d" % 2 ** 40 in err and "4**n = %d" % 4 ** 40 in err
+    assert "2**n = %d entry table" % 2 ** 40 in err
+    assert "2**n (2**n - 1) / 2 = %d event pairs" % (
+        2 ** 40 * (2 ** 40 - 1) // 2) in err
 
 
 @pytest.mark.parametrize("command", ["core", "check-capacity"])
@@ -268,7 +272,9 @@ def test_table_file_rejects_n13_before_building_capacity(tmp_path, capsys,
     assert run_cli([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "2**n = %d" % 2 ** 13 in err and "4**n = %d" % 4 ** 13 in err
+    assert "2**n = %d entry table" % 2 ** 13 in err
+    assert "2**n (2**n - 1) / 2 = %d event pairs" % (
+        2 ** 13 * (2 ** 13 - 1) // 2) in err
 
 
 COCYCLE_SCENARIOS = {"lyapunov-periodic-oracle", "oseledets-two-cycle",

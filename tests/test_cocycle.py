@@ -296,6 +296,29 @@ def test_subadditive_check_random_generators():
             assert out["subadditive"] and out["linear_bound"]
 
 
+def test_subadditive_check_raises_its_own_overflow_error():
+    """A 2x2 minor of the two-step product is 1e480: its determinant
+    overflows to inf and the compound norm is nan.  Under warnings as
+    errors that must still end in the function's own message."""
+    gen = diag_gen(1e120, 1e120, 1e-240)
+    gen.bound_m = 600
+    with pytest.raises(OverflowError, match="^dense compound product left "
+                       "float range; shorten n_max$"):
+        subadditive_check(gen, 0, k=2, n_max=3)
+
+
+def test_subadditive_check_reports_a_broken_linear_bound():
+    """Every matrix has 2-norm 1, inside bound_m = 0.01, but three steps
+    diag(1, 1e-3), swap, diag(1, 1e-3) have norm 1e-3 and four steps are
+    1e-3 times the identity: |f_n| is about 6.9, past n * 0.01."""
+    mats = np.array([np.diag([1.0, 1e-3]), [[0.0, 1.0], [1.0, 0.0]]])
+    gen = MatrixGen(2, lambda points: mats[list(points)], lambda i: 1 - i,
+                    bound_m=0.01)
+    out = subadditive_check(gen, 0, k=1, n_max=8)
+    assert out["linear_bound"] is False
+    assert out["subadditive"] and out["witness"] is None
+
+
 def _replayed_samples(seed, n_max):
     """The (n, start) pairs that subadditive_check evaluates for a seed:
     f_n and f_{n+m} at the orbit's start, f_m at its n-th point."""

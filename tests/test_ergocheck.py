@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capergo import ergocheck
+from capergo import ergocheck, scenarios
 from capergo.ergocheck import (FiniteSystem, IntervalSystem,
                                block_power_count, checkpoints_of,
                                choquet_independence_check,
@@ -69,10 +69,10 @@ def test_no_skeleton_status_on_non_ergodic_system():
                 squared_deviation_check(sys, [F(1), F(0)], 0b01, 0b01, 8),
                 choquet_independence_check(sys, [1, 0], [1, 0], 8)):
         assert rep.final_deviation is None and not rep.verdict
-        assert rep.summary() == {"check": rep.name, "verdict": False,
-                                 "status": "no-skeleton",
-                                 "final_deviation": None,
-                                 "tolerance": 0.0, "target": 0.0}
+        assert scenarios._rep_check(rep) == {
+            "check": rep.name, "verdict": False,
+            "details": {"status": "no-skeleton", "final_deviation": None,
+                        "tolerance": 0.0, "target": 0.0}}
 
 
 def test_non_ergodic_system_has_partition_witness():
@@ -147,8 +147,11 @@ def test_report_serialization_shapes():
     rows = rep.csv_rows()
     assert rows[0][0] == "checkpoint"
     assert len(rows) == len(rep.checkpoints) + 1
-    summary = rep.summary()
-    assert "check" in summary and "verdict" in summary
+    check = scenarios._rep_check(rep)
+    assert check == {"check": "independence", "verdict": True,
+                     "details": {"status": "ok", "final_deviation": 0.0,
+                                 "tolerance": 0.0, "target": 0.5}}
+    assert [type(v) for v in check["details"].values()] == [str] + [float] * 3
 
 
 def _parent_cesaro_partials(terms, pts, transform):
@@ -162,16 +165,6 @@ def _parent_cesaro_partials(terms, pts, transform):
             partials.append(total / (i + 1))
             k += 1
     return partials
-
-
-class _GivenTerms:
-    """A system whose correlation terms are fixed in advance."""
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def correlations(self, p, b, c, n):
-        return self.terms[:n], None
 
 
 def _typed_bits(x):
@@ -202,8 +195,7 @@ def test_cesaro_partials_equal_the_parent_loop_type_and_bits(terms, name,
                  "sqrt": lambda x: float(x) ** 0.5,
                  "zero": lambda x: 0}[name]
     pts = checkpoints_of(len(terms))
-    got, limit = ergocheck._cesaro(_GivenTerms(terms), None, None, None, pts,
-                                   transform)
+    got, limit = ergocheck._cesaro(terms, None, pts, transform)
     want = _parent_cesaro_partials(terms, pts, transform)
     assert limit is None
     assert [_typed_bits(x) for x in got] == [_typed_bits(x) for x in want]

@@ -5,12 +5,15 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capergo import finitedyn
-from capergo.ergocheck import (FiniteSystem, choquet_independence_check,
+from capergo.cocycle import MatrixGen
+from capergo.ergocheck import (FiniteSystem, checkpoints_of,
+                               choquet_independence_check,
                                independence_check, process_slln_check,
                                squared_deviation_check)
 from capergo.finitedyn import (Endomap, common_cond_exp, cycle_decomposition,
@@ -151,6 +154,26 @@ def test_endomap_is_immutable_and_decomposes_once(monkeypatch):
     assert invariant_atoms(t) == [0b111]
     assert calls == [t]
     assert t.decomposition == real(t)
+
+
+# --- orbits -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("step, x, want", [
+    (Endomap([1, 2, 0, 0]), 3, [3, 0, 1, 2, 0, 1, 2]),
+    (MatrixGen.periodic([np.eye(2)] * 3).step, 1, [1, 2, 0, 1, 2, 0, 1]),
+], ids=["endomap", "matrix-gen"])
+def test_orbit_is_the_first_n_points(step, x, want):
+    for n in (0, 1, 7):
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return step(y)
+
+        assert finitedyn.orbit(counted, x, n) == want[:n]
+        # the last point is not stepped from
+        assert calls == want[:max(n - 1, 0)]
 
 
 # --- skeletons and conditional expectations ---------------------------------
@@ -384,6 +407,60 @@ def test_charged_periods_are_the_cycles_carrying_skeleton_mass():
         assert out["weak_mixing"] == (out["charged_periods"] == [1])
 
 
+def _random_prob(rng, n, denom=12, sparse=False):
+    """A random exact probability vector, drawn as criterion 3 draws it."""
+    support = list(range(n))
+    if sparse and n > 1:
+        support = rng.sample(range(n), rng.randint(1, n))
+    weights = {i: rng.randint(1, denom) for i in support}
+    total = sum(weights.values())
+    return [F(weights.get(i, 0), total) for i in range(n)]
+
+
+def test_weak_mixing_routes_agree_and_the_skeleton_is_unique_up_to_n3():
+    """On every endomap with n <= 3 and 60 families per map, drawn as in
+    criterion 3 (half closed under pushforward), every ergodic instance
+    has (1) the eigen verdict (charged cycles of length 1) equal to (2)
+    the product oracle's and to (3) a zero squared-deviation limit for
+    P = family[0] and every pair (B, C).  Q's charged cycle is the only
+    terminal cycle whose uniform measure lies below V on every event."""
+    verdicts = []
+    for n in range(1, 4):
+        for idx, image in enumerate(itertools.product(range(n), repeat=n)):
+            t = Endomap(image)
+            cycles = t.decomposition["cycles"]
+            rng = random.Random((n, idx).__hash__())
+            for _ in range(60):
+                fam = [_random_prob(rng, n, sparse=rng.random() < 0.5)
+                       for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.5:
+                    closed = []
+                    for p in fam:
+                        while p not in closed:
+                            closed.append(p)
+                            p = pushforward(p, t)
+                    fam = closed
+                v = UpperProbability(fam)
+                if not ergodicity_check(v, t)["ergodic"]:
+                    continue
+                sk = ergodic_skeleton(v, t)
+                assert sk["ok"], (image, fam)
+                wm = weak_mixing_check(v, t)
+                system = FiniteSystem(v, t)
+                zero = all(
+                    squared_deviation_check(system, v.family[0], b, c,
+                                            1).exact_limit == 0
+                    for b in range(1 << n) for c in range(1 << n))
+                assert wm["weak_mixing"] == wm["product_ergodic"] == zero, \
+                    (image, fam)
+                below = [cyc for cyc in cycles if all(
+                    F(bin(a & sum(1 << c for c in cyc)).count("1"),
+                      len(cyc)) <= v.table[a] for a in range(1 << n))]
+                assert below == sk["charged"], (image, fam)
+                verdicts.append(zero)
+    assert True in verdicts and False in verdicts
+
+
 # --- differential oracle: the per-element checks ----------------------------
 #
 # The finite checks decide a table's arithmetic once: integer numerators
@@ -555,6 +632,68 @@ def test_finite_checks_match_per_element_definitions(system, data):
         got = weak_mixing_check(v, t, product_oracle=True)
         assert got["product_ergodic"] == want
         assert got["weak_mixing"] == all(len(c) == 1 for c in sk["charged"])
+
+
+def _parent_choquet_partials(system, f, g, n):
+    """The per-step loop that `choquet_independence_check` replaced, with
+    its limit and target: (partials, limit, target)."""
+    pts = checkpoints_of(n)
+    t, v = system.t, system.v
+    m = v.n
+    orbit = list(range(m))  # orbit[x] = T^i x
+    running = [F(0)] * m
+    partials = []
+    k = 0
+    for i in range(pts[-1]):
+        for x in range(m):
+            running[x] = running[x] + F(f[x]) * g[orbit[x]]
+        orbit = [t(x) for x in orbit]
+        if i + 1 == pts[k]:
+            avg = [r / (i + 1) for r in running]
+            partials.append(choquet_integral(v, avg))
+            k += 1
+    ghat = common_cond_exp(g, t)
+    limit = choquet_integral(v, [F(f[x]) * ghat[x] for x in range(m)])
+    target = choquet_integral(v, list(f)) * sum(
+        F(g[x]) * system.skeleton[x] for x in range(m))
+    return partials, limit, target
+
+
+def _typed_bits(x):
+    if isinstance(x, (list, tuple)):
+        return [_typed_bits(y) for y in x]
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_systems(), st.data())
+# exact swap, a float three-cycle family with float g, and a tail into a
+# fixed point with exact g
+@example(([[F(1), F(0)], [F(0), F(1)]], Endomap([1, 0])),
+         ([F(1), F(0)], [F(1), F(0)], 16))
+@example(([[0.1, 0.2, 0.7], [0.7, 0.1, 0.2], [0.2, 0.7, 0.1]],
+          Endomap([1, 2, 0])), ([0, 0, 1], [1.0, 1.0, 3.0], 30))
+@example(([[F(0), F(1)]], Endomap([1, 1])), ([F(2), F(1, 3)],
+                                             [F(1, 2), F(3)], 9))
+def test_choquet_check_matches_the_parent_loop(system, data):
+    family, t = system
+    v = UpperProbability(family)
+    n = v.n
+    if isinstance(data, tuple):
+        f, g, horizon = data
+    else:
+        exact = st.fractions(0, 3, max_denominator=6)
+        f = data.draw(st.lists(exact, min_size=n, max_size=n))
+        g = data.draw(st.lists(st.one_of(exact, st.floats(0, 3)),
+                               min_size=n, max_size=n))
+        horizon = data.draw(st.integers(1, 40))
+    system = FiniteSystem(v, t)
+    rep = choquet_independence_check(system, f, g, horizon)
+    if system.skeleton is None:
+        assert rep.status == "no-skeleton" and rep.partials == []
+        return
+    assert _typed_bits((rep.partials, rep.exact_limit, rep.target)) == \
+        _typed_bits(_parent_choquet_partials(system, f, g, horizon))
 
 
 # --- exactness ledger: exact finite inputs are never turned into floats -----

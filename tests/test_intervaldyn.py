@@ -57,6 +57,10 @@ def random_set(rng, c=2, denom=64, pieces=2):
      "circumference c must be positive, got -1"),
     (lambda: PiecewiseAffineMap([(0, 1, 1, 0)], c=0.0),
      "circumference c must be positive, got 0.0"),
+    (lambda: PiecewiseConstant([0], [], c=0),
+     "circumference c must be positive, got 0"),
+    (lambda: PiecewiseConstant([0, -1], [F(1)], c=-1),
+     "circumference c must be positive, got -1"),
     (lambda: PiecewiseAffineMap([], c=1), "branches must tile [0, c) in order"),
     (lambda: PiecewiseAffineMap([(F(1, 4), 1, 1, 0)], c=1),
      "branches must tile [0, c) in order"),
@@ -76,7 +80,9 @@ def random_set(rng, c=2, denom=64, pieces=2):
         "preimage-across-circles", "swap-angle-0", "swap-angle-1",
         "negative-bit", "polynomial-on-circle-2", "negative-exponent",
         "circle-of-length-0", "circle-of-negative-length",
-        "map-on-negative-circle", "map-on-float-circle-0", "no-branches",
+        "map-on-negative-circle", "map-on-float-circle-0",
+        "function-on-circle-of-length-0", "function-on-negative-circle",
+        "no-branches",
         "branches-start-past-0", "branches-end-before-c", "branch-gap",
         "branch-overlap", "branches-out-of-order", "empty-branch",
         "branch-past-c"])

@@ -75,8 +75,6 @@ FLOAT_SITES = {
         "a float measure is divided by the exact circumference",
     ("capergo.ergocheck", "sqrt_moment_check"):
         "the moment bounds are float powers of P(B) and P(C)",
-    ("capergo.ergocheck", "ConvergenceReport.summary"):
-        "report deviations, tolerances and targets are floats",
     ("capergo.finitedyn", "common_cond_exp"):
         "float cocycle logs are averaged from Fraction(0)",
     ("capergo.intervaldyn", "PiecewiseAffineMap.__init__"):
@@ -87,6 +85,8 @@ FLOAT_SITES = {
         "the float rotation-swap closed form reads float endpoints",
     ("capergo.intervaldyn", "IntervalSet.measure"):
         "a set with float endpoints has a float measure",
+    ("capergo.scenarios", "_rep_check"):
+        "report deviations, tolerances and targets are floats",
     ("capergo.scenarios", "doubling_weak_mixing"):
         "the KvN density-zero extraction reads float deviations",
     ("capergo.scenarios", "kingman_two_cycle"):
