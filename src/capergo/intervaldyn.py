@@ -237,10 +237,6 @@ class PiecewiseConstant:
         j = bisect_right(self.cuts, x, 1, len(self.values))
         return self.values[j - 1]
 
-    def pieces(self):
-        for j, v in enumerate(self.values):
-            yield IntervalSet([(self.cuts[j], self.cuts[j + 1])], self.c), v
-
     @classmethod
     def indicator(cls, s: IntervalSet):
         cuts = [parse(0)]
@@ -516,27 +512,30 @@ def polynomial_orbit_average(f: PiecewiseConstant, p, x: BitstreamPoint,
     return (Fraction(0) + total) / n
 
 
+def _eigen_cuts(f: PiecewiseConstant, mp: PiecewiseAffineMap) -> list:
+    """The sorted cuts of the refinement `verify_eigenfunction` reads."""
+    cuts = {x for lo, hi, _, _ in mp.branches for x in (lo, hi)}
+    cuts.update(f.cuts)
+    for lo, hi, s, t in mp.branches:
+        if s:  # a constant branch lies on one side of every cut
+            cuts.update(x for x in ((y - t) / s for y in f.cuts)
+                        if lo < x < hi)
+    return sorted(cuts)
+
+
 def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
                          lam) -> bool:
     """Decide f(T x) = lam * f(x) off a finite set of boundary points.
 
-    The composition f o T is piecewise constant on the refinement of the
-    map's branches against the preimages of f's pieces; on each refined
-    piece both sides are single labels, compared exactly (or within
-    FLOAT_TOL in float mode).
+    Both sides are constant between consecutive cuts of a refinement: the
+    map's branch endpoints, f's cuts and, within each branch x -> s x + t
+    with s != 0, the points (y - t) / s strictly inside it, y a cut of f.
+    On each refined piece both sides are single labels, read at its
+    midpoint and compared exactly (or within FLOAT_TOL in float mode).
     """
-    cuts = set()
-    for lo, hi, _, _ in mp.branches:
-        cuts.add(lo)
-        cuts.add(hi)
-    for x in f.cuts:
-        cuts.add(parse(x))
-    for piece, _ in f.pieces():
-        pre = mp.preimage(piece)
-        for a, b in pre.intervals:
-            cuts.add(a)
-            cuts.add(b)
-    cuts = sorted(cuts)
+    if f.c != mp.c:
+        raise ValueError("mismatched circumference")
+    cuts = _eigen_cuts(f, mp)
     for a, b in zip(cuts, cuts[1:]):
         mid = (a + b) / 2
         lhs = f(mp.apply(mid))

@@ -1,16 +1,17 @@
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capergo import cli, cocycle, finitedyn
-from capergo.cocycle import (MatrixGen, cocycle_matrix, compound_power,
-                             lyapunov_qr, monodromy_oracle,
+from capergo.cocycle import (MatrixGen, cocycle_matrix, lyapunov_qr,
+                             monodromy_oracle,
                              oseledets_filtration, principal_angles,
                              subadditive_check, subadditive_limit_finite)
 from capergo.finitedyn import Endomap
@@ -222,6 +223,21 @@ def test_from_json_rejects_a_non_finite_or_non_numeric_angle_scale(scale):
 # --- exterior powers --------------------------------------------------------
 
 
+def compound_power(a: np.ndarray, k: int) -> np.ndarray:
+    """Matrix of k x k minors acting on the k-th exterior power: the
+    oracle for the singular-value norms of `subadditive_check`."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[0]
+    if not 1 <= k <= d:
+        raise ValueError("need 1 <= k <= d")
+    subsets = list(itertools.combinations(range(d), k))
+    out = np.empty((len(subsets), len(subsets)))
+    for i, rows in enumerate(subsets):
+        for j, cols in enumerate(subsets):
+            out[i, j] = np.linalg.det(a[np.ix_(rows, cols)])
+    return out
+
+
 def test_compound_power_extremes():
     rng = random.Random(41)
     a = np.array([[rng.uniform(-2, 2) for _ in range(3)] for _ in range(3)])
@@ -297,14 +313,74 @@ def test_subadditive_check_random_generators():
 
 
 def test_subadditive_check_raises_its_own_overflow_error():
-    """A 2x2 minor of the two-step product is 1e480: its determinant
-    overflows to inf and the compound norm is nan.  Under warnings as
-    errors that must still end in the function's own message."""
+    """The three-step product has entries 1e360: the matmul overflows to
+    inf.  Under warnings as errors that must still end in the dense
+    product's own message."""
     gen = diag_gen(1e120, 1e120, 1e-240)
     gen.bound_m = 600
-    with pytest.raises(OverflowError, match="^dense compound product left "
-                       "float range; shorten n_max$"):
+    with pytest.raises(OverflowError, match="^dense cocycle product left "
+                       "float range$"):
         subadditive_check(gen, 0, k=2, n_max=3)
+
+
+def test_cocycle_matrix_raises_its_own_overflow_error():
+    """1e200 squared overflows the matmul; numpy's overflow warning must
+    not escape before the guard, also when warnings are errors."""
+    gen = diag_gen(1e200, 1.0)
+    gen.bound_m = 500
+    with pytest.raises(OverflowError, match="^dense cocycle product left "
+                       "float range$"):
+        cocycle_matrix(gen, 0, 2)
+
+
+def test_subadditive_check_raises_on_an_underflowed_singular_value():
+    """From two steps on, diag(1, 1e-200, 1e-200)^n has zeros where its
+    1e-400 entries underflowed: sigma_2 is 0 while the largest entry
+    stays 1."""
+    gen = diag_gen(1.0, 1e-200, 1e-200)
+    gen.bound_m = 500
+    with pytest.raises(OverflowError, match="^dense cocycle product left "
+                       "float range$"):
+        subadditive_check(gen, 0, k=2, n_max=4)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_subadditive_check_rejects_k_outside_1_to_d_before_any_work(
+        monkeypatch, k):
+    gen = diag_gen(2.0, 1.0, 0.5)
+    monkeypatch.setattr(gen, "step", None)
+    with pytest.raises(ValueError, match="^need 1 <= k <= d$"):
+        subadditive_check(gen, 0, k, n_max=4)
+
+
+_ENTRIES = st.floats(-2, 2, allow_subnormal=False)
+
+
+@st.composite
+def _wedge_cases(draw):
+    """(Phi(n, 0), k) of a periodic generator, d in 2..4, 1 <= k < d and
+    n <= 4; the matrices are kept well conditioned."""
+    d = draw(st.integers(2, 4))
+    ell = draw(st.integers(1, 3))
+    mats = [np.array(draw(st.lists(_ENTRIES, min_size=d * d,
+                                   max_size=d * d))).reshape(d, d)
+            for _ in range(ell)]
+    assume(all(np.linalg.cond(m) < 1e6 for m in mats))
+    phi = cocycle_matrix(MatrixGen.periodic(mats), 0, draw(st.integers(1, 4)))
+    return phi, draw(st.integers(1, d - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wedge_cases())
+@example((np.diag([2.0, 3.0, 5.0]), 1))
+@example((np.diag([2.0, 3.0, 5.0]), 2))
+def test_log_wedge_norm_matches_the_compound_oracle(case):
+    phi, k = case
+    want = math.log(np.linalg.norm(compound_power(phi, k), 2))
+    got = cocycle._log_wedge_norm(phi, k)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    if k == 1:
+        assert got == math.log(np.linalg.norm(phi, 2))
 
 
 def test_subadditive_check_reports_a_broken_linear_bound():
@@ -529,6 +605,16 @@ def test_monodromy_rejects_non_cycle():
     gen = two_cycle_gen()
     with pytest.raises(ValueError):
         monodromy_oracle(gen, [0])  # period is 2, not 1
+
+
+@pytest.mark.parametrize("points", [[0, 2], [0, 1], [1, 2, 0, 1]])
+def test_monodromy_rejects_a_point_list_off_the_cycle(points):
+    gen = MatrixGen.periodic([np.diag([2.0, 1.0]), np.eye(2),
+                              np.diag([1.0, 0.5])])
+    with pytest.raises(ValueError, match="^point list is not a cycle of "
+                       "the base map$"):
+        monodromy_oracle(gen, points)
+    assert monodromy_oracle(gen, [1, 2, 0]).n == 3
 
 
 def test_monodromy_rejects_a_singular_period_product():

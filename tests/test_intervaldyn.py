@@ -16,6 +16,7 @@ from capergo.intervaldyn import (BOUNDARY_SNAP, GOLDEN, BitstreamPoint,
                                  RestrictedLebesgue, correlation_sequence,
                                  orbit_average, polynomial_orbit_average,
                                  verify_eigenfunction)
+from capergo.numeric import close
 
 F = Fraction
 
@@ -916,3 +917,123 @@ def test_non_eigenfunction_rejected():
     f = PiecewiseConstant.indicator(IntervalSet([(0, F(1, 2))], c=2))
     assert not verify_eigenfunction(f, mp, F(1))
     assert not verify_eigenfunction(f, mp, F(-1))
+
+
+def test_eigenfunction_rejects_a_function_on_another_circle():
+    f = PiecewiseConstant([0, 1], [F(1)], c=1)
+    with pytest.raises(ValueError, match="^mismatched circumference$"):
+        verify_eigenfunction(f, PiecewiseAffineMap.doubling_paste(), F(1))
+
+
+def _parent_eigen_cuts(f, mp):
+    """The refinement as first written: the cuts of the preimage of each
+    piece of f, beside the branch endpoints and f's cuts."""
+    cuts = set()
+    for lo, hi, _, _ in mp.branches:
+        cuts.add(lo)
+        cuts.add(hi)
+    for x in f.cuts:
+        cuts.add(x)
+    for j in range(len(f.values)):
+        piece = IntervalSet([(f.cuts[j], f.cuts[j + 1])], f.c)
+        for a, b in mp.preimage(piece).intervals:
+            cuts.add(a)
+            cuts.add(b)
+    return sorted(cuts)
+
+
+def _parent_verdict(f, mp, lam):
+    """verify_eigenfunction on the parent refinement, or None where it
+    raises."""
+    try:
+        cuts = _parent_eigen_cuts(f, mp)
+        return all(close(f(mp.apply((a + b) / 2)), lam * f((a + b) / 2))
+                   for a, b in zip(cuts, cuts[1:]))
+    except (BoundaryHitError, ValueError):
+        return None
+
+
+_SLOPES = [F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(2), F(3, 2)]
+
+
+@st.composite
+def eigen_cases(draw):
+    """An exact map on [0, c), c in {1, 2}, whose branches have slopes of
+    either sign or zero and images inside [0, c], and an exact function
+    with values in {1, -1, 2}."""
+    c = draw(st.sampled_from([1, 2]))
+    inner = draw(st.sets(st.fractions(0, c, max_denominator=12), max_size=3))
+    ends = [F(0)] + sorted(inner - {0, c}) + [F(c)]
+    branches = []
+    for lo, hi in zip(ends, ends[1:]):
+        s = draw(st.sampled_from(_SLOPES))
+        a, b = sorted((s * lo, s * hi))
+        assume(b - a <= c)
+        shift = F(draw(st.integers(0, math.floor(12 * (c - b + a)))), 12)
+        if s == 0:
+            assume(shift < c)
+        branches.append((lo, hi, s, shift - a))
+    cuts = draw(st.sets(st.fractions(0, c, max_denominator=10), max_size=4))
+    cuts = [F(0)] + sorted(cuts - {0, c}) + [F(c)]
+    values = draw(st.lists(st.sampled_from([F(1), F(-1), F(2)]),
+                           min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    return (PiecewiseAffineMap(branches, c=c),
+            PiecewiseConstant(cuts, values, c=c))
+
+
+@settings(max_examples=400, deadline=None)
+@given(eigen_cases())
+@example((PiecewiseAffineMap([(0, F(1, 2), 0, F(1, 4)),
+                              (F(1, 2), 1, 1, 0)], c=1),
+          PiecewiseConstant([0, F(1, 3), 1], [F(1), F(2)], c=1)))
+@example((PiecewiseAffineMap([(0, F(1, 2), -1, F(1, 2)),
+                              (F(1, 2), 1, 2, -1)], c=1),
+          PiecewiseConstant([0, F(1, 3), F(2, 3), 1], [F(1), F(-1), F(2)],
+                            c=1)))
+def test_eigen_cuts_equal_the_parent_preimage_refinement(case):
+    mp, f = case
+    got = intervaldyn._eigen_cuts(f, mp)
+    assert got == _parent_eigen_cuts(f, mp)
+    assert all(type(x) is F for x in got)
+    for lam in (F(1), F(-1)):
+        assert verify_eigenfunction(f, mp, lam) == _parent_verdict(f, mp, lam)
+
+
+@settings(max_examples=400, deadline=None)
+@given(eigen_cases(), st.booleans(), st.sampled_from([1, -1, 1.0, -1.0]))
+def test_float_eigen_verdicts_equal_the_parent_where_it_returns_one(
+        case, float_f, lam):
+    mp, f = case
+    mp = PiecewiseAffineMap([tuple(map(float, br)) for br in mp.branches],
+                            c=mp.c)
+    if float_f:
+        f = PiecewiseConstant([float(x) for x in f.cuts],
+                              [float(v) for v in f.values], c=f.c)
+    want = _parent_verdict(f, mp, lam)
+    assume(want is not None)
+    assert verify_eigenfunction(f, mp, lam) == want
+
+
+def test_float_eigen_check_skips_the_parent_sliver_piece():
+    """The parent's preimage put (s lo + t - t) / s a few ulps past the
+    branch cut 1/3, and read the sliver's midpoint within BOUNDARY_SNAP of
+    it.  On [0.5, 1) f is -1 and so is f o T, so lam = -1 fails."""
+    mp = PiecewiseAffineMap([(0, 1 / 3, 0.25, 0.9166666666666666),
+                             (1 / 3, 1, 0.25, 0.7499999999999999)], c=1)
+    f = PiecewiseConstant([0, 0.5, 1], [1, -1], c=1)
+    sliver = _parent_eigen_cuts(f, mp)[2]
+    assert 0 < sliver - 1 / 3 < BOUNDARY_SNAP
+    assert _parent_verdict(f, mp, -1) is None
+    assert intervaldyn._eigen_cuts(f, mp) == [0, 1 / 3, 0.5, 1]
+    assert verify_eigenfunction(f, mp, -1) is False
+
+
+def test_constant_branch_adds_no_interior_cut():
+    """[0, 1/2) is sent to the point 1/4, on one side of every cut of f."""
+    mp = PiecewiseAffineMap([(0, F(1, 2), 0, F(1, 4)), (F(1, 2), 1, 1, 0)],
+                            c=1)
+    f = PiecewiseConstant([0, F(1, 3), 1], [F(1), F(2)], c=1)
+    assert intervaldyn._eigen_cuts(f, mp) == [0, F(1, 3), F(1, 2), 1]
+    assert verify_eigenfunction(f, mp, F(1)) is False
+    assert verify_eigenfunction(PiecewiseConstant([0, 1], [F(3)], c=1), mp,
+                                F(1)) is True
