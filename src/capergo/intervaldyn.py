@@ -532,14 +532,19 @@ def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
     with s != 0, the points (y - t) / s strictly inside it, y a cut of f.
     On each refined piece both sides are single labels, read at its
     midpoint and compared exactly (or within FLOAT_TOL in float mode).
+    Each piece lies in one branch, since every branch endpoint is a cut,
+    and its midpoint is mapped by that branch: a float midpoint a rounding
+    away from the branch's start is not a boundary hit.
     """
     if f.c != mp.c:
         raise ValueError("mismatched circumference")
     cuts = _eigen_cuts(f, mp)
+    branches = iter(mp.branches)
+    hi = 0
     for a, b in zip(cuts, cuts[1:]):
+        if a == hi:
+            _, hi, s, t = next(branches)
         mid = (a + b) / 2
-        lhs = f(mp.apply(mid))
-        rhs = lam * f(mid)
-        if not close(lhs, rhs):
+        if not close(f(s * mid + t), lam * f(mid)):
             return False
     return True

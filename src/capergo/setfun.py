@@ -12,6 +12,7 @@ when the `Capacity` is built, and the capacity keeps that decision:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -23,9 +24,14 @@ from .numeric import close, decide_arithmetic
 
 Number = object  # Fraction or float; kept loose on purpose
 
-# core_vertices solves C(2**n + n - 2, n - 1) candidate bases: 52,360 at
-# n=5 and 10,424,128 at n=6
+# core_vertices reads its bases off `_bases(n)`, whose C(2**n + n - 2, n - 1)
+# candidates are 52,360 at n=5 and 10,424,128 at n=6, on both routes: the
+# greedy route of an exactly submodular table solves one basis per distinct
+# marginal vector, and every other table enumerates them all.  n=6 and 7
+# stay out for the greedy route too, where no enumeration could check it.
 CORE_N_LIMIT = 5
+# a float table's solutions are tested and merged within this tolerance
+_CORE_TOL = 1e-9
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -276,37 +282,149 @@ def core_vertices(mu: Capacity) -> list[list]:
     A vertex solves the normalisation plus n - 1 binding constraints.  The
     constraint rows are 0/1 masks that do not depend on mu, so the
     nonsingular bases and their integer adjugates are cached once per n
-    (`_bases`).  For mu this takes the bases whose rows are all active
-    (mu(A) < 1, or a nonnegativity row), solves each as
-    x = adj @ rhs / det, and keeps the nonnegative solutions that satisfy
-    every constraint, deduplicated first-seen in candidate order.  Each
-    is tested as x * det * scale.  Exact tables stay exact (integers
-    scaled by the lcm of the denominators) and equal solutions are merged
-    exactly; a table with any float entry is solved in floats, tested and
-    merged with tolerance 1e-9, dividing by det only the kept solutions.
-    n is guarded by CORE_N_LIMIT.
+    (`_bases`).  The bases solved come from one of two routes:
+
+    - greedy, when the table as the solves read it is exactly monotone and
+      submodular (`_greedy_bases`).  The core is then the base polytope,
+      whose vertices are the n! marginal vectors (Edmonds 1970, Shapley
+      1971), and each distinct one is solved at its first basis, in
+      candidate order, whose rows are all tight at it.
+    - enumeration, otherwise or when a greedy basis fails its solve: every
+      basis whose rows are all active (mu(A) < 1, or a nonnegativity row).
+
+    Each basis is solved as x = adj @ rhs / det and kept when x is
+    nonnegative and satisfies every constraint (`_basic_solutions`), and
+    the kept solutions are deduplicated first-seen in candidate order
+    (`_merged`).  So a vertex is listed at the first basis that yields it
+    on either route, and both routes give the same list.  Exact tables
+    stay exact; a table with any float entry is solved in floats, tested
+    and merged within _CORE_TOL.  n is guarded by CORE_N_LIMIT.
     """
     n = mu.n
     if n > CORE_N_LIMIT:
         raise ValueError(
             "core_vertices limited to n <= %d: n=%d has %d candidate bases"
             % (CORE_N_LIMIT, n, _candidate_count(n)))
+    ks = _greedy_bases(mu)
+    found = ks and _basic_solutions(mu, ks)
+    if not found or len(found) < len(ks):
+        found = _basic_solutions(mu, range(len(_bases(n)[2])))
+    return _merged(mu, found)
+
+
+def _constraints(mu: Capacity) -> tuple:
+    """(vals, scale, tol, active): the table as the basis solves read it.
+
+    An exact table is held in integers over scale and compared with tol 0;
+    a table with any float entry as floats, with scale 1 and
+    tol = _CORE_TOL.
+    active[r] says whether row r may enter a basis: the event rows
+    1 .. 2**n - 2 with mu(A) < 1, then the n nonnegativity rows.
+    """
+    vals, scale, _, le_ = mu.arithmetic()
+    full = (1 << mu.n) - 1
+    active = [not le_(scale, vals[a]) for a in range(1, full)] + [True] * mu.n
+    if mu.is_exact():
+        return vals, scale, 0, active
+    return [float(x) for x in vals], scale, _CORE_TOL, active
+
+
+def _greedy_bases(mu: Capacity):
+    """The ascending basis positions of the greedy route, or None.
+
+    The solves read t, the table with t(empty) = 0 and t = 1 on the ground
+    set and every inactive row.  If t is monotone and submodular, tested
+    as t[S] <= t[S+i] and t[S+i] + t[S+j] >= t[S+i+j] + t[S] for every S
+    and i < j outside S (the local pairs imply the law on all pairs) and
+    compared exactly, in integers for an exact table and as Fraction(x)
+    for a float one, the core is the base polytope of t.  Its vertices are
+    the distinct marginal vectors x[pi(k)] = t[S_k] - t[S_{k-1}].  For each
+    one this returns the first (n-1)-combination, in candidate order, of
+    its tight rows (active rows with |x(A) - mu(A)| <= tol, and
+    nonnegativity rows with x_i <= tol) that is a nonsingular basis,
+    found by bisection over `_bases(n)`'s rows, which are in that order.
+    None when the gate fails or a vertex has no such basis.
+    """
+    n = mu.n
+    full = (1 << n) - 1
+    vals, scale, tol, active = _constraints(mu)
+    t = [0] + [u if a else scale for u, a in zip(vals[1:full], active)]
+    t.append(scale)
+    exact_t = t if mu.is_exact() else \
+        decide_arithmetic([list(map(Fraction, t))])[0][0]
+    if not _monotone_submodular(exact_t, n):
+        return None
+    rows, _, det = _bases(n)
+    m = n - 1
+    positions = range(len(det))
+
+    def basis(k):
+        return rows[k * m:k * m + m].tolist()
+
+    ks = set()
+    for x in dict.fromkeys(_marginal_vectors(t, n)):
+        sums = subset_sums(x, 0)
+        tight = [r for r in range(full - 1)
+                 if active[r] and abs(sums[r + 1] - vals[r + 1]) <= tol]
+        tight += [full - 1 + i for i in range(n) if x[i] <= tol]
+        for c in map(list, itertools.combinations(tight, m)):
+            k = bisect.bisect_left(positions, c, key=basis)
+            if k < len(det) and basis(k) == c:
+                ks.add(k)
+                break
+        else:
+            return None
+    return sorted(ks)
+
+
+def _monotone_submodular(t: list, n: int) -> bool:
+    """Whether t[S] <= t[S+i] and t[S+i] + t[S+j] >= t[S+i+j] + t[S] for
+    every S and i < j outside S."""
+    for s, ts in enumerate(t):
+        up = [s | 1 << i for i in range(n) if not s >> i & 1]
+        for j, a in enumerate(up):
+            ta = t[a]
+            if ta < ts:
+                return False
+            for b in up[j + 1:]:
+                if ta + t[b] < t[a | b] + ts:
+                    return False
+    return True
+
+
+def _marginal_vectors(t: list, n: int):
+    """x with x[i] = t[S | i] - t[S], S the points before i, for each
+    ordering of the points, as tuples."""
+    for order in itertools.permutations(range(n)):
+        x = [0] * n
+        s = 0
+        for i in order:
+            x[i] = t[s | 1 << i] - t[s]
+            s |= 1 << i
+        yield tuple(x)
+
+
+def _basic_solutions(mu: Capacity, ks) -> list:
+    """[(x, d)] for the bases at positions ks, in order, whose rows are all
+    active and whose solution passes every constraint.
+
+    Basis k is solved as x = adj @ rhs, the solution times d * scale (in
+    integers when exact), with d = det[k].  It passes when x + d * tol >= 0
+    and, for every proper event A, x(A) <= d * (mu(A) + tol).
+    """
+    n = mu.n
     rows, adj, det = _bases(n)
     full = (1 << n) - 1
-    vals, scale, _, le_ = mu.arithmetic()
-    active = [not le_(scale, vals[a]) for a in range(1, full)] + [True] * n
-    exact = mu.is_exact()
-    vals = vals if exact else [float(x) for x in vals]
-    tol = 0 if exact else 1e-9
-    # a solution x is held as x * d * scale: in integers when exact
-    caps = {d: [d * (u + tol) for u in vals[1:full]] for d in set(det)}
+    vals, scale, tol, active = _constraints(mu)
+    caps = functools.cache(lambda d: [d * (u + tol) for u in vals[1:full]])
     bounds = vals[1:full] + [0] * n  # right-hand side of each row
     m, nn = n - 1, n * n
     found = []
-    for k, d in enumerate(det):
+    for k in ks:
         r = rows[k * m:k * m + m]
         if not all([active[i] for i in r]):
             continue
+        d = det[k]
         rhs = [scale] + [bounds[i] for i in r]
         a = adj[k * nn:k * nn + nn]
         x = []
@@ -317,13 +435,21 @@ def core_vertices(mu: Capacity) -> list[list]:
             x.append(v)
         else:
             sums = subset_sums(x, 0)
-            if all(map(operator.le, sums[1:full], caps[d])):
+            if all(map(operator.le, sums[1:full], caps(d))):
                 found.append((x, d))
-    if not exact:
-        return _first_seen([[v / d for v in x] for x, d in found], tol)
+    return found
+
+
+def _merged(mu: Capacity, found: list) -> list[list]:
+    """The vertices of the (x, d) solutions, first-seen: exactly for an
+    exact table, within _CORE_TOL (max norm) for a float one."""
+    if not mu.is_exact():
+        return _first_seen([[v / d for v in x] for x, d in found],
+                           _CORE_TOL)
     # x is the vertex times d * scale; over the common denominator
-    # lcm(det) * scale, equal vertices have equal integer rows
-    lcm = math.lcm(*caps)
+    # lcm(d) * scale, equal vertices have equal integer rows
+    scale = mu.arithmetic()[1]
+    lcm = math.lcm(*{d for _, d in found})
     rows = dict.fromkeys(tuple(v * (lcm // d) for v in x) for x, d in found)
     return [[Fraction(v, lcm * scale) for v in row] for row in rows]
 

@@ -461,6 +461,86 @@ def test_weak_mixing_routes_agree_and_the_skeleton_is_unique_up_to_n3():
     assert True in verdicts and False in verdicts
 
 
+def _limit_masks(t, c):
+    """The eventual cycle of the masks T^-i C, i = 0, 1, ...: the walk from
+    C stops at the first repeated mask.  The Cesaro limit of P(B & T^-i C)
+    is the mean of P(B & m) over the cycle."""
+    walk = {}
+    m = c
+    while m not in walk:
+        walk[m] = len(walk)
+        m = sum(1 << x for x in range(t.n) if m >> t(x) & 1)
+    return list(walk)[walk[m]:]
+
+
+def test_independence_criterion_and_slln_hold_on_every_map_up_to_n3():
+    """On every endomap with n <= 3 and 60 families per map, drawn as in
+    criterion 3, with limits from the mask walks above (not ergocheck):
+
+    - on invariant instances, the independence criterion holds exactly
+      when `ergodicity_check` says ergodic.  The criterion: every core
+      vertex P has the same skeleton R (the Cesaro limit of P o T^-i), and
+      the limit of P(B & T^-i C) is P(B) R(C) for every vertex and every
+      pair of events.  Core vertices need not be invariant.
+    - on ergodic instances, R is `ergodic_skeleton`'s Q, charged on the
+      cycle R charges, and (the SLLN) the Birkhoff limit of each point
+      indicator at x is its Q-mass for every x off a V-null set."""
+    counts = {"invariant": 0, "ergodic": 0, "non-invariant vertex": 0}
+    for n in range(1, 4):
+        events = range(1 << n)
+        full = (1 << n) - 1
+        for idx, image in enumerate(itertools.product(range(n), repeat=n)):
+            t = Endomap(image)
+            cycles = t.decomposition["cycles"]
+            masks = [_limit_masks(t, c) for c in events]
+            points = [subset_sums([F(int(i == x)) for i in range(n)], 0)
+                      for x in range(n)]
+
+            def limit(sums, b, c):
+                return F(sum(sums[b & m] for m in masks[c]), len(masks[c]))
+
+            def skeleton_of(sums):
+                return [limit(sums, full, 1 << y) for y in range(n)]
+
+            rng = random.Random("%d:%d" % (n, idx))
+            for _ in range(60):
+                fam = [_random_prob(rng, n, sparse=rng.random() < 0.5)
+                       for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.5:
+                    closed = []
+                    for p in fam:
+                        while p not in closed:
+                            closed.append(p)
+                            p = pushforward(p, t)
+                    fam = closed
+                v = UpperProbability(fam)
+                erg = ergodicity_check(v, t)
+                if not erg["invariant"]:
+                    continue
+                counts["invariant"] += 1
+                sums = [subset_sums(p, 0) for p in core_vertices(v)]
+                counts["non-invariant vertex"] += any(
+                    s[t.preimages[a]] != s[a] for s in sums for a in events)
+                r = skeleton_of(sums[0])
+                r_of = subset_sums(r, 0)
+                criterion = all(skeleton_of(s) == r for s in sums) and all(
+                    limit(s, b, c) == s[b] * r_of[c]
+                    for s in sums for b in events for c in events)
+                assert criterion == erg["ergodic"], (image, fam)
+                if not erg["ergodic"]:
+                    continue
+                counts["ergodic"] += 1
+                sk = ergodic_skeleton(v, t)
+                assert sk["ok"] and sk["skeleton"] == r, (image, fam)
+                assert sk["charged"] == [
+                    cyc for cyc in cycles if any(r[c] for c in cyc)]
+                off = sum(1 << x for x in range(n)
+                          if skeleton_of(points[x]) != r)
+                assert v.table[off] == 0, (image, fam)
+    assert counts == {"invariant": 413, "ergodic": 204,
+                      "non-invariant vertex": 190}
+
+
 # --- differential oracle: the per-element checks ----------------------------
 #
 # The finite checks decide a table's arithmetic once: integer numerators

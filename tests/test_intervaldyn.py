@@ -1028,6 +1028,77 @@ def test_float_eigen_check_skips_the_parent_sliver_piece():
     assert verify_eigenfunction(f, mp, -1) is False
 
 
+def test_float_branch_start_beside_an_exact_cut_is_not_a_boundary_hit():
+    """The branch start 0.6666666666666666 and f's cut 2/3 bound a piece
+    narrower than BOUNDARY_SNAP.  Its float midpoint rounds onto the branch
+    start, which `apply` rejects; the piece's own branch maps it."""
+    mp = PiecewiseAffineMap([(0.0, 0.6666666666666666, 1.5, 1.0),
+                             (0.6666666666666666, 1.3333333333333333, 0.5,
+                              1.0),
+                             (1.3333333333333333, 2.0, 0.0, 1.0)], c=2)
+    f = PiecewiseConstant([0, F(1, 3), F(2, 3), 1, 2], [1, 1, 1, 1], c=2)
+    assert 0 < F(2, 3) - F(0.6666666666666666) < BOUNDARY_SNAP
+    with pytest.raises(BoundaryHitError):
+        _apply_verdict(f, mp, 1)
+    assert verify_eigenfunction(f, mp, 1) is True
+
+
+def _apply_verdict(f, mp, lam):
+    """verify_eigenfunction on the same cuts with each midpoint mapped by
+    `mp.apply`, as the check read it before; raises where apply does."""
+    cuts = intervaldyn._eigen_cuts(f, mp)
+    return all(close(f(mp.apply((a + b) / 2)), lam * f((a + b) / 2))
+               for a, b in zip(cuts, cuts[1:]))
+
+
+def _random_eigen_case(rng):
+    """An exact map and function drawn as `eigen_cases` draws them."""
+    c = rng.choice([1, 2])
+    while True:
+        inner = {F(rng.randint(0, 12 * c), 12)
+                 for _ in range(rng.randint(0, 3))}
+        ends = [F(0)] + sorted(inner - {0, c}) + [F(c)]
+        branches = []
+        for lo, hi in zip(ends, ends[1:]):
+            s = rng.choice(_SLOPES)
+            a, b = sorted((s * lo, s * hi))
+            if b - a > c:
+                break
+            shift = F(rng.randint(0, math.floor(12 * (c - b + a))), 12)
+            if s == 0 and shift >= c:
+                break
+            branches.append((lo, hi, s, shift - a))
+        else:
+            break
+    cuts = {F(rng.randint(0, 10 * c), 10) for _ in range(rng.randint(0, 4))}
+    cuts = [F(0)] + sorted(cuts - {0, c}) + [F(c)]
+    values = [rng.choice([F(1), F(-1), F(2)]) for _ in cuts[1:]]
+    return (PiecewiseAffineMap(branches, c=c),
+            PiecewiseConstant(cuts, values, c=c))
+
+
+def test_float_eigen_sweep_never_hits_a_boundary_and_keeps_verdicts():
+    """20,000 seeded maps made float, with exact or float f: no boundary
+    hit, and where reading midpoints through `apply` gives a verdict, the
+    same verdict."""
+    rng = random.Random(26)
+    raised = 0
+    for _ in range(20_000):
+        mp, f = _random_eigen_case(rng)
+        mp = PiecewiseAffineMap([tuple(map(float, br)) for br in mp.branches],
+                                c=mp.c)
+        if rng.random() < 0.5:
+            f = PiecewiseConstant([float(x) for x in f.cuts],
+                                  [float(v) for v in f.values], c=f.c)
+        lam = rng.choice([1, -1, 1.0, -1.0])
+        got = verify_eigenfunction(f, mp, lam)
+        try:
+            assert got == _apply_verdict(f, mp, lam)
+        except BoundaryHitError:
+            raised += 1
+    assert raised > 50  # the sweep reaches the pieces apply rejects
+
+
 def test_constant_branch_adds_no_interior_cut():
     """[0, 1/2) is sent to the point 1/4, on one side of every cut of f."""
     mp = PiecewiseAffineMap([(0, F(1, 2), 0, F(1, 4)), (F(1, 2), 1, 1, 0)],

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capergo import setfun
@@ -307,20 +307,54 @@ def test_dominated_convergence_eventually_constant():
 # --- cores ------------------------------------------------------------------
 
 
+def _route(mu):
+    """The route core_vertices takes on mu: "greedy" when the submodular
+    gate passes and every greedy basis passes its solve, else
+    "enumeration"."""
+    ks = setfun._greedy_bases(mu)
+    if ks is not None and len(setfun._basic_solutions(mu, ks)) == len(ks):
+        return "greedy"
+    return "enumeration"
+
+
 def test_core_of_additive_is_single_point():
     p = [F(1, 6), F(1, 3), F(1, 2)]
-    verts = core_vertices(Capacity.additive(p))
+    mu = Capacity.additive(p)
+    assert _route(mu) == "greedy"
+    verts = core_vertices(mu)
     assert verts == [p]
+
+
+@pytest.mark.parametrize("p", [
+    [F(1, 2), F(1, 2), F(0), F(0)],
+    [F(1, 10), F(2, 10), F(3, 10), F(4, 10)],
+    [F(0), F(0), F(1), F(0)],
+    [F(1, 3), F(0), F(1, 3), F(0), F(1, 3)],
+    [F(0), F(5, 7), F(0), F(0), F(2, 7)],
+    [F(1, 15), F(2, 15), F(3, 15), F(4, 15), F(5, 15)],
+], ids=["half-half-n4", "full-n4", "dirac-n4", "sparse-n5", "two-point-n5",
+        "full-n5"])
+def test_one_member_envelope_core_is_that_member(p):
+    # the product oracle's input: a one-member envelope is additive, so
+    # its n! marginal vectors are all p and one basis is solved
+    v = UpperProbability([p])
+    assert _route(v) == "greedy"
+    assert setfun._greedy_bases(v) == [setfun._greedy_bases(v)[0]]
+    got = core_vertices(v)
+    assert got == [p]
+    assert all(type(x) is F for x in got[0])
 
 
 def test_core_of_dirac_envelope_is_simplex():
     v = UpperProbability([[F(1), F(0)], [F(0), F(1)]])
+    assert _route(v) == "greedy"
     verts = sorted(core_vertices(v))
     assert verts == [[F(0), F(1)], [F(1), F(0)]]
 
 
 def test_core_can_be_empty():
     mu = Capacity(2, [F(0), F(3, 10), F(3, 10), F(1)])
+    assert _route(mu) == "enumeration"
     assert core_vertices(mu) == []
     with pytest.raises(ValueError, match="^core is empty$"):
         core_range(mu, 0b01)
@@ -329,6 +363,7 @@ def test_core_can_be_empty():
 def test_core_keeps_exact_vertices_closer_than_any_float_tolerance():
     a = F(500000000001, 10 ** 12)
     v = UpperProbability([[a, 1 - a], [F(1, 2), F(1, 2)]])
+    assert _route(v) == "greedy"
     verts = core_vertices(v)
     assert verts == [[a, 1 - a], [F(1, 2), F(1, 2)]]
     # a plain capacity with the same table reads the range off the vertices
@@ -340,11 +375,13 @@ def test_float_member_that_never_sets_the_max_leaves_envelope_exact():
     v = UpperProbability([[a, 1 - a], [F(1, 2), F(1, 2)], [0.5, 0.5]])
     assert v.is_exact()
     assert all(type(x) is F for x in v.table)
+    assert _route(v) == "greedy"
     assert core_vertices(v) == [[a, 1 - a], [F(1, 2), F(1, 2)]]
 
 
 def test_sqrt_distortion_core_vertices():
     mu = distort([F(1, 2), F(1, 2)], math.sqrt)
+    assert _route(mu) == "greedy"
     verts = sorted((float(a), float(b)) for a, b in core_vertices(mu))
     s = math.sqrt(0.5)
     assert len(verts) == 2
@@ -375,6 +412,7 @@ def test_concave_choquet_is_max_over_core():
         g = concave_distortion(rng)
         mu = distort(p, g)
         assert classify_capacity(mu)["concave"]
+        assert _route(mu) == "greedy"
         verts = core_vertices(mu)
         f = [F(rng.randint(0, 12), 3) for _ in range(n)]
         best = max(sum(vi * fi for vi, fi in zip(vert, f))
@@ -616,6 +654,9 @@ def exact_capacities(draw):
 def test_core_vertices_match_brute_force_exact(spec):
     build, args = spec
     mu = build(*args)
+    # an exact table takes the greedy route exactly when it is submodular
+    assert _route(mu) == ("greedy" if classify_capacity(mu)["concave"]
+                          else "enumeration")
     got = core_vertices(mu)
     assert got == brute_force_core_vertices(mu)
     assert all(type(x) is F for v in got for x in v)
@@ -631,6 +672,7 @@ def test_core_vertices_match_brute_force_exact(spec):
 ], ids=["envelope-with-dirac", "min-linear", "additive"])
 def test_core_vertices_match_brute_force_exact_n5(build, args):
     mu = build(*args)
+    assert _route(mu) == "greedy"
     assert core_vertices(mu) == brute_force_core_vertices(mu)
 
 
@@ -640,10 +682,89 @@ def test_core_vertices_match_brute_force_float_n5(seed):
     p = [rng.uniform(1.0, 2.0) for _ in range(5)]
     total = sum(p)
     mu = distort([x / total for x in p], math.sqrt)
+    assert _route(mu) == "greedy"
     got, want = core_vertices(mu), brute_force_core_vertices(mu)
     assert len(got) == len(want) == 120
     assert max(abs(x - y) for v, w in zip(got, want)
                for x, y in zip(v, w)) <= 1e-12
+
+
+def test_core_vertices_match_brute_force_float_envelope_n5():
+    # an envelope of two float members is not submodular, so this keeps
+    # the enumeration's float path under the brute-force oracle
+    rng = random.Random(3)
+    fam = []
+    for _ in range(2):
+        w = [rng.uniform(1.0, 2.0) for _ in range(5)]
+        fam.append([x / sum(w) for x in w])
+    mu = UpperProbability(fam)
+    assert not mu.is_exact()
+    assert _route(mu) == "enumeration"
+    got, want = core_vertices(mu), brute_force_core_vertices(mu)
+    assert len(got) == len(want) > 2
+    assert max(abs(x - y) for v, w in zip(got, want)
+               for x, y in zip(v, w)) <= 1e-12
+
+
+def _bits(rows):
+    """The rows with each entry's type and exact value: a float by its
+    hex form, so equal lists agree bit for bit."""
+    return [[(type(x), x.hex() if isinstance(x, float) else x) for x in row]
+            for row in rows]
+
+
+@st.composite
+def submodular_capacities(draw):
+    """(constructor, arguments, always) for a submodular table on 1-5
+    points: exact envelopes of 1-3 members, additive and min(c * P, 1)
+    tables, and float sqrt(P) and min(c * P, 1) tables whose weights tie
+    or vanish.  always says whether the exact gate must pass: a float
+    min(c * P, 1) table may round off modularity, and an envelope of
+    several members may not be submodular at all."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["envelope", "additive", "min-linear",
+                                 "float-sqrt", "float-min-linear"]))
+    if not kind.startswith("float"):
+        p = _exact_prob(draw(_weight_lists(n)))
+        if kind == "envelope":
+            extra = draw(st.lists(st.lists(st.integers(0, 12), min_size=n,
+                                           max_size=n).filter(any),
+                                  max_size=2))
+            return UpperProbability, ([p] + [_exact_prob(e)
+                                             for e in extra],), not extra
+        if kind == "additive":
+            return Capacity.additive, (p,), True
+        c = F(draw(st.integers(4, 24)), 4)
+        return distort, (p, lambda x: min(c * x, F(1))), True
+    w = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                                st.floats(1.0, 2.0)),
+                      min_size=n, max_size=n).filter(any))
+    p = [x / sum(w) for x in w]
+    if kind == "float-sqrt":
+        return distort, (p, math.sqrt), True
+    c = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    return distort, (p, lambda x: min(c * x, 1.0)), False
+
+
+@settings(max_examples=80, deadline=None)
+@given(submodular_capacities())
+@example((distort, ([F(1, 10), F(2, 10), F(3, 10), F(1, 10), F(3, 10)],
+                    lambda x: min(3 * x, F(1))), True))
+@example((distort, ([0.25, 0.25, 0.0, 0.5, 0.0],
+                    lambda x: min(1.5 * x, 1.0)), True))
+def test_greedy_route_equals_the_enumeration(spec):
+    build, args, always = spec
+    mu = build(*args)
+    ks = setfun._greedy_bases(mu)
+    if not always:
+        assume(ks is not None)
+    assert ks is not None
+    found = setfun._basic_solutions(mu, ks)
+    assert len(found) == len(ks)  # no greedy basis falls back
+    greedy = setfun._merged(mu, found)
+    every = setfun._basic_solutions(mu, range(len(setfun._bases(mu.n)[2])))
+    assert _bits(greedy) == _bits(setfun._merged(mu, every))
+    assert _bits(core_vertices(mu)) == _bits(greedy)
 
 
 def test_cached_bases_are_exact_adjugates():
