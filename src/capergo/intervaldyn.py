@@ -145,6 +145,7 @@ class PiecewiseAffineMap:
             for lo, hi, s, t in self.branches]
 
     def apply(self, x):
+        branches = self.branches
         if isinstance(x, float):
             for lo in self._snap:
                 if abs(x - lo) < BOUNDARY_SNAP:
@@ -152,11 +153,8 @@ class PiecewiseAffineMap:
             # a float subclass such as numpy's float64 takes the exact
             # compares, whose result type depends on the branch's exactness
             if type(x) is float:
-                for lo, hi, s, t in self._float_branches:
-                    if lo <= x < hi:
-                        return s * x + t
-                raise ValueError("point outside [0, c)")
-        for lo, hi, s, t in self.branches:
+                branches = self._float_branches
+        for lo, hi, s, t in branches:
             if lo <= x < hi:
                 return s * x + t
         raise ValueError("point outside [0, c)")

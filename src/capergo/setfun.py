@@ -284,11 +284,14 @@ def core_vertices(mu: Capacity) -> list[list]:
     nonsingular bases and their integer adjugates are cached once per n
     (`_bases`).  The bases solved come from one of two routes:
 
-    - greedy, when the table as the solves read it is exactly monotone and
-      submodular (`_greedy_bases`).  The core is then the base polytope,
-      whose vertices are the n! marginal vectors (Edmonds 1970, Shapley
-      1971), and each distinct one is solved at its first basis, in
-      candidate order, whose rows are all tight at it.
+    - greedy (`_greedy_bases`), when the table t the solves read (1 on the
+      ground set and on every row with mu(A) = 1) is monotone and
+      submodular, tested on the local pairs t[S+i] + t[S+j] >=
+      t[S+i+j] + t[S] and compared exactly: integer numerators for an
+      exact table, Fraction(x) for a float one, never within a tolerance.
+      The core is then the base polytope, whose vertices are the n!
+      marginal vectors (Edmonds 1970, Shapley 1971); each distinct one is
+      solved at its first basis, in candidate order, of rows tight at it.
     - enumeration, otherwise or when a greedy basis fails its solve: every
       basis whose rows are all active (mu(A) < 1, or a nonnegativity row).
 
@@ -313,14 +316,11 @@ def core_vertices(mu: Capacity) -> list[list]:
 
 
 def _constraints(mu: Capacity) -> tuple:
-    """(vals, scale, tol, active): the table as the basis solves read it.
-
-    An exact table is held in integers over scale and compared with tol 0;
-    a table with any float entry as floats, with scale 1 and
-    tol = _CORE_TOL.
-    active[r] says whether row r may enter a basis: the event rows
-    1 .. 2**n - 2 with mu(A) < 1, then the n nonnegativity rows.
-    """
+    """(vals, scale, tol, active): the table as the basis solves read it,
+    in integers over scale with tol 0 when exact, else as floats with
+    scale 1 and tol _CORE_TOL.  active[r] says whether row r may enter a
+    basis: the event rows 1 .. 2**n - 2 with mu(A) < 1, then the n
+    nonnegativity rows."""
     vals, scale, _, le_ = mu.arithmetic()
     full = (1 << mu.n) - 1
     active = [not le_(scale, vals[a]) for a in range(1, full)] + [True] * mu.n
@@ -330,20 +330,13 @@ def _constraints(mu: Capacity) -> tuple:
 
 
 def _greedy_bases(mu: Capacity):
-    """The ascending basis positions of the greedy route, or None.
+    """The ascending positions in `_bases(n)` of the greedy route's bases,
+    or None when the gate fails or a marginal vector has no basis.
 
-    The solves read t, the table with t(empty) = 0 and t = 1 on the ground
-    set and every inactive row.  If t is monotone and submodular, tested
-    as t[S] <= t[S+i] and t[S+i] + t[S+j] >= t[S+i+j] + t[S] for every S
-    and i < j outside S (the local pairs imply the law on all pairs) and
-    compared exactly, in integers for an exact table and as Fraction(x)
-    for a float one, the core is the base polytope of t.  Its vertices are
-    the distinct marginal vectors x[pi(k)] = t[S_k] - t[S_{k-1}].  For each
-    one this returns the first (n-1)-combination, in candidate order, of
-    its tight rows (active rows with |x(A) - mu(A)| <= tol, and
-    nonnegativity rows with x_i <= tol) that is a nonsingular basis,
+    A marginal vector x's basis is the first (n-1)-combination, in
+    candidate order, of its tight rows (active rows with |x(A) - mu(A)| <=
+    tol, nonnegativity rows with x_i <= tol) that is a nonsingular basis,
     found by bisection over `_bases(n)`'s rows, which are in that order.
-    None when the gate fails or a vertex has no such basis.
     """
     n = mu.n
     full = (1 << n) - 1
@@ -361,34 +354,32 @@ def _greedy_bases(mu: Capacity):
     def basis(k):
         return rows[k * m:k * m + m].tolist()
 
+    def first_basis(tight):  # None when no combination is a basis
+        for c in map(list, itertools.combinations(tight, m)):
+            k = bisect.bisect_left(positions, c, key=basis)
+            if k < len(det) and basis(k) == c:
+                return k
+
     ks = set()
     for x in dict.fromkeys(_marginal_vectors(t, n)):
         sums = subset_sums(x, 0)
         tight = [r for r in range(full - 1)
                  if active[r] and abs(sums[r + 1] - vals[r + 1]) <= tol]
         tight += [full - 1 + i for i in range(n) if x[i] <= tol]
-        for c in map(list, itertools.combinations(tight, m)):
-            k = bisect.bisect_left(positions, c, key=basis)
-            if k < len(det) and basis(k) == c:
-                ks.add(k)
-                break
-        else:
-            return None
-    return sorted(ks)
+        ks.add(first_basis(tight))
+    return None if None in ks else sorted(ks)
 
 
 def _monotone_submodular(t: list, n: int) -> bool:
     """Whether t[S] <= t[S+i] and t[S+i] + t[S+j] >= t[S+i+j] + t[S] for
-    every S and i < j outside S."""
+    every S and i < j outside S: the local pairs imply the laws on all
+    pairs."""
     for s, ts in enumerate(t):
         up = [s | 1 << i for i in range(n) if not s >> i & 1]
         for j, a in enumerate(up):
             ta = t[a]
-            if ta < ts:
+            if ta < ts or any(ta + t[b] < t[a | b] + ts for b in up[j + 1:]):
                 return False
-            for b in up[j + 1:]:
-                if ta + t[b] < t[a | b] + ts:
-                    return False
     return True
 
 
@@ -422,21 +413,20 @@ def _basic_solutions(mu: Capacity, ks) -> list:
     found = []
     for k in ks:
         r = rows[k * m:k * m + m]
-        if not all([active[i] for i in r]):
-            continue
-        d = det[k]
-        rhs = [scale] + [bounds[i] for i in r]
-        a = adj[k * nn:k * nn + nn]
-        x = []
-        for i in range(0, nn, n):
-            v = sum(map(operator.mul, a[i:i + n], rhs))
-            if v + d * tol < 0:
-                break
-            x.append(v)
-        else:
-            sums = subset_sums(x, 0)
-            if all(map(operator.le, sums[1:full], caps(d))):
-                found.append((x, d))
+        if all([active[i] for i in r]):
+            d = det[k]
+            rhs = [scale] + [bounds[i] for i in r]
+            a = adj[k * nn:k * nn + nn]
+            x = []
+            for i in range(0, nn, n):
+                v = sum(map(operator.mul, a[i:i + n], rhs))
+                if v + d * tol < 0:
+                    break
+                x.append(v)
+            else:
+                sums = subset_sums(x, 0)
+                if all(map(operator.le, sums[1:full], caps(d))):
+                    found.append((x, d))
     return found
 
 
