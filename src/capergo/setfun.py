@@ -25,10 +25,12 @@ from .numeric import close, decide_arithmetic
 Number = object  # Fraction or float; kept loose on purpose
 
 # core_vertices reads its bases off `_bases(n)`, whose C(2**n + n - 2, n - 1)
-# candidates are 52,360 at n=5 and 10,424,128 at n=6, on both routes: the
-# greedy route of an exactly submodular table solves one basis per distinct
-# marginal vector, and every other table enumerates them all.  n=6 and 7
-# stay out for the greedy route too, where no enumeration could check it.
+# candidates are 52,360 at n=5 and 10,424,128 at n=6, on both routes: a
+# table that is submodular, tested exactly and never within a tolerance,
+# solves one basis per distinct marginal vector (its first tight one in
+# candidate order, which orders the vertices), and every other table
+# enumerates them all.  n=6 and 7 stay out for this greedy route too,
+# where no enumeration could check it.
 CORE_N_LIMIT = 5
 # a float table's solutions are tested and merged within this tolerance
 _CORE_TOL = 1e-9

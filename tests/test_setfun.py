@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capergo import setfun
@@ -317,6 +317,12 @@ def _route(mu):
     return "enumeration"
 
 
+def _exact_route(mu):
+    """The route of an exact table: greedy exactly when it is submodular,
+    by `classify_capacity`'s law on all pairs."""
+    return "greedy" if classify_capacity(mu)["concave"] else "enumeration"
+
+
 def test_core_of_additive_is_single_point():
     p = [F(1, 6), F(1, 3), F(1, 2)]
     mu = Capacity.additive(p)
@@ -398,6 +404,7 @@ def test_family_members_lie_in_core_and_envelope_is_tight():
         for p in fam:
             # P lies in the core: P(A) <= V(A) on every event
             assert all(map(le, subset_sums(p, 0), v.table))
+        assert _route(v) == _exact_route(v)
         verts = core_vertices(v)
         for a in range(1, 1 << n):
             lo, hi = core_range(v, a, verts)
@@ -423,6 +430,7 @@ def test_concave_choquet_is_max_over_core():
 def test_core_range_bounds():
     rng = random.Random(17)
     v = UpperProbability([random_prob(rng, 3) for _ in range(3)])
+    assert _route(v) == "greedy"
     verts = core_vertices(v)
     for a in range(1, 7):
         lo, hi = core_range(v, a, verts)
@@ -654,9 +662,7 @@ def exact_capacities(draw):
 def test_core_vertices_match_brute_force_exact(spec):
     build, args = spec
     mu = build(*args)
-    # an exact table takes the greedy route exactly when it is submodular
-    assert _route(mu) == ("greedy" if classify_capacity(mu)["concave"]
-                          else "enumeration")
+    assert _route(mu) == _exact_route(mu)
     got = core_vertices(mu)
     assert got == brute_force_core_vertices(mu)
     assert all(type(x) is F for v in got for x in v)
@@ -714,13 +720,13 @@ def _bits(rows):
 
 
 @st.composite
-def submodular_capacities(draw):
-    """(constructor, arguments, always) for a submodular table on 1-5
-    points: exact envelopes of 1-3 members, additive and min(c * P, 1)
-    tables, and float sqrt(P) and min(c * P, 1) tables whose weights tie
-    or vanish.  always says whether the exact gate must pass: a float
-    min(c * P, 1) table may round off modularity, and an envelope of
-    several members may not be submodular at all."""
+def greedy_route_cases(draw):
+    """(constructor, arguments, always) for a table on 1-5 points: exact
+    envelopes of 1-3 members, additive and min(c * P, 1) tables, and
+    float sqrt(P) and min(c * P, 1) tables whose weights tie or vanish.
+    All but the envelopes of several members are submodular.  always says
+    whether the gate must pass on a float table: a float min(c * P, 1)
+    table may round off modularity."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["envelope", "additive", "min-linear",
                                  "float-sqrt", "float-min-linear"]))
@@ -747,18 +753,24 @@ def submodular_capacities(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(submodular_capacities())
+@given(greedy_route_cases())
 @example((distort, ([F(1, 10), F(2, 10), F(3, 10), F(1, 10), F(3, 10)],
                     lambda x: min(3 * x, F(1))), True))
 @example((distort, ([0.25, 0.25, 0.0, 0.5, 0.0],
                     lambda x: min(1.5 * x, 1.0)), True))
+@example((UpperProbability, ([[F(1, 2), F(0), F(1, 2), F(0)],
+                              [F(0), F(1, 3), F(0), F(2, 3)]],), False))
 def test_greedy_route_equals_the_enumeration(spec):
     build, args, always = spec
     mu = build(*args)
     ks = setfun._greedy_bases(mu)
-    if not always:
-        assume(ks is not None)
-    assert ks is not None
+    if mu.is_exact():
+        # on an exact table the local gate is the law on all pairs
+        assert (ks is not None) == classify_capacity(mu)["concave"]
+    elif always:
+        assert ks is not None
+    if ks is None:
+        return  # the enumeration route, which the other core tests check
     found = setfun._basic_solutions(mu, ks)
     assert len(found) == len(ks)  # no greedy basis falls back
     greedy = setfun._merged(mu, found)
@@ -833,6 +845,7 @@ def test_core_vertices_limit_names_the_basis_count():
     min_size=1, max_size=3)))
 def test_closed_form_core_range_matches_vertices(family):
     v = UpperProbability([_exact_prob(w) for w in family])
+    assert _route(v) == _exact_route(v)
     verts = core_vertices(v)
     for a in range(1 << v.n):
         assert core_range(v, a) == core_range(v, a, verts)
