@@ -24,6 +24,11 @@ More measurements ride along on the same two trees:
   times ``capergo.cli.main(["run", <name>, "--seed", "7", "--out",
   <tmp>])`` in-process for every registry entry of that side's tree,
   taking the best of SCENARIO_REPEATS runs;
+- PAIRS more alternating pairs in which ``capergo check-capacity`` is
+  timed as a process (``python3 -m capergo.cli`` on the side's own
+  ``src``) on two CLI_N-point table files written to a temporary
+  directory: the uniform sqrt table and the uniform x**2 table; the
+  record says whether both sides printed the same verdicts;
 - per acceptance criterion, CRITERION_PAIRS alternating pairs of
   ``pytest tests/test_acceptance.py`` runs, each criterion's duration
   read from pytest's JUnit XML report;
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import shutil
@@ -63,6 +69,7 @@ PAIRS = 10
 RUN_TIMEOUT_S = 1800
 SCENARIO_REPEATS = 3
 CRITERION_PAIRS = 5
+CLI_N = 12  # serialize.N_LIMIT: the largest table a capacity file may hold
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
           "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
@@ -132,6 +139,35 @@ def time_scenarios(tree):
     env = dict(os.environ, **ONE_THREAD)
     lines = run_lines([sys.executable, "-c", SCENARIO_DRIVER], tree, env)
     return json.loads(lines[-1])
+
+
+def cli_tables(dest):
+    """{name: path} of the CLI_N-point capacity files written into dest:
+    the uniform P under sqrt (floats) and under x**2 (exact)."""
+    sizes = [bin(a).count("1") for a in range(1 << CLI_N)]
+    tables = {"sqrt": [math.sqrt(k / CLI_N) for k in sizes],
+              "square": ["%d/%d" % (k * k, CLI_N ** 2) for k in sizes]}
+    paths = {}
+    for name, values in tables.items():
+        paths[name] = os.path.join(dest, name + ".json")
+        with open(paths[name], "w") as fh:
+            json.dump({"n": CLI_N, "table": {str(a): v for a, v
+                                              in enumerate(values)}}, fh)
+    return paths
+
+
+def time_check_capacity(tree, paths):
+    """({name: seconds}, {name: stdout}) of one `capergo check-capacity`
+    process per file, run on tree's own src."""
+    env = dict(os.environ, PYTHONPATH="src", **ONE_THREAD)
+    seconds, out = {}, {}
+    for name, path in paths.items():
+        started = time.perf_counter()
+        lines = run_lines([sys.executable, "-m", "capergo.cli",
+                           "check-capacity", path], tree, env)
+        seconds[name] = time.perf_counter() - started
+        out[name] = "\n".join(lines)
+    return seconds, out
 
 
 def code_reach(tree):
@@ -309,6 +345,23 @@ def main(argv=None):
                       file=sys.stderr)
         report["scenarios"] = dict(paired(runs, lambda run: run["seconds"]),
                                    repeats=SCENARIO_REPEATS, runs=runs)
+        runs, printed = [], {}
+        with tempfile.TemporaryDirectory() as tables:
+            paths = cli_tables(tables)
+            for k in range(PAIRS):
+                for side in order_of(k):
+                    seconds, printed[side] = time_check_capacity(trees[side],
+                                                                 paths)
+                    runs.append({"side": side, "pair": k,
+                                 "seconds": seconds})
+                    print("check-capacity pair %d %s: %s" % (
+                        k, side, ", ".join("%s %.3f s" % kv for kv
+                                           in sorted(seconds.items()))),
+                          file=sys.stderr)
+        report["cli"] = dict(paired(runs, lambda run: run["seconds"]),
+                             n=CLI_N, runs=runs,
+                             same_output=printed["parent"] == printed[
+                                 "change"])
         runs = []
         for k in range(CRITERION_PAIRS):
             for side in order_of(k):

@@ -532,7 +532,8 @@ def verify_eigenfunction(f: PiecewiseConstant, mp: PiecewiseAffineMap,
     midpoint and compared exactly (or within FLOAT_TOL in float mode).
     Each piece lies in one branch, since every branch endpoint is a cut,
     and its midpoint is mapped by that branch: a float midpoint a rounding
-    away from the branch's start is not a boundary hit.
+    away from the branch's start is not a boundary hit.  Float data are
+    read as the float map they round to, not as their exact values.
     """
     if f.c != mp.c:
         raise ValueError("mismatched circumference")

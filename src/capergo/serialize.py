@@ -16,8 +16,8 @@ from .setfun import Capacity, UpperProbability
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-# classify_capacity scans the 2**n (2**n - 1) / 2 pairs of distinct events
-# of a 2**n table, so a file's point count bounds the work
+# classify_capacity scans the (3**n - 1) / 2 pairs of disjoint events of a
+# 2**n table, so a file's point count bounds the work
 N_LIMIT = 12
 
 
@@ -44,12 +44,11 @@ def _value(x):
 def _check_size(n):
     if n > N_LIMIT:
         # a huge n stays symbolic: 1 << n alone could exhaust memory
-        # classify_capacity scans the event pairs a < b
-        sizes = (1 << n, (1 << n) * ((1 << n) - 1) // 2) if n <= 64 else \
-            ("2**%d" % n, "2**%d (2**%d - 1)" % (n - 1, n))
+        sizes = (1 << n, (3 ** n - 1) // 2) if n <= 64 else \
+            ("2**%d" % n, "(3**%d - 1) / 2" % n)
         raise ValueError(
             "capacities limited to n <= %d points: n=%d needs a 2**n = %s "
-            "entry table and 2**n (2**n - 1) / 2 = %s event pairs"
+            "entry table and (3**n - 1) / 2 = %s disjoint event pairs"
             % ((N_LIMIT, n) + sizes))
 
 

@@ -163,32 +163,42 @@ def classify_capacity(mu: Capacity) -> dict:
     """Flags {additive, subadditive, concave} with a witness for each failure.
 
     Concavity here is submodularity: mu(A|B) + mu(A&B) <= mu(A) + mu(B).
-    A witness is a pair of event masks violating the property: the first
-    in row-major order over all 4**n pairs.  Every law is symmetric in
-    (A, B) and holds on (A, A), so only the pairs A < B are scanned.
+    A witness is a pair of event masks violating the property: for the
+    disjoint laws the first disjoint pair A < B in row-major order (B runs
+    over the submasks of A's complement: 3**n steps), for concavity the
+    first failing local pair (`_local_witness`), each compared on its own:
+    a float table whose local slacks each lie within FLOAT_TOL is concave.
     """
     n = mu.n
     t, _, eq, le_ = mu.arithmetic()
-    additive = True
-    subadditive = True
-    concave = True
+    full = (1 << n) - 1
     witnesses = {}
-    for a in range(1 << n):
-        for b in range(a + 1, 1 << n):
-            if a & b == 0:
+    for a in range(full + 1):
+        rest, b = full ^ a, 0
+        while b := (b - rest) & rest:
+            if b > a:
                 s = t[a] + t[b]
-                if additive and not eq(t[a | b], s):
-                    additive = False
+                if "additive" not in witnesses and not eq(t[a | b], s):
                     witnesses["additive"] = (a, b)
-                if subadditive and not le_(t[a | b], s):
-                    subadditive = False
+                if "subadditive" not in witnesses and not le_(t[a | b], s):
                     witnesses["subadditive"] = (a, b)
-            join, meet = a | b, a & b
-            if concave and not le_(t[join] + t[meet], t[a] + t[b]):
-                concave = False
-                witnesses["concave"] = (a, b)
-    return {"additive": additive, "subadditive": subadditive,
-            "concave": concave, "witnesses": witnesses}
+    if (local := _local_witness(t, n, le_)) is not None:
+        witnesses["concave"] = local
+    return {law: law not in witnesses for law in
+            ("additive", "subadditive", "concave")} | {"witnesses": witnesses}
+
+
+def _local_witness(t: list, n: int, le_) -> tuple | None:
+    """The first local pair (S+i, S+j), S ascending and i < j outside S,
+    at which t[S+i+j] + t[S] <= t[S+i] + t[S+j] fails under le_, or None:
+    compared exactly, they decide the law on all pairs (Schrijver 2003)."""
+    for s, ts in enumerate(t):
+        up = [s | 1 << i for i in range(n) if not s >> i & 1]
+        for j, a in enumerate(up):
+            for b in up[j + 1:]:
+                if not le_(t[a | b] + ts, t[a] + t[b]):
+                    return a, b
+    return None
 
 
 def choquet_integral(mu: Capacity, f: Sequence) -> Number:
@@ -287,10 +297,10 @@ def core_vertices(mu: Capacity) -> list[list]:
     (`_bases`).  The bases solved come from one of two routes:
 
     - greedy (`_greedy_bases`), when the table t the solves read (1 on the
-      ground set and on every row with mu(A) = 1) is monotone and
-      submodular, tested on the local pairs t[S+i] + t[S+j] >=
-      t[S+i+j] + t[S] and compared exactly: integer numerators for an
-      exact table, Fraction(x) for a float one, never within a tolerance.
+      ground set and on every row with mu(A) = 1) is submodular on the
+      local pairs (`_local_witness`), compared exactly: integer numerators
+      for an exact table, Fraction(x) for a float one, never within a
+      tolerance.
       The core is then the base polytope, whose vertices are the n!
       marginal vectors (Edmonds 1970, Shapley 1971); each distinct one is
       solved at its first basis, in candidate order, of rows tight at it.
@@ -347,7 +357,9 @@ def _greedy_bases(mu: Capacity):
     t.append(scale)
     exact_t = t if mu.is_exact() else \
         decide_arithmetic([list(map(Fraction, t))])[0][0]
-    if not _monotone_submodular(exact_t, n):
+    # every row with mu(A) = 1 reads scale = t[N], so t[N-i] <= t[N], and a
+    # submodular t is then monotone: t(S+i) - t(S) >= t(N) - t(N-i) >= 0
+    if _local_witness(exact_t, n, operator.le) is not None:
         return None
     rows, _, det = _bases(n)
     m = n - 1
@@ -370,19 +382,6 @@ def _greedy_bases(mu: Capacity):
         tight += [full - 1 + i for i in range(n) if x[i] <= tol]
         ks.add(first_basis(tight))
     return None if None in ks else sorted(ks)
-
-
-def _monotone_submodular(t: list, n: int) -> bool:
-    """Whether t[S] <= t[S+i] and t[S+i] + t[S+j] >= t[S+i+j] + t[S] for
-    every S and i < j outside S: the local pairs imply the laws on all
-    pairs."""
-    for s, ts in enumerate(t):
-        up = [s | 1 << i for i in range(n) if not s >> i & 1]
-        for j, a in enumerate(up):
-            ta = t[a]
-            if ta < ts or any(ta + t[b] < t[a | b] + ts for b in up[j + 1:]):
-                return False
-    return True
 
 
 def _marginal_vectors(t: list, n: int):

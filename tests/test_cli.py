@@ -175,7 +175,7 @@ def test_missing_capacity_file(tmp_path):
      "not a finite number or 'p/q' string within float range: None"),
     ({"n": 100, "table": {"0": "0", "1": "1"}},
      "capacities limited to n <= 12 points: n=100 needs a 2**n = 2**100 "
-     "entry table and 2**n (2**n - 1) / 2 = 2**99 (2**100 - 1) event "
+     "entry table and (3**n - 1) / 2 = (3**100 - 1) / 2 disjoint event "
      "pairs\n"),
     ({"n": 2, "table": {"0": "0", "1": "1/2", "7": "1/2", "3": "1"}},
      "event mask '7' out of range for n=2"),
@@ -251,8 +251,8 @@ def test_lambda_file_rejects_n40_before_building_envelope(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "2**n = %d entry table" % 2 ** 40 in err
-    assert "2**n (2**n - 1) / 2 = %d event pairs" % (
-        2 ** 40 * (2 ** 40 - 1) // 2) in err
+    assert "(3**n - 1) / 2 = %d disjoint event pairs" % (
+        (3 ** 40 - 1) // 2) in err
 
 
 @pytest.mark.parametrize("command", ["core", "check-capacity"])
@@ -273,8 +273,8 @@ def test_table_file_rejects_n13_before_building_capacity(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "2**n = %d entry table" % 2 ** 13 in err
-    assert "2**n (2**n - 1) / 2 = %d event pairs" % (
-        2 ** 13 * (2 ** 13 - 1) // 2) in err
+    assert "(3**n - 1) / 2 = %d disjoint event pairs" % (
+        (3 ** 13 - 1) // 2) in err
 
 
 COCYCLE_SCENARIOS = {"lyapunov-periodic-oracle", "oseledets-two-cycle",

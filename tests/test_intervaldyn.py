@@ -1043,6 +1043,21 @@ def test_float_branch_start_beside_an_exact_cut_is_not_a_boundary_hit():
     assert verify_eigenfunction(f, mp, 1) is True
 
 
+def test_float_map_is_read_as_the_map_it_rounds_to():
+    """x -> x / 3 + 1 / 3 with f = 2, 1, 1 on [0, 1/2), [1/2, 7/10),
+    [7/10, 1) is an eigenfunction for lambda = 1.  The float slope and
+    intercept 0.3333333333333333 are what the check reads: their exact
+    values send [1/2, 1/2 + ~1e-16) below 1/2, so the same data read
+    exactly return False."""
+    third = 0.3333333333333333
+    f = PiecewiseConstant([0, F(1, 2), F(7, 10), 1], [2, 1, 1], c=1)
+    assert verify_eigenfunction(
+        f, PiecewiseAffineMap([(0.0, 1.0, third, third)], c=1), 1) is True
+    assert F(third) / 2 + F(third) < F(1, 2)
+    assert verify_eigenfunction(f, PiecewiseAffineMap(
+        [(F(0), F(1), F(third), F(third))], c=1), 1) is False
+
+
 def _apply_verdict(f, mp, lam):
     """verify_eigenfunction on the same cuts with each midpoint mapped by
     `mp.apply`, as the check read it before; raises where apply does."""

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import re
@@ -121,22 +122,51 @@ def _first_witness(t, n, fails, disjoint):
                  if not (disjoint and a & b) and fails(t, a, b)), None)
 
 
-def _classify_matches_ordered_scan(mu):
-    """Assert classify_capacity's flags and witnesses against the ordered
-    4**n scan, which compares with the table's own eq and le; return the
-    laws that fail."""
-    vals, _, eq, le_ = mu.arithmetic()
-    laws = {
+def _laws(eq, le_):
+    """{law: (fails(t, a, b), disjoint pairs only)} under eq and le_."""
+    return {
         "additive": (lambda t, a, b: not eq(t[a | b], t[a] + t[b]), True),
         "subadditive": (lambda t, a, b: not le_(t[a | b], t[a] + t[b]),
                         True),
         "concave": (lambda t, a, b: not le_(t[a | b] + t[a & b],
                                             t[a] + t[b]), False),
     }
+
+
+def _all_pairs_witness(t, n, le_):
+    """The first pair in row-major order over all 4**n mask pairs on
+    which the submodular law fails under le_."""
+    return _first_witness(t, n, _laws(None, le_)["concave"][0], False)
+
+
+def _first_local_witness(t, n, le_):
+    """The first pair (S+i, S+j), S ascending and i < j outside S, on
+    which the submodular law fails under le_."""
+    fails = _laws(None, le_)["concave"][0]
+    for s in range(1 << n):
+        free = [i for i in range(n) if not s >> i & 1]
+        for i, j in itertools.combinations(free, 2):
+            if fails(t, s | 1 << i, s | 1 << j):
+                return s | 1 << i, s | 1 << j
+    return None
+
+
+def _classify_matches_ordered_scan(mu):
+    """Assert classify_capacity's flags and witnesses against the ordered
+    4**n scan, which compares with the table's own eq and le: the
+    disjoint laws' flags and witnesses always, concavity's flag on exact
+    tables.  The concave witness is the first failing local pair, which
+    breaks the law.  Return the laws that fail."""
+    vals, _, eq, le_ = mu.arithmetic()
     flags = classify_capacity(mu)
     failed = set()
-    for law, (fails, disjoint) in laws.items():
+    for law, (fails, disjoint) in _laws(eq, le_).items():
         witness = _first_witness(vals, mu.n, fails, disjoint)
+        if law == "concave":
+            if mu.is_exact():
+                assert flags[law] == (witness is None)
+            witness = _first_local_witness(vals, mu.n, le_)
+            assert witness is None or fails(vals, *witness)
         assert flags[law] == (witness is None)
         assert flags["witnesses"].get(law) == witness
         if witness:
@@ -160,12 +190,12 @@ def test_classify_failure_flags_match_a_brute_force_scan():
 
 @st.composite
 def classify_tables(draw):
-    """(constructor, arguments) of a capacity on 1-4 points: an exact or
+    """(constructor, arguments) of a capacity on 1-5 points: an exact or
     float envelope, an additive table, a sqrt distortion, or the running
     max of random levels over subsets, exact or float.  Small integer
     levels make ties, on which the exact and tolerant comparisons of
     each law are decided."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["envelope", "additive", "sqrt", "levels"]))
     exact = draw(st.booleans())
     weights = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
@@ -200,10 +230,11 @@ def test_classify_matches_the_ordered_scan_on_random_tables(spec):
     _classify_matches_ordered_scan(build(*args))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_classify_visits_each_unordered_pair_once(monkeypatch, n):
-    """On an additive table no law fails, so concavity is compared on
-    every pair a < b, and both disjoint laws on every disjoint one."""
+    """On an additive table no law fails, so both disjoint laws are
+    compared on every disjoint pair a < b, and concavity on every local
+    pair (S+i, S+j), i < j outside S."""
     mu = Capacity.additive([F(1, n)] * n)
     vals, one, eq, le_ = mu.arithmetic()
     counts = {"eq": 0, "le": 0}
@@ -218,9 +249,48 @@ def test_classify_visits_each_unordered_pair_once(monkeypatch, n):
         vals, one, counting("eq", eq), counting("le", le_)))
     flags = classify_capacity(mu)
     assert flags["additive"] and flags["subadditive"] and flags["concave"]
-    pairs = (1 << n) * ((1 << n) - 1) // 2
     disjoint = (3 ** n - 1) // 2
-    assert counts == {"eq": disjoint, "le": pairs + disjoint}
+    local = math.comb(n, 2) * (1 << n) // 4
+    assert counts == {"eq": disjoint, "le": disjoint + local}
+
+
+def _monotone_tables(n, top):
+    """Every monotone table on n points with values 0 .. top, t(empty) = 0
+    and t(ground) = top."""
+    full = (1 << n) - 1
+    for inner in itertools.product(range(top + 1), repeat=full - 1):
+        t = (0,) + inner + (top,)
+        if all(t[a] <= t[a | 1 << i] for a in range(full)
+               for i in range(n)):
+            yield t
+
+
+def test_local_pairs_decide_submodularity_on_every_small_table():
+    """Compared exactly, the local pairs decide the law on all pairs
+    (Schrijver 2003, 44.1): on every monotone 0/1 table up to n = 4 and
+    every monotone {0, 1/2, 1} table at n = 3, in integers."""
+    counts = {}
+    for n, top in [(1, 1), (2, 1), (3, 1), (4, 1), (3, 2)]:
+        for t in _monotone_tables(n, top):
+            local = setfun._local_witness(list(t), n, operator.le)
+            submodular = _all_pairs_witness(t, n, operator.le) is None
+            assert (local is None) == submodular, (n, t)
+            counts[submodular] = counts.get(submodular, 0) + 1
+    assert counts == {True: 55, False: 263}
+
+
+def test_float_slacks_within_tolerance_pass_each_local_pair():
+    """Float concavity is compared per local pair within FLOAT_TOL: each
+    local slack here is at most 1.8e-12 - 0.9e-12 past the law, but the
+    wide pair ({0}, {1, 2}) misses it by 1.8e-12, so the table reads
+    concave, and not subadditive at that pair."""
+    e = 0.9e-12
+    mu = Capacity(3, [0, .3, .4, .7 + e, .3, .6 + e, .7 - 2 * e, 1])
+    vals, _, _, le_ = mu.arithmetic()
+    assert _all_pairs_witness(vals, 3, le_) == (1, 6)
+    assert classify_capacity(mu) == {
+        "additive": False, "subadditive": False, "concave": True,
+        "witnesses": {"additive": (1, 6), "subadditive": (1, 6)}}
 
 
 @pytest.mark.parametrize("n, table, message", [
@@ -319,8 +389,10 @@ def _route(mu):
 
 def _exact_route(mu):
     """The route of an exact table: greedy exactly when it is submodular,
-    by `classify_capacity`'s law on all pairs."""
-    return "greedy" if classify_capacity(mu)["concave"] else "enumeration"
+    by the law on all pairs."""
+    vals, _, _, le_ = mu.arithmetic()
+    return "enumeration" if _all_pairs_witness(vals, mu.n, le_) \
+        else "greedy"
 
 
 def test_core_of_additive_is_single_point():
@@ -766,7 +838,7 @@ def test_greedy_route_equals_the_enumeration(spec):
     ks = setfun._greedy_bases(mu)
     if mu.is_exact():
         # on an exact table the local gate is the law on all pairs
-        assert (ks is not None) == classify_capacity(mu)["concave"]
+        assert (ks is not None) == (_exact_route(mu) == "greedy")
     elif always:
         assert ks is not None
     if ks is None:
