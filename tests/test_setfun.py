@@ -281,9 +281,10 @@ def test_local_pairs_decide_submodularity_on_every_small_table():
 
 def test_float_slacks_within_tolerance_pass_each_local_pair():
     """Float concavity is compared per local pair within FLOAT_TOL: each
-    local slack here is at most 1.8e-12 - 0.9e-12 past the law, but the
-    wide pair ({0}, {1, 2}) misses it by 1.8e-12, so the table reads
-    concave, and not subadditive at that pair."""
+    local pair here misses the law by at most 0.9e-12, the wide pair
+    ({0}, {1, 2}) by 1.8e-12.  The table reads concave, where the scan of
+    all pairs reads it not concave at ({0}, {1, 2}), and not subadditive
+    at that pair."""
     e = 0.9e-12
     mu = Capacity(3, [0, .3, .4, .7 + e, .3, .6 + e, .7 - 2 * e, 1])
     vals, _, _, le_ = mu.arithmetic()
