@@ -24,11 +24,14 @@ More measurements ride along on the same two trees:
   times ``capergo.cli.main(["run", <name>, "--seed", "7", "--out",
   <tmp>])`` in-process for every registry entry of that side's tree,
   taking the best of SCENARIO_REPEATS runs;
-- PAIRS more alternating pairs in which ``capergo check-capacity`` is
-  timed as a process (``python3 -m capergo.cli`` on the side's own
-  ``src``) on two CLI_N-point table files written to a temporary
-  directory: the uniform sqrt table and the uniform x**2 table; the
-  record says whether both sides printed the same verdicts;
+- PAIRS more alternating pairs in which each command of the ``"cli"``
+  record is timed as a process (``python3 -m capergo.cli`` on the side's
+  own ``src``): ``capergo list``, ``capergo run`` of each CLI_RUNS
+  scenario, and ``capergo check-capacity`` on two CLI_N-point table
+  files, the uniform sqrt table and the uniform x**2 table, all under a
+  temporary directory; the record says whether both sides printed the
+  same output (a run's console line without its wall time, and its
+  ``report.json``);
 - per acceptance criterion, CRITERION_PAIRS alternating pairs of
   ``pytest tests/test_acceptance.py`` runs, each criterion's duration
   read from pytest's JUnit XML report;
@@ -70,6 +73,9 @@ RUN_TIMEOUT_S = 1800
 SCENARIO_REPEATS = 3
 CRITERION_PAIRS = 5
 CLI_N = 12  # serialize.N_LIMIT: the largest table a capacity file may hold
+# scenarios timed as `capergo run` processes: one that needs no numpy, and
+# the rotation-swap orbit averages
+CLI_RUNS = ("finite-swap-ergodic", "rotation-swap-birkhoff")
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
           "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
@@ -156,17 +162,33 @@ def cli_tables(dest):
     return paths
 
 
-def time_check_capacity(tree, paths):
-    """({name: seconds}, {name: stdout}) of one `capergo check-capacity`
-    process per file, run on tree's own src."""
+def cli_commands(dest):
+    """{name: capergo arguments} of the commands timed as processes:
+    `list`, `run` of each CLI_RUNS scenario with its report under dest,
+    and `check-capacity` on each table file `cli_tables` writes there."""
+    commands = {"list": ["list"]}
+    for scenario in CLI_RUNS:
+        commands["run " + scenario] = ["run", scenario, "--out", dest]
+    for name, path in cli_tables(dest).items():
+        commands["check-capacity " + name] = ["check-capacity", path]
+    return commands
+
+
+def time_cli(tree, commands):
+    """({name: seconds}, {name: output}) of one `capergo` process per
+    command, run on tree's own src.  A run's output is its console line
+    without the wall time, followed by the report.json it wrote."""
     env = dict(os.environ, PYTHONPATH="src", **ONE_THREAD)
     seconds, out = {}, {}
-    for name, path in paths.items():
+    for name, args in commands.items():
         started = time.perf_counter()
-        lines = run_lines([sys.executable, "-m", "capergo.cli",
-                           "check-capacity", path], tree, env)
+        lines = run_lines([sys.executable, "-m", "capergo.cli"] + args,
+                          tree, env)
         seconds[name] = time.perf_counter() - started
-        out[name] = "\n".join(lines)
+        out[name] = re.sub(r" \(\d+\.\d+s\)", "", "\n".join(lines))
+        if args[0] == "run":
+            with open(os.path.join(args[3], args[1], "report.json")) as fh:
+                out[name] += "\n" + fh.read()
     return seconds, out
 
 
@@ -346,15 +368,14 @@ def main(argv=None):
         report["scenarios"] = dict(paired(runs, lambda run: run["seconds"]),
                                    repeats=SCENARIO_REPEATS, runs=runs)
         runs, printed = [], {}
-        with tempfile.TemporaryDirectory() as tables:
-            paths = cli_tables(tables)
+        with tempfile.TemporaryDirectory() as dest:
+            commands = cli_commands(dest)
             for k in range(PAIRS):
                 for side in order_of(k):
-                    seconds, printed[side] = time_check_capacity(trees[side],
-                                                                 paths)
+                    seconds, printed[side] = time_cli(trees[side], commands)
                     runs.append({"side": side, "pair": k,
                                  "seconds": seconds})
-                    print("check-capacity pair %d %s: %s" % (
+                    print("cli pair %d %s: %s" % (
                         k, side, ", ".join("%s %.3f s" % kv for kv
                                            in sorted(seconds.items()))),
                           file=sys.stderr)

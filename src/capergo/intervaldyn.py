@@ -17,13 +17,12 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .numeric import close, is_exact, parse
 
 BOUNDARY_SNAP = 1e-15
 DOUBLING_BUDGET = 24
-SWAP_CHUNK = 4096  # rotation-swap correlation terms computed at a time
+# rotation-swap correlation terms, or orbit circle points, computed at a time
+SWAP_CHUNK = 4096
 
 # default irrational rotation parameter: reversed golden ratio, badly
 # approximable, so Birkhoff sums converge at the best worst-case rate
@@ -318,6 +317,7 @@ def _rot_overlaps(x_pieces, y_pieces, t):
     argument on ties, as max and min do, so every term is bit for bit the
     one a scalar loop over the same pieces gives.
     """
+    import numpy as np
     t = t % 1
     total = np.zeros(len(t))
     for a, b in y_pieces:
@@ -338,6 +338,7 @@ def _swap_correlations(mp, bw, c_set, n):
     two unit halves: the square of the swap map rotates each half by alpha.
     The terms are computed SWAP_CHUNK at a time, so memory stays flat in n.
     """
+    import numpy as np
     alpha = float(mp.branches[0][3]) - 1  # lower branch sends x to x+a+1
     x_low, x_up = _split_halves(bw.intervals)
     halves = _split_halves(c_set.intervals)
@@ -387,7 +388,9 @@ def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
 
     x and a piecewise-constant f lie on the map's circle.  The rotation-swap
     map vectorizes such an f along a float start's orbit (its square
-    rotates each half by alpha).
+    rotates each half by alpha): it streams the orbit SWAP_CHUNK circle
+    points at a time, computes each point once for its two visits, one in
+    each half, and so keeps memory flat in n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -406,29 +409,43 @@ def orbit_average(mp: PiecewiseAffineMap, f, x, n: int):
 
 
 def _orbit_average_swap(mp, f, x, n):
+    """The rotation-swap orbit average, SWAP_CHUNK circle points at a time.
+
+    With u[m] = (x0 + alpha m) mod 1, x0 the start's lower-half point, the
+    orbit is u[0], u[1] + 1, u[1], u[2] + 1, u[2], ..., after the start
+    itself (u[0] + 1 to the bit) when it lies in [1, 2): orbit point i is
+    w[i + first] of the stream w[2m] = u[m] + 1, w[2m + 1] = u[m].  For
+    y >= 0, y - floor(y) is y % 1.0 to the bit.
+    """
+    import numpy as np
     # f is read as the loop reads it: a float point lies at or past a cut
-    # exactly when it lies at or past the least float at or above the cut
-    cuts = np.array([_float_ceil(v) for v in f.cuts])
+    # exactly when it lies at or past the least float at or above the cut;
+    # f's first cut is 0 and its last c, so its inner cuts pick the piece
+    cuts = np.array([_float_ceil(v) for v in f.cuts[1:-1]])
     vals = np.array([float(v) for v in f.values])
     alpha = float(mp.branches[0][3]) - 1
-    pos = np.empty(n)
-    if x >= 1:
-        pos[0] = x
-        start_low, off = x - 1, 1
-    else:
-        start_low, off = x, 0
-    k = np.arange(n - off)
-    low = (start_low + alpha * ((k + 1) // 2)) % 1.0
-    low[1::2] += 1.0  # odd steps from the lower half land in [1, 2)
-    pos[off:] = low
-    # the loop's boundary check: the map's nonzero branch cuts only
-    for e in mp._snap:
-        if np.any(np.abs(pos - e) < BOUNDARY_SNAP):
-            raise BoundaryHitError("orbit hit a branch boundary")
-    idx = np.searchsorted(cuts, pos, side="right") - 1
-    # added left to right, as the loop adds them (mean() sums pairwise)
-    terms = vals[np.clip(idx, 0, len(vals) - 1)]
-    return float(np.add.accumulate(terms)[-1] / n)
+    first, x0 = (0, x - 1) if x >= 1 else (1, x)
+    stop = n + first
+    points = (stop + 1) // 2  # u[0] .. u[points - 1]
+    # added left to right, as the loop adds them (mean() sums pairwise),
+    # each chunk after the running total; -0.0 + y is y for every y
+    total = -0.0
+    for m0 in range(0, points, SWAP_CHUNK):
+        y = x0 + alpha * np.arange(m0, min(m0 + SWAP_CHUNK, points))
+        u = y - np.floor(y)
+        pos = np.empty(2 * len(u))
+        pos[0::2] = u + 1.0  # odd steps from the lower half land in [1, 2)
+        pos[1::2] = u
+        pos = pos[max(first - 2 * m0, 0):stop - 2 * m0]
+        # the loop's boundary check: the map's nonzero branch cuts only
+        for e in mp._snap:
+            if np.any(np.abs(pos - e) < BOUNDARY_SNAP):
+                raise BoundaryHitError("orbit hit a branch boundary")
+        terms = np.empty(len(pos) + 1)
+        terms[0] = total
+        vals.take(np.searchsorted(cuts, pos, side="right"), out=terms[1:])
+        total = np.add.accumulate(terms, out=terms)[-1]
+    return float(total / n)
 
 
 class BitstreamPoint:

@@ -12,9 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from . import cocycle, ergocheck, finitedyn, intervaldyn, setfun
+from . import ergocheck, finitedyn, intervaldyn, setfun
 from .ergocheck import FiniteSystem, IntervalSystem
 from .finitedyn import Endomap
 from .intervaldyn import (GOLDEN, IntervalSet, PiecewiseAffineMap,
@@ -330,6 +328,8 @@ def random_periodic_generator(rng, d, ell, min_gap=0.05):
     """Random invertible periodic generator whose monodromy exponents are
     either equal (complex pairs) or separated by more than min_gap, so
     block identification is unambiguous."""
+    import numpy as np
+    from . import cocycle
     for _ in range(GENERATOR_TRIES):
         mats = []
         for _ in range(ell):
@@ -355,6 +355,7 @@ def compare_with_oracle(gen, ell, n):
     comparison averages over the oracle's multiplicity blocks.  The
     averaging window is aligned to a whole number of periods.
     """
+    from . import cocycle
     burn = n // 5
     burn += (n - burn) % ell
     qr = cocycle.lyapunov_qr(gen, 0, n, burn_in=burn)
@@ -373,6 +374,7 @@ def compare_with_oracle(gen, ell, n):
 
 
 def lyapunov_periodic_oracle(config):
+    from . import cocycle
     rng = random.Random(config["seed"])
     ell = config["period"]
     gen = random_periodic_generator(rng, config["d"], ell)
@@ -391,6 +393,8 @@ def lyapunov_periodic_oracle(config):
 
 
 def oseledets_two_cycle(config):
+    import numpy as np
+    from . import cocycle
     gen = cocycle.MatrixGen.periodic([np.diag([2.0, 1.0]),
                                       np.diag([1.0, 2.0])])
     spec = cocycle.lyapunov_qr(gen, 0, 1000)
@@ -417,6 +421,8 @@ def oseledets_two_cycle(config):
 
 
 def kingman_two_cycle(config):
+    import numpy as np
+    from . import cocycle
     gen = cocycle.MatrixGen.periodic([np.diag([2.0, 1.0]),
                                       np.diag([1.0, 2.0])])
     t = Endomap([1, 0])

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,6 +35,22 @@ def test_run_writes_report_and_csv(tmp_path, capsys):
     assert all("check" in c and "verdict" in c for c in report["checks"])
     csvs = list((tmp_path / "finite-swap-ergodic").glob("*.csv"))
     assert csvs, "expected at least one csv table"
+
+
+def test_cli_and_a_finite_scenario_load_no_numpy(tmp_path):
+    # intervaldyn and scenarios import numpy inside the functions that
+    # compute with it, so a command that never does starts without it
+    code = ("import sys\n"
+            "from capergo import cli\n"
+            "print('numpy' in sys.modules)\n"
+            "cli.main(['run', 'finite-swap-ergodic', '--out', %r])\n"
+            "print('numpy' in sys.modules)\n" % str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert (lines[0], lines[-1]) == ("False", "False")
 
 
 def test_run_is_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 import unittest.mock
 from fractions import Fraction
 
@@ -647,16 +648,20 @@ def test_orbit_average_constant_function():
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(0.001, 0.999), st.floats(0.0, 1.0, exclude_max=True),
-       st.integers(1, 400), st.data())
-@example(GOLDEN, 0.1234 / 2, 300, None)
-@example(GOLDEN, 0.777 / 2, 300, None)
+       st.integers(1, 400), st.data(),
+       st.sampled_from([2, intervaldyn.SWAP_CHUNK]))
+# a chunk of 2 circle points: orbits of n <= 400 cross chunk borders
+@example(GOLDEN, 0.1234 / 2, 300, None, 2)
+@example(GOLDEN, 0.777 / 2, 300, None, 2)
 # a start on a cut of f, which the loop reads without a boundary check
-@example(GOLDEN, 0.25, 10, IntervalSet([(0, F(1, 2))], c=2))
+@example(GOLDEN, 0.25, 10, IntervalSet([(0, F(1, 2))], c=2), 2)
 # a start just below the cut 1/3, at the float nearest to it
-@example(GOLDEN, float(F(1, 3)) / 2, 300, IntervalSet([(F(1, 3), 1)], c=2))
+@example(GOLDEN, float(F(1, 3)) / 2, 300, IntervalSet([(F(1, 3), 1)], c=2),
+         2)
 # a start on a branch cut: both paths raise
-@example(0.5, 0.25, 10, None)
-def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data):
+@example(0.5, 0.25, 10, None, 2)
+def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data,
+                                                     chunk):
     """The vectorised swap average has the outcome of the loop over the
     same branches as a plain map: the same value, or the same exception."""
     mp = PiecewiseAffineMap.rotation_swap(alpha)
@@ -682,20 +687,22 @@ def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data):
         except BoundaryHitError:
             break
     # f takes the values 0 and 1, so both sums are exact counts
-    assert _outcome(orbit_average, mp, f, x0, n) == \
-        _outcome(orbit_average, loop_map, f, x0, n)
+    with unittest.mock.patch.object(intervaldyn, "SWAP_CHUNK", chunk):
+        fast = _outcome(orbit_average, mp, f, x0, n)
+    assert fast == _outcome(orbit_average, loop_map, f, x0, n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.001, 0.999), st.floats(0.0, 1.0, exclude_max=True),
        st.integers(1, 3000),
        st.lists(st.one_of(st.fractions(-3, 3, max_denominator=12),
-                          st.floats(-3.0, 3.0)), min_size=3, max_size=3))
+                          st.floats(-3.0, 3.0)), min_size=3, max_size=3),
+       st.sampled_from([2, intervaldyn.SWAP_CHUNK]))
 # values 1/3, 1/7 and 2/3, whose pairwise sum differs from the loop's
-@example(GOLDEN, 0.1234 / 2, 3000, [F(1, 3), F(1, 7), F(2, 3)])
-@example(GOLDEN, 0.777 / 2, 1001, [F(1, 3), F(1, 7), F(2, 3)])
-def test_orbit_average_fast_path_adds_like_the_loop(alpha, start, n,
-                                                    values):
+@example(GOLDEN, 0.1234 / 2, 3000, [F(1, 3), F(1, 7), F(2, 3)], 2)
+@example(GOLDEN, 0.777 / 2, 1001, [F(1, 3), F(1, 7), F(2, 3)], 2)
+def test_orbit_average_fast_path_adds_like_the_loop(alpha, start, n, values,
+                                                    chunk):
     """With values other than 0 and 1, the vectorised swap average adds
     f's values left to right, as the loop does, to the same float."""
     mp = PiecewiseAffineMap.rotation_swap(alpha)
@@ -712,8 +719,101 @@ def test_orbit_average_fast_path_adds_like_the_loop(alpha, start, n,
             x = loop_map.apply(x)
         except BoundaryHitError:
             break
-    assert _outcome(orbit_average, mp, f, x0, n) == \
-        _outcome(orbit_average, loop_map, f, x0, n)
+    with unittest.mock.patch.object(intervaldyn, "SWAP_CHUNK", chunk):
+        fast = _outcome(orbit_average, mp, f, x0, n)
+    assert fast == _outcome(orbit_average, loop_map, f, x0, n)
+
+
+def _parent_orbit_average_swap(mp, f, x, n):
+    """The whole-orbit kernel that `_orbit_average_swap` must reproduce
+    bit for bit: it holds every orbit point at once."""
+    cuts = np.array([intervaldyn._float_ceil(v) for v in f.cuts])
+    vals = np.array([float(v) for v in f.values])
+    alpha = float(mp.branches[0][3]) - 1
+    pos = np.empty(n)
+    if x >= 1:
+        pos[0] = x
+        start_low, off = x - 1, 1
+    else:
+        start_low, off = x, 0
+    k = np.arange(n - off)
+    low = (start_low + alpha * ((k + 1) // 2)) % 1.0
+    low[1::2] += 1.0
+    pos[off:] = low
+    for e in mp._snap:
+        if np.any(np.abs(pos - e) < BOUNDARY_SNAP):
+            raise BoundaryHitError("orbit hit a branch boundary")
+    idx = np.searchsorted(cuts, pos, side="right") - 1
+    terms = vals[np.clip(idx, 0, len(vals) - 1)]
+    return float(np.add.accumulate(terms)[-1] / n)
+
+
+def _bits_or_error(fn, *args):
+    try:
+        y = fn(*args)
+    except BoundaryHitError as exc:
+        return type(exc), str(exc)
+    assert type(y) is float
+    return y.hex()
+
+
+QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+
+
+@st.composite
+def swap_functions(draw):
+    """A PiecewiseConstant on [0, 2) with up to 4 inner cuts, quarters,
+    Fractions or floats, and int, Fraction or float values."""
+    inner = draw(st.lists(st.one_of(
+        st.sampled_from([F(k, 4) for k in range(1, 8)]),
+        st.fractions(0, 2, max_denominator=12), st.floats(0, 2)),
+        max_size=4))
+    cuts = sorted({v for v in inner if 0 < v < 2})
+    values = draw(st.lists(
+        st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12),
+                  st.floats(-3, 3)),
+        min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return PiecewiseConstant([0] + cuts + [2], values, c=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.5, 0.25, 0.75, 0.125, GOLDEN]),
+                 st.floats(0.001, 0.999)),
+       st.one_of(st.sampled_from(QUARTERS),
+                 st.floats(0, 2, exclude_max=True)),
+       swap_functions(), st.integers(1, 40),
+       st.sampled_from([1, 2, 7, intervaldyn.SWAP_CHUNK]))
+@example(GOLDEN, 1.3, PiecewiseConstant([0, F(1, 3), 1, 2], [1, F(1, 7), 0.3],
+                                        c=2),
+         2 * intervaldyn.SWAP_CHUNK + 3, intervaldyn.SWAP_CHUNK)
+@example(GOLDEN, 0.3, PiecewiseConstant([0, 1, 2], [0, 1], c=2),
+         2 * intervaldyn.SWAP_CHUNK + 3, intervaldyn.SWAP_CHUNK)
+# u[m] = m / 2^13 meets the branch cut 1 - alpha at m = 2^13 - 1, in the
+# second chunk: the last orbit point of n = 2^14 - 1 hits it
+@example(2.0 ** -13, 0.0, PiecewiseConstant([0, 1, 2], [0, 1], c=2),
+         2 ** 14 - 1, intervaldyn.SWAP_CHUNK)
+@example(2.0 ** -5, 0.0, PiecewiseConstant([0, 1, 2], [0, 1], c=2), 63, 7)
+def test_swap_orbit_average_equals_the_parent_kernel_bit_for_bit(
+        alpha, x, f, n, chunk):
+    """The chunked swap average gives the whole-orbit kernel's float, to
+    the bit, or raises where it raises, at every chunk size."""
+    mp = PiecewiseAffineMap.rotation_swap(alpha)
+    want = _bits_or_error(_parent_orbit_average_swap, mp, f, x, n)
+    with unittest.mock.patch.object(intervaldyn, "SWAP_CHUNK", chunk):
+        got = _bits_or_error(intervaldyn._orbit_average_swap, mp, f, x, n)
+    assert got == want
+
+
+def test_swap_orbit_average_memory_is_flat_in_n():
+    mp = PiecewiseAffineMap.rotation_swap(GOLDEN)
+    f = PiecewiseConstant.indicator(IntervalSet([(1, 2)], c=2))
+    tracemalloc.start()
+    try:
+        orbit_average(mp, f, 0.3, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("x", [0.2, F(1, 5)])
