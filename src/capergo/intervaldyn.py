@@ -427,9 +427,9 @@ def _orbit_average_swap(mp, f, x, n):
     first, x0 = (0, x - 1) if x >= 1 else (1, x)
     stop = n + first
     points = (stop + 1) // 2  # u[0] .. u[points - 1]
-    # added left to right, as the loop adds them (mean() sums pairwise),
-    # each chunk after the running total; -0.0 + y is y for every y
-    total = -0.0
+    # added left to right from 0.0, as the loop adds them, each chunk after
+    # the running total
+    total = 0.0
     for m0 in range(0, points, SWAP_CHUNK):
         y = x0 + alpha * np.arange(m0, min(m0 + SWAP_CHUNK, points))
         u = y - np.floor(y)

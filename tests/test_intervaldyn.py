@@ -701,6 +701,8 @@ def test_orbit_average_fast_path_matches_direct_loop(alpha, start, n, data,
 # values 1/3, 1/7 and 2/3, whose pairwise sum differs from the loop's
 @example(GOLDEN, 0.1234 / 2, 3000, [F(1, 3), F(1, 7), F(2, 3)], 2)
 @example(GOLDEN, 0.777 / 2, 1001, [F(1, 3), F(1, 7), F(2, 3)], 2)
+# a sum of -0.0 alone, which the loop starts from 0.0 and so reads 0.0
+@example(0.5, 0.0, 1, [-0.0, 0.0, 0.0], 2)
 def test_orbit_average_fast_path_adds_like_the_loop(alpha, start, n, values,
                                                     chunk):
     """With values other than 0 and 1, the vectorised swap average adds
@@ -726,7 +728,8 @@ def test_orbit_average_fast_path_adds_like_the_loop(alpha, start, n, values,
 
 def _parent_orbit_average_swap(mp, f, x, n):
     """The whole-orbit kernel that `_orbit_average_swap` must reproduce
-    bit for bit: it holds every orbit point at once."""
+    bit for bit: it holds every orbit point at once.  Its sum starts from
+    0.0, as the loop's does; + 0.0 turns only a sum of -0.0 into 0.0."""
     cuts = np.array([intervaldyn._float_ceil(v) for v in f.cuts])
     vals = np.array([float(v) for v in f.values])
     alpha = float(mp.branches[0][3]) - 1
@@ -745,7 +748,7 @@ def _parent_orbit_average_swap(mp, f, x, n):
             raise BoundaryHitError("orbit hit a branch boundary")
     idx = np.searchsorted(cuts, pos, side="right") - 1
     terms = vals[np.clip(idx, 0, len(vals) - 1)]
-    return float(np.add.accumulate(terms)[-1] / n)
+    return float((np.add.accumulate(terms)[-1] + 0.0) / n)
 
 
 def _bits_or_error(fn, *args):
